@@ -153,18 +153,21 @@ def detect_scalar(a: DenseMatrix, tol: float = DEFAULT_TOL) -> ScalarityResult:
     The phase is read off the first nonzero entry in row-major order, so
     the result is deterministic.  An entry passes when, after rotating by
     the conjugate phase, its imaginary part is at most ``tol`` times its
-    modulus and its real part is not materially negative.
+    modulus and its real part is not materially negative.  A real pivot
+    gives a phase of exactly +1 or -1, and a nonnegative input is its own
+    nonnegative part.
     """
+    if a.is_nonneg():
+        return ScalarityResult(True, 1.0 + 0.0j, a)
     data = a.data
     mods = np.abs(data)
     cutoff = ZERO_TOL_FACTOR * float(mods.max())
     nz = mods > cutoff
-    if not nz.any():
-        zero = np.zeros(a.shape)
-        return ScalarityResult(True, 1.0 + 0.0j, DenseMatrix(zero))
     first_flat = int(np.argmax(nz.ravel()))
     pivot = data.ravel()[first_flat]
-    phase = pivot / abs(pivot)
+    # pivot / abs(pivot) rounds to +-0.9999999999999999 for some real
+    # pivots, which would perturb every entry of the nonnegative part.
+    phase = np.sign(pivot.real) + 0.0j if pivot.imag == 0.0 else pivot / abs(pivot)
     rotated = data * np.conj(phase)
     bad = nz & (
         (np.abs(rotated.imag) > tol * mods) | (rotated.real < -tol * mods)

@@ -110,6 +110,16 @@ def test_detect_scalar_zero_matrix():
     assert max_modulus(sc.nonneg_part) == 0.0
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_detect_scalar_real_pivot_has_exact_phase(sign):
+    # pivot / abs(pivot) rounds to 0.9999999999999999 for this pivot.
+    base = np.array([[0.7147254788486088, 0.25, 0.0], [0.0, 1.5, 3.1]])
+    sc = detect_scalar(DenseMatrix(sign * base))
+    assert sc.is_scalar
+    assert sc.phase == sign
+    assert sc.nonneg_part == DenseMatrix(base)
+
+
 def test_detect_scalar_mixed_phases(c2):
     assert not detect_scalar(c2).is_scalar
     assert not detect_scalar(DenseMatrix([[1.0, -1.0]])).is_scalar

@@ -11,21 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    DenseMatrix,
-    col_sums,
-    detect_scalar,
-    entrywise_abs,
-    max_modulus,
-    row_sums,
-    support_mask,
-    total_sum,
-    zero_threshold,
-)
-from .errors import NotScalarError, PreconditionError, WalkboundError
-from .spectral import largest_singular
-from .walks import walk_table
+from .analysis import Analysis
+from .core import DEFAULT_TOL, DenseMatrix, col_sums, row_sums, support_mask, total_sum
+from .errors import NotScalarError, PreconditionError
+from .walks import WalkTable
 
 
 @dataclass(frozen=True)
@@ -41,12 +30,12 @@ class BoundReport:
     certificate: bool | None = None
 
 
-def _resolve_sigma(a: DenseMatrix, sigma: float | None, tol: float) -> float:
+def _resolve_sigma(ctx: Analysis, sigma: float | None) -> float:
     if sigma is not None:
         if sigma < 0.0:
             raise PreconditionError("sigma must be nonnegative")
         return float(sigma)
-    return largest_singular(a).sigma
+    return ctx.singular(ctx.a).sigma
 
 
 def _lower_report(method: str, value: float, sigma: float, tol: float,
@@ -56,13 +45,12 @@ def _lower_report(method: str, value: float, sigma: float, tol: float,
     return BoundReport(method, value, sigma, gap, tight, params, certificate)
 
 
-def _walk_ratio_value(nonneg: DenseMatrix, p: int, r: int) -> float:
+def _walk_ratio_value(table: WalkTable, p: int, r: int) -> float:
     """(w^p(R) / w^r(R)) ** (1/(p-r)) with no parity validation.
 
     Kept separate so tests can demonstrate that even orders break the
     bound; walk_bound itself refuses them.
     """
-    table = walk_table(nonneg, p)
     wr = table.row_total(r).real
     wp = table.row_total(p).real
     if wr <= 0.0:
@@ -79,6 +67,10 @@ def walk_bound(a: DenseMatrix, p: int, r: int, tol: float = DEFAULT_TOL,
     weights are taken on the nonnegative part, whose largest singular
     value equals that of the input.
     """
+    return _walk_bound(Analysis(a, tol), p, r, sigma)
+
+
+def _walk_bound(ctx: Analysis, p: int, r: int, sigma: float | None = None) -> BoundReport:
     if p % 2 == 0 or r % 2 == 0:
         raise PreconditionError(
             f"walk bound needs odd orders, got p={p}, r={r}; "
@@ -86,22 +78,11 @@ def walk_bound(a: DenseMatrix, p: int, r: int, tol: float = DEFAULT_TOL,
         )
     if not p > r >= 1:
         raise PreconditionError(f"orders must satisfy p > r >= 1, got p={p}, r={r}")
-    sc = detect_scalar(a, tol)
-    if not sc.is_scalar:
+    if not ctx.scalarity.is_scalar:
         raise NotScalarError("walk bound is defined for scalar matrices")
-    nonneg = sc.nonneg_part
-    value = _walk_ratio_value(nonneg, p, r)
-    if sigma is None:
-        sig = largest_singular(a).sigma
-        sig_nonneg = largest_singular(nonneg).sigma
-        if abs(sig - sig_nonneg) > tol * max(1.0, sig):
-            raise WalkboundError(
-                "internal consistency failure: sigma of the nonnegative part "
-                f"({sig_nonneg:.12g}) drifted from sigma of the input ({sig:.12g})"
-            )
-    else:
-        sig = _resolve_sigma(a, sigma, tol)
-    return _lower_report("walk", value, sig, tol, {"p": p, "r": r})
+    value = _walk_ratio_value(ctx.table(ctx.basis, p), p, r)
+    sig = _resolve_sigma(ctx, sigma)
+    return _lower_report("walk", value, sig, ctx.tol, {"p": p, "r": r})
 
 
 def weighted_bound(a: DenseMatrix, r: int = 1, tol: float = DEFAULT_TOL,
@@ -114,26 +95,33 @@ def weighted_bound(a: DenseMatrix, r: int = 1, tol: float = DEFAULT_TOL,
 
     Zero denominator (possible only for the zero matrix) reports 0.
     """
+    return _weighted_bound(Analysis(a, tol), r, sigma)
+
+
+def _weighted_bound(ctx: Analysis, r: int, sigma: float | None = None) -> BoundReport:
     if r < 1:
         raise PreconditionError("order r must be at least 1")
-    table = walk_table(entrywise_abs(a), r)
+    table = ctx.table(ctx.modulus, r)
     wr = np.sqrt(table.row(r).real)
     wc = np.sqrt(table.col(r).real)
     den = float(np.sqrt(table.row_total(r).real * table.col_total(r).real))
     if den > 0.0:
-        value = float(abs(wr @ a.data @ wc)) / den
+        value = float(abs(wr @ ctx.a.data @ wc)) / den
     else:
         value = 0.0
-    sig = _resolve_sigma(a, sigma, tol)
-    return _lower_report("weighted", value, sig, tol, {"r": r})
+    return _lower_report("weighted", value, _resolve_sigma(ctx, sigma), ctx.tol, {"r": r})
 
 
 def mean_bound(a: DenseMatrix, tol: float = DEFAULT_TOL,
                sigma: float | None = None) -> BoundReport:
     """|sum of entries| / sqrt(n m), the order-1 weighted bound."""
+    return _mean_bound(Analysis(a, tol), sigma)
+
+
+def _mean_bound(ctx: Analysis, sigma: float | None = None) -> BoundReport:
+    a = ctx.a
     value = abs(total_sum(a)) / float(np.sqrt(a.m * a.n))
-    sig = _resolve_sigma(a, sigma, tol)
-    return _lower_report("mean", value, sig, tol, {})
+    return _lower_report("mean", value, _resolve_sigma(ctx, sigma), ctx.tol, {})
 
 
 def hwh_bound(a: DenseMatrix, tol: float = DEFAULT_TOL,
@@ -145,13 +133,17 @@ def hwh_bound(a: DenseMatrix, tol: float = DEFAULT_TOL,
     condition d_i * d_j = sigma^2 holds on every support pair, which is
     exactly when the bound is attained.
     """
+    return _hwh_bound(Analysis(a, tol), sigma)
+
+
+def _hwh_bound(ctx: Analysis, sigma: float | None = None) -> BoundReport:
+    a, tol = ctx.a, ctx.tol
     data = a.data
     if data.shape[0] != data.shape[1]:
         raise PreconditionError("degree-product bound needs a square matrix")
     if not a.is_real():
         raise PreconditionError("degree-product bound needs real entries")
-    scale = max_modulus(a)
-    if float(np.abs(data - data.T).max()) > 1e-12 * max(scale, 1e-300):
+    if float(np.abs(data - data.T).max()) > 1e-12 * max(ctx.max_modulus, 1e-300):
         raise PreconditionError("degree-product bound needs a symmetric matrix")
     if data.real.min() < 0.0:
         raise PreconditionError("degree-product bound needs nonnegative entries")
@@ -161,7 +153,7 @@ def hwh_bound(a: DenseMatrix, tol: float = DEFAULT_TOL,
     total = total_sum(a).real
     root = np.sqrt(d)
     value = float(root @ data.real @ root) / total
-    sig = _resolve_sigma(a, sigma, tol)
+    sig = _resolve_sigma(ctx, sigma)
     target = sig * sig
     support = support_mask(a)
     products = np.outer(d, d)[support]
@@ -174,6 +166,11 @@ def hwh_bound(a: DenseMatrix, tol: float = DEFAULT_TOL,
 def schur_upper_bound(a: DenseMatrix, tol: float = DEFAULT_TOL,
                       sigma: float | None = None) -> BoundReport:
     """Upper bound sqrt(max_i r_i * max_j c_j) for nonnegative matrices."""
+    return _schur_upper_bound(Analysis(a, tol), sigma)
+
+
+def _schur_upper_bound(ctx: Analysis, sigma: float | None = None) -> BoundReport:
+    a = ctx.a
     if not a.is_real():
         raise PreconditionError("the upper bound needs real entries")
     if a.data.real.min() < 0.0:
@@ -181,7 +178,7 @@ def schur_upper_bound(a: DenseMatrix, tol: float = DEFAULT_TOL,
     r = row_sums(a).real
     c = col_sums(a).real
     value = float(np.sqrt(r.max() * c.max()))
-    sig = _resolve_sigma(a, sigma, tol)
+    sig = _resolve_sigma(ctx, sigma)
     gap = value - sig
-    tight = abs(gap) <= tol * max(1.0, sig)
+    tight = abs(gap) <= ctx.tol * max(1.0, sig)
     return BoundReport("schur", value, sig, gap, tight, {})

@@ -20,22 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import Analysis
 from .core import (
     DEFAULT_TOL,
     DenseMatrix,
     ScalarityResult,
     col_sums,
     conj_transpose,
-    detect_scalar,
     matmul,
-    max_modulus,
     row_sums,
     support_mask,
     total_sum,
 )
 from .errors import NotScalarError, PreconditionError
-from .spectral import hermitian_eigen, largest_singular
-from .structure import decompose
+from .spectral import hermitian_eigen
 from .walks import walk_table
 
 
@@ -82,24 +80,28 @@ def _sums_regular(mat: DenseMatrix, tol: float) -> bool:
     )
 
 
-def _require_scalar_nonzero(a: DenseMatrix, tol: float) -> tuple[ScalarityResult, DenseMatrix]:
-    if max_modulus(a) == 0.0:
+def _require_scalar_nonzero(ctx: Analysis) -> DenseMatrix:
+    if ctx.max_modulus == 0.0:
         raise PreconditionError("classification is undefined for the zero matrix")
-    sc = detect_scalar(a, tol)
-    if not sc.is_scalar:
+    if not ctx.scalarity.is_scalar:
         raise NotScalarError(
             "classification is defined for scalar matrices; "
             "entries do not share a common phase"
         )
-    return sc, sc.nonneg_part
+    return ctx.basis
 
 
 def classify(a: DenseMatrix, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Full regularity classification of a nonzero scalar matrix."""
-    sc, nonneg = _require_scalar_nonzero(a, tol)
+    return Analysis(a, tol).classification
+
+
+def _classify(ctx: Analysis) -> ClassificationReport:
+    tol = ctx.tol
+    nonneg = _require_scalar_nonzero(ctx)
     regular = _sums_regular(nonneg, tol)
 
-    table = walk_table(nonneg, 5)
+    table = ctx.table(nonneg, 5)
     w3 = table.row(3).real
     w5 = table.row(5).real
     w3_total = table.row_total(3).real
@@ -111,20 +113,16 @@ def classify(a: DenseMatrix, tol: float = DEFAULT_TOL) -> ClassificationReport:
         deviation = float(np.abs(w5 - lam * w3).max())
         pseudo = deviation <= tol * max(1.0, float(np.abs(w5).max()))
 
-    sigma = largest_singular(nonneg).sigma
-    summaries = []
-    for comp in decompose(nonneg).components:
-        summaries.append(
-            ComponentSummary(
-                regular=_sums_regular(comp.submatrix, tol),
-                sigma=largest_singular(comp.submatrix).sigma,
-            )
-        )
+    sigma = ctx.singular(nonneg).sigma
+    summaries = [
+        ComponentSummary(regular=_sums_regular(sub, tol), sigma=ctx.singular(sub).sigma)
+        for sub in ctx.submatrices(nonneg)
+    ]
     almost = bool(summaries) and all(
         s.regular and abs(s.sigma - sigma) <= tol * max(1.0, sigma) for s in summaries
     )
     return ClassificationReport(
-        scalarity=sc,
+        scalarity=ctx.scalarity,
         is_regular=regular,
         is_pseudo_regular=pseudo,
         pseudo_lambda=lam if pseudo else None,
@@ -142,7 +140,7 @@ def characterize_pseudo_regular(a: DenseMatrix, tol: float = DEFAULT_TOL) -> Pse
     and the all-ones vector must have no component in the eigenspace of
     any other nonzero eigenvalue.
     """
-    _, nonneg = _require_scalar_nonzero(a, tol)
+    nonneg = _require_scalar_nonzero(Analysis(a, tol))
     m = nonneg.m
     gram = matmul(nonneg, conj_transpose(nonneg))
     w3 = walk_table(nonneg, 3).row(3).real
@@ -182,7 +180,7 @@ def relaxed_pseudo_regular(a: DenseMatrix, r: int, s: int,
         raise PreconditionError(
             f"orders must be odd with r > s >= 3, got r={r}, s={s}"
         )
-    _, nonneg = _require_scalar_nonzero(a, tol)
+    nonneg = _require_scalar_nonzero(Analysis(a, tol))
     table = walk_table(nonneg, r)
     ws = table.row(s).real
     wr = table.row(r).real
@@ -213,15 +211,13 @@ class EqualityCertificate:
     details: dict
 
 
-def _certificate_basis(a: DenseMatrix, tol: float) -> tuple[bool, DenseMatrix]:
-    """Matrix the certificate arithmetic runs on: the nonnegative part
-    when the input is scalar, the raw matrix otherwise."""
-    if max_modulus(a) == 0.0:
+def _certificate_basis(ctx: Analysis) -> tuple[bool, DenseMatrix]:
+    """Whether the input is scalar, and the matrix the certificate
+    arithmetic runs on: the nonnegative part when it is, the raw matrix
+    otherwise."""
+    if ctx.max_modulus == 0.0:
         raise PreconditionError("certificates are undefined for the zero matrix")
-    sc = detect_scalar(a, tol)
-    if sc.is_scalar:
-        return True, sc.nonneg_part
-    return False, a
+    return ctx.scalarity.is_scalar, ctx.basis
 
 
 def certify_theorem2(a: DenseMatrix, s: int = 1, r: int = 0,
@@ -231,21 +227,25 @@ def certify_theorem2(a: DenseMatrix, s: int = 1, r: int = 0,
     The implication is only claimed for scalar input; for anything else
     the certificate reports the equality gap and nothing more.
     """
+    return _certify_theorem2(Analysis(a, tol), s, r)
+
+
+def _certify_theorem2(ctx: Analysis, s: int, r: int) -> EqualityCertificate:
     if s < 1 or r < 0:
         raise PreconditionError(f"need s >= 1 and r >= 0, got s={s}, r={r}")
-    scalar, basis = _certificate_basis(a, tol)
-    sigma = largest_singular(basis).sigma
-    table = walk_table(basis, 2 * r + 2 * s + 1)
+    scalar, basis = _certificate_basis(ctx)
+    sigma = ctx.singular(basis).sigma
+    table = ctx.table(basis, 2 * r + 2 * s + 1)
     lhs = sigma ** (2 * s) * table.row_total(2 * r + 1)
     rhs = table.row_total(2 * r + 2 * s + 1)
     gap = abs(lhs - rhs) / max(1.0, abs(rhs))
-    holds = gap <= tol
+    holds = gap <= ctx.tol
     if not scalar:
         implied = None
     elif not holds:
         implied = True
     else:
-        implied = classify(a, tol).is_pseudo_regular
+        implied = ctx.classification.is_pseudo_regular
     return EqualityCertificate(
         "T2", holds, gap, implied,
         {"s": s, "r": r, "equality_gap": gap, "scalar": scalar},
@@ -259,23 +259,27 @@ def certify_theorem2_1(a: DenseMatrix, r: int = 1, s: int = 1,
     Checks sigma^(2s) * w^1(R) = w^(2s+1)(R) and
     sigma^(2r) * w^1(C) = w^(2r+1)(C); both must hold.
     """
+    return _certify_theorem2_1(Analysis(a, tol), r, s)
+
+
+def _certify_theorem2_1(ctx: Analysis, r: int, s: int) -> EqualityCertificate:
     if r < 1 or s < 1:
         raise PreconditionError(f"need r >= 1 and s >= 1, got r={r}, s={s}")
-    scalar, basis = _certificate_basis(a, tol)
-    sigma = largest_singular(basis).sigma
-    table = walk_table(basis, max(2 * s, 2 * r) + 1)
+    scalar, basis = _certificate_basis(ctx)
+    sigma = ctx.singular(basis).sigma
+    table = ctx.table(basis, max(2 * s, 2 * r) + 1)
     row_rhs = table.row_total(2 * s + 1)
     col_rhs = table.col_total(2 * r + 1)
     row_gap = abs(sigma ** (2 * s) * basis.m - row_rhs) / max(1.0, abs(row_rhs))
     col_gap = abs(sigma ** (2 * r) * basis.n - col_rhs) / max(1.0, abs(col_rhs))
     gap = max(row_gap, col_gap)
-    holds = gap <= tol
+    holds = gap <= ctx.tol
     if not scalar:
         implied = None
     elif not holds:
         implied = True
     else:
-        implied = classify(a, tol).is_almost_regular
+        implied = ctx.classification.is_almost_regular
     return EqualityCertificate(
         "T2.1", holds, gap, implied,
         {"r": r, "s": s, "row_gap": row_gap, "col_gap": col_gap, "scalar": scalar},
@@ -300,11 +304,17 @@ def certify_theorem3(a: DenseMatrix, r: int = 2, tol: float = DEFAULT_TOL,
     residual of the unscaled support identity
     |w^r(i) w^r(j)| = sigma^2 |w^r(R) w^r(C)| as a diagnostic.
     """
+    return _certify_theorem3(Analysis(a, tol), r, include_literal)
+
+
+def _certify_theorem3(ctx: Analysis, r: int,
+                      include_literal: bool = False) -> EqualityCertificate:
     if r < 1:
         raise PreconditionError(f"order r must be at least 1, got {r}")
-    scalar, basis = _certificate_basis(a, tol)
-    sigma = largest_singular(basis).sigma
-    table = walk_table(basis, r)
+    tol = ctx.tol
+    scalar, basis = _certificate_basis(ctx)
+    sigma = ctx.singular(basis).sigma
+    table = ctx.table(basis, r)
     wr = table.row(r)
     wc = table.col(r)
     total_r = table.row_total(r)
@@ -337,7 +347,7 @@ def certify_theorem3(a: DenseMatrix, r: int = 2, tol: float = DEFAULT_TOL,
         ) / max(1.0, literal_target)
 
     if scalar:
-        cond_i = classify(a, tol).is_almost_regular
+        cond_i = ctx.classification.is_almost_regular
         details["almost_regular"] = cond_i
         holds = cond_i == cond_ii == cond_iii
         implied = holds
@@ -354,13 +364,17 @@ def certify_theorem4(a: DenseMatrix, tol: float = DEFAULT_TOL) -> EqualityCertif
     For scalar input this is a two-way check: the equality must hold
     exactly when the classification says regular.
     """
-    scalar, basis = _certificate_basis(a, tol)
-    sigma = largest_singular(basis).sigma
+    return _certify_theorem4(Analysis(a, tol))
+
+
+def _certify_theorem4(ctx: Analysis) -> EqualityCertificate:
+    scalar, basis = _certificate_basis(ctx)
+    sigma = ctx.singular(basis).sigma
     mean_value = abs(total_sum(basis)) / float(np.sqrt(basis.m * basis.n))
     gap = abs(sigma - mean_value) / max(1.0, sigma)
-    holds = gap <= tol
+    holds = gap <= ctx.tol
     if scalar:
-        implied = classify(a, tol).is_regular == holds
+        implied = ctx.classification.is_regular == holds
     else:
         implied = None
     return EqualityCertificate(
@@ -375,9 +389,11 @@ def hwh_equality_certificate(a: DenseMatrix, tol: float = DEFAULT_TOL) -> Equali
     The bound meets sigma exactly when d_i * d_j = sigma^2 on every
     support pair; the certificate verifies the two readings agree.
     """
-    from .bounds import hwh_bound
+    return _hwh_equality_certificate(Analysis(a, tol))
 
-    report = hwh_bound(a, tol)
+
+def _hwh_equality_certificate(ctx: Analysis) -> EqualityCertificate:
+    report = ctx.hwh_report
     gap = abs(report.gap) / max(1.0, report.sigma)
     holds = report.tight
     support_condition = bool(report.certificate)

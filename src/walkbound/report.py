@@ -10,22 +10,18 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from . import __version__
-from .bounds import hwh_bound, mean_bound, schur_upper_bound, walk_bound, weighted_bound
+from .analysis import Analysis
+from .bounds import _mean_bound, _schur_upper_bound, _walk_bound, _weighted_bound
 from .classify import (
-    certify_theorem2,
-    certify_theorem2_1,
-    certify_theorem3,
-    certify_theorem4,
-    classify,
-    hwh_equality_certificate,
+    _certify_theorem2,
+    _certify_theorem2_1,
+    _certify_theorem3,
+    _certify_theorem4,
+    _hwh_equality_certificate,
 )
-from .core import DenseMatrix, detect_scalar, max_modulus
+from .core import DenseMatrix
 from .errors import PreconditionError
-from .spectral import largest_singular
-from .structure import decompose
 
 SCHEMA_VERSION = 1
 
@@ -70,43 +66,43 @@ def _certificate_dict(cert) -> dict:
     }
 
 
-def _hwh_applicable(a: DenseMatrix) -> bool:
-    data = a.data
-    if data.shape[0] != data.shape[1] or not a.is_real():
-        return False
-    scale = max(max_modulus(a), 1e-300)
-    if float(np.abs(data - data.T).max()) > 1e-12 * scale:
-        return False
-    if data.real.min() < 0.0:
-        return False
-    return bool(data.real.sum(axis=1).min() > 0.0)
-
-
 def full_analysis(a: DenseMatrix, *, tol: float = 1e-8, max_iter: int = 10_000,
                   literal_t3: bool = False) -> dict:
-    """Run the whole pipeline on one matrix and return the report body."""
+    """Run the whole pipeline on one matrix and return the report body.
+
+    Every quantity comes from one ``Analysis`` context, so each is
+    computed once, and ``max_iter`` caps every solve.
+    """
+    ctx = Analysis(a, tol, max_iter)
     notes: list[str] = []
-    spectral = largest_singular(a, max_iter=max_iter)
+    spectral = ctx.singular(a)
     sigma = spectral.sigma
-    sc = detect_scalar(a, tol)
-    zero = max_modulus(a) == 0.0
+    sc = ctx.scalarity
+    zero = ctx.max_modulus == 0.0
 
     bound_reports = []
     if sc.is_scalar:
+        # One table at the grid's highest order serves every lower order.
+        ctx.table(ctx.basis, max(p for p, _ in _WALK_GRID))
         for p, r in _WALK_GRID:
-            bound_reports.append(walk_bound(a, p, r, tol=tol, sigma=sigma))
+            bound_reports.append(_walk_bound(ctx, p, r))
     else:
         notes.append("walk ratio bounds skipped: matrix is not scalar")
+    ctx.table(ctx.modulus, max(_WEIGHTED_GRID))
     for r in _WEIGHTED_GRID:
-        bound_reports.append(weighted_bound(a, r, tol=tol, sigma=sigma))
-    bound_reports.append(mean_bound(a, tol=tol, sigma=sigma))
-    if _hwh_applicable(a):
-        bound_reports.append(hwh_bound(a, tol=tol, sigma=sigma))
+        bound_reports.append(_weighted_bound(ctx, r))
+    bound_reports.append(_mean_bound(ctx))
+    try:
+        hwh = ctx.hwh_report
+    except PreconditionError:  # the degree-product bound does not apply
+        hwh = None
+    else:
+        bound_reports.append(hwh)
     if a.is_nonneg():
-        bound_reports.append(schur_upper_bound(a, tol=tol, sigma=sigma))
+        bound_reports.append(_schur_upper_bound(ctx))
 
     try:
-        report = classify(a, tol)
+        report = ctx.classification
         classification = {
             "is_scalar": True,
             "phase": _complex_dict(report.scalarity.phase),
@@ -136,16 +132,16 @@ def full_analysis(a: DenseMatrix, *, tol: float = 1e-8, max_iter: int = 10_000,
     if zero:
         notes.append("certificates skipped: zero matrix")
     else:
-        certificates.append(_certificate_dict(certify_theorem2(a, s=1, r=0, tol=tol)))
-        certificates.append(_certificate_dict(certify_theorem2_1(a, r=1, s=1, tol=tol)))
+        certificates.append(_certificate_dict(_certify_theorem2(ctx, s=1, r=0)))
+        certificates.append(_certificate_dict(_certify_theorem2_1(ctx, r=1, s=1)))
         certificates.append(_certificate_dict(
-            certify_theorem3(a, r=2, tol=tol, include_literal=literal_t3)
+            _certify_theorem3(ctx, r=2, include_literal=literal_t3)
         ))
-        certificates.append(_certificate_dict(certify_theorem4(a, tol=tol)))
-        if _hwh_applicable(a):
-            certificates.append(_certificate_dict(hwh_equality_certificate(a, tol=tol)))
+        certificates.append(_certificate_dict(_certify_theorem4(ctx)))
+        if hwh is not None:
+            certificates.append(_certificate_dict(_hwh_equality_certificate(ctx)))
 
-    dec = decompose(a)
+    dec = ctx.decomposition
     components = {
         "count": len(dec.components),
         "isolated_rows": list(dec.isolated_rows),
@@ -157,9 +153,9 @@ def full_analysis(a: DenseMatrix, *, tol: float = 1e-8, max_iter: int = 10_000,
                 "rows": list(comp.row_indices),
                 "cols": list(comp.col_indices),
                 "shape": [len(comp.row_indices), len(comp.col_indices)],
-                "sigma": largest_singular(comp.submatrix).sigma,
+                "sigma": ctx.singular(sub).sigma,
             }
-            for comp in dec.components
+            for comp, sub in zip(dec.components, ctx.submatrices(a))
         ],
     }
 

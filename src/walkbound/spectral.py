@@ -135,15 +135,13 @@ def largest_singular(a: DenseMatrix, tol: float = 1e-12,
     )
 
 
-def singular_values(a: DenseMatrix, tol: float = 1e-12) -> np.ndarray:
+def singular_values(a: DenseMatrix) -> np.ndarray:
     """All singular values, descending.
 
     Computed as square roots of the Hermitian eigenvalues of the smaller
     Gram matrix; small negative eigenvalues from rounding are clipped to
-    zero.  ``tol`` is accepted for interface symmetry with the power
-    iteration, which resolves the same top value.
+    zero.
     """
-    del tol
     data = a.data
     m, n = data.shape
     gram = data @ data.conj().T if m <= n else data.conj().T @ data

@@ -14,6 +14,7 @@ from walkbound import (
     schur_upper_bound,
     singular_values,
     walk_bound,
+    walk_table,
     weighted_bound,
 )
 from walkbound.bounds import _walk_ratio_value
@@ -59,7 +60,7 @@ def test_even_orders_really_can_overshoot():
     # This is why the public bound refuses even orders.
     a = DenseMatrix([[1.0, 1.0]])
     sigma = math.sqrt(2.0)
-    value = _walk_ratio_value(a, 2, 1)
+    value = _walk_ratio_value(walk_table(a, 2), 2, 1)
     assert value == pytest.approx(2.0, abs=1e-12)
     assert value > sigma + 0.5
 

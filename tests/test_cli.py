@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from walkbound import DenseMatrix, write_matrix
@@ -141,3 +142,17 @@ def test_installed_entry_point_runs(e1_file):
     )
     assert proc.returncode == 0
     assert "sigma: 2" in proc.stdout
+
+
+def test_max_iter_caps_every_solve(tmp_path):
+    # The top two singular values differ by 1e-3, so power iteration needs
+    # more than the default 10,000 steps; every certificate reads sigma
+    # from a solve under the same cap.
+    path = tmp_path / "tie.mtx"
+    write_matrix(path, DenseMatrix(np.diag([1.0, 1.0 - 1e-3, 0.5])))
+    out = tmp_path / "tie.json"
+    assert main(["analyze", str(path), "--max-iter", "60000", "--json", "--out", str(out)]) == 0
+    body = json.loads(out.read_text())
+    assert body["sigma"]["iterations"] > 10_000
+    assert body["tolerances"]["max_iter"] == 60_000
+    assert [c["theorem"] for c in body["certificates"]] == ["T2", "T2.1", "T3", "T4", "HWH"]

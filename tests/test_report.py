@@ -1,9 +1,38 @@
+import importlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from walkbound import DenseMatrix, full_analysis, render_text, to_json
+from walkbound import (
+    DenseMatrix,
+    PreconditionError,
+    certify_theorem2,
+    certify_theorem2_1,
+    certify_theorem3,
+    certify_theorem4,
+    classify,
+    decompose,
+    detect_scalar,
+    full_analysis,
+    hwh_bound,
+    hwh_equality_certificate,
+    largest_singular,
+    mean_bound,
+    render_text,
+    schur_upper_bound,
+    to_json,
+    walk_bound,
+    weighted_bound,
+)
+from walkbound.report import (
+    _WALK_GRID,
+    _WEIGHTED_GRID,
+    _bound_dict,
+    _certificate_dict,
+    _complex_dict,
+)
 
 
 def test_report_shape(e1):
@@ -65,3 +94,143 @@ def test_text_rendering_mentions_the_essentials(e1):
     assert "pseudo-regular yes" in text
     assert "T2.1" in text
     assert text.endswith("\n")
+
+
+# One analysis: the layer functions below run once per distinct matrix.
+_COUNTED = (
+    ("spectral", "largest_singular"),
+    ("core", "detect_scalar"),
+    ("structure", "decompose"),
+    ("walks", "walk_table"),
+    ("classify", "_classify"),
+)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Rebind each counted function at every module binding that holds it,
+    as the benchmark's tracer does, and return the call counts."""
+    counts = dict.fromkeys((name for _, name in _COUNTED), 0)
+    modules = [mod for key, mod in sys.modules.items()
+               if key == "walkbound" or key.startswith("walkbound.")]
+    for home, name in _COUNTED:
+        original = getattr(importlib.import_module(f"walkbound.{home}"), name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+def _block_with_isolated_row():
+    return DenseMatrix([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+
+
+def _fixtures(e1, c2):
+    return {
+        "E1": e1,
+        "C2": c2,
+        "iE1": DenseMatrix(1j * e1.data),
+        "blocks": _block_with_isolated_row(),
+    }
+
+
+# Solves per fixture: the input, the basis when it is not the input, and
+# each component that does not cover the whole matrix.
+_EXPECTED_SOLVES = {"E1": 1, "C2": 1, "iE1": 2, "blocks": 3}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPECTED_SOLVES))
+def test_full_analysis_computes_each_quantity_once(name, e1, c2, count_calls):
+    full_analysis(_fixtures(e1, c2)[name])
+    assert count_calls == {
+        "largest_singular": _EXPECTED_SOLVES[name],
+        "detect_scalar": 1,
+        "decompose": 1,
+        "walk_table": 2,  # the basis (or input), and the entrywise modulus
+        "_classify": 1,
+    }
+
+
+def test_walk_bound_without_sigma_solves_once(e1, count_calls):
+    for a in (e1, DenseMatrix(1j * e1.data)):
+        count_calls["largest_singular"] = 0
+        walk_bound(a, 5, 3)
+        assert count_calls["largest_singular"] == 1
+
+
+@pytest.mark.parametrize("phase", [1.0, -1.0, 1j, np.exp(0.3j), np.exp(-2.1j)])
+def test_nonneg_part_has_the_input_sigma(phase, e1, w_star, path4):
+    for base in (e1, w_star, path4):
+        a = DenseMatrix(phase * base.data)
+        sig = largest_singular(a).sigma
+        sig_nonneg = largest_singular(detect_scalar(a).nonneg_part).sigma
+        assert abs(sig - sig_nonneg) <= 1e-8 * max(1.0, sig)
+
+
+def _standalone_report(a):
+    """The report's entries, each from its own public call."""
+    bounds = []
+    if detect_scalar(a).is_scalar:
+        bounds += [walk_bound(a, p, r) for p, r in _WALK_GRID]
+    bounds += [weighted_bound(a, r) for r in _WEIGHTED_GRID]
+    bounds.append(mean_bound(a))
+    certificates = [
+        certify_theorem2(a, s=1, r=0),
+        certify_theorem2_1(a, r=1, s=1),
+        certify_theorem3(a, r=2),
+        certify_theorem4(a),
+    ]
+    try:
+        bounds.append(hwh_bound(a))
+    except PreconditionError:
+        pass
+    else:
+        certificates.append(hwh_equality_certificate(a))
+    if a.is_nonneg():
+        bounds.append(schur_upper_bound(a))
+    try:
+        cls = classify(a)
+        classification = {
+            "phase": _complex_dict(cls.scalarity.phase),
+            "is_regular": cls.is_regular,
+            "is_pseudo_regular": cls.is_pseudo_regular,
+            "pseudo_lambda": cls.pseudo_lambda,
+            "is_almost_regular": cls.is_almost_regular,
+            "per_component": [{"regular": s.regular, "sigma": s.sigma}
+                              for s in cls.per_component],
+            "error": None,
+        }
+    except PreconditionError as exc:
+        classification = {"error": str(exc)}
+    components = [
+        {"rows": list(c.row_indices), "cols": list(c.col_indices),
+         "sigma": largest_singular(c.submatrix).sigma}
+        for c in decompose(a).components
+    ]
+    return {
+        "sigma": largest_singular(a).sigma,
+        "bounds": [_bound_dict(b) for b in bounds],
+        "certificates": [_certificate_dict(c) for c in certificates],
+        "classification": classification,
+        "components": components,
+    }
+
+
+@pytest.mark.parametrize("name", ["E1", "C2", "iE1", "blocks", "path3"])
+def test_shared_context_changes_no_number(name, e1, c2, path3):
+    a = {**_fixtures(e1, c2), "path3": path3}[name]
+    rep = full_analysis(a)
+    expected = _standalone_report(a)
+    assert rep["sigma"]["value"] == expected["sigma"]
+    assert rep["bounds"] == expected["bounds"]
+    assert rep["certificates"] == expected["certificates"]
+    got = rep["classification"]
+    assert {k: got[k] for k in expected["classification"]} == expected["classification"]
+    assert [{k: c[k] for k in ("rows", "cols", "sigma")}
+            for c in rep["components"]["components"]] == expected["components"]

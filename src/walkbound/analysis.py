@@ -66,8 +66,11 @@ class Analysis:
 
     @cached_property
     def modulus(self) -> DenseMatrix:
-        """The entrywise modulus |a_ij|, which the weighted bounds tabulate."""
-        return entrywise_abs(self.a)
+        """The entrywise modulus |a_ij|, which the weighted bounds tabulate.
+
+        A nonnegative input is its own modulus, so its walk table serves
+        both the basis and the modulus."""
+        return self.a if self.a.is_nonneg() else entrywise_abs(self.a)
 
     def singular(self, matrix: DenseMatrix) -> SpectralResult:
         """The largest singular triple of ``matrix``."""

@@ -22,6 +22,7 @@ from .classify import (
 )
 from .core import DenseMatrix
 from .errors import PreconditionError
+from .spectral import sigma_method
 
 SCHEMA_VERSION = 1
 
@@ -163,7 +164,7 @@ def full_analysis(a: DenseMatrix, *, tol: float = 1e-8, max_iter: int = 10_000,
         "schema": SCHEMA_VERSION,
         "sigma": {
             "value": float(sigma),
-            "method": "power_iteration",
+            "method": sigma_method(a.shape),
             "residual": float(spectral.residual),
             "iterations": int(spectral.iterations),
         },
@@ -203,7 +204,7 @@ def render_text(report: dict) -> str:
     sig = report["sigma"]
     lines.append(
         f"sigma: {_fmt(sig['value'])}  "
-        f"(power iteration, {sig['iterations']} iterations, "
+        f"({sig['method']}, {sig['iterations']} steps, "
         f"residual {sig['residual']:.3g})"
     )
     lines.append("bounds:")

@@ -9,7 +9,6 @@ or columns) belong to no component.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,43 +56,38 @@ class ComponentDecomposition:
 def decompose(a: DenseMatrix) -> ComponentDecomposition:
     """Connected components of the support graph, by breadth-first search.
 
-    Components are ordered by their smallest row index and carry the
-    extracted submatrix.  The returned permutations list original row and
-    column indices in an order that makes the matrix block diagonal, with
-    isolated (all-zero) rows and columns moved to the end.
+    The search advances one level at a time over the support mask: the
+    columns touched by the frontier rows, then the rows touched by those
+    new columns.  Components are ordered by their smallest row index and
+    carry the extracted submatrix.  The returned permutations list
+    original row and column indices in an order that makes the matrix
+    block diagonal, with isolated (all-zero) rows and columns moved to
+    the end.
     """
     mask = support_mask(a)
-    m, n = a.shape
-    row_seen = np.zeros(m, dtype=bool)
-    col_seen = np.zeros(n, dtype=bool)
+    live_rows = mask.any(axis=1)
+    live_cols = mask.any(axis=0)
+    row_seen = ~live_rows
     components = []
-    for start in range(m):
-        if row_seen[start] or not mask[start].any():
+    for start in np.flatnonzero(live_rows).tolist():
+        if row_seen[start]:
             continue
-        rows = []
-        cols = []
-        queue = deque([("r", start)])
-        row_seen[start] = True
-        while queue:
-            side, idx = queue.popleft()
-            if side == "r":
-                rows.append(idx)
-                for j in np.flatnonzero(mask[idx]):
-                    if not col_seen[j]:
-                        col_seen[j] = True
-                        queue.append(("c", int(j)))
-            else:
-                cols.append(idx)
-                for i in np.flatnonzero(mask[:, idx]):
-                    if not row_seen[i]:
-                        row_seen[i] = True
-                        queue.append(("r", int(i)))
-        rows.sort()
-        cols.sort()
-        sub = DenseMatrix(a.data[np.ix_(rows, cols)])
-        components.append(Component(tuple(rows), tuple(cols), sub))
-    isolated_rows = tuple(i for i in range(m) if not mask[i].any())
-    isolated_cols = tuple(j for j in range(n) if not mask[:, j].any())
+        rows = np.zeros(a.m, dtype=bool)
+        cols = np.zeros(a.n, dtype=bool)
+        rows[start] = True
+        frontier = [start]
+        while len(frontier):
+            new_cols = mask[frontier].any(axis=0) & ~cols
+            cols |= new_cols
+            frontier = np.flatnonzero(mask[:, new_cols].any(axis=1) & ~rows)
+            rows[frontier] = True
+        row_seen |= rows
+        row_idx = np.flatnonzero(rows)
+        col_idx = np.flatnonzero(cols)
+        sub = DenseMatrix(a.data[np.ix_(row_idx, col_idx)])
+        components.append(Component(tuple(row_idx.tolist()), tuple(col_idx.tolist()), sub))
+    isolated_rows = tuple(np.flatnonzero(~live_rows).tolist())
+    isolated_cols = tuple(np.flatnonzero(~live_cols).tolist())
     row_perm = tuple(
         [i for comp in components for i in comp.row_indices] + list(isolated_rows)
     )

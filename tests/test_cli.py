@@ -144,15 +144,31 @@ def test_installed_entry_point_runs(e1_file):
     assert "sigma: 2" in proc.stdout
 
 
-def test_max_iter_caps_every_solve(tmp_path):
-    # The top two singular values differ by 1e-3, so power iteration needs
-    # more than the default 10,000 steps; every certificate reads sigma
-    # from a solve under the same cap.
+def test_max_iter_caps_every_solve(tmp_path, monkeypatch):
+    # 60 x 60 is above the dense SVD cutoff, and a top gap of 1e-3 takes
+    # Lanczos more than 3 steps.  The diagonal has 60 components, so one
+    # analysis runs 61 solves, and each must get the CLI's cap.
+    from walkbound import analysis
+
+    caps = []
+    solve = analysis.largest_singular
+
+    def recorded(a, **kwargs):
+        caps.append(kwargs.get("max_iter"))
+        return solve(a, **kwargs)
+
+    monkeypatch.setattr(analysis, "largest_singular", recorded)
     path = tmp_path / "tie.mtx"
-    write_matrix(path, DenseMatrix(np.diag([1.0, 1.0 - 1e-3, 0.5])))
+    spectrum = np.r_[1.0, 1.0 - 1e-3, np.linspace(0.5, 0.1, 58)]
+    write_matrix(path, DenseMatrix(np.diag(spectrum)))
     out = tmp_path / "tie.json"
+    assert main(["analyze", str(path), "--max-iter", "3", "--json", "--out", str(out)]) == 3
+    assert caps == [3]
+    caps.clear()
     assert main(["analyze", str(path), "--max-iter", "60000", "--json", "--out", str(out)]) == 0
+    assert caps == [60_000] * 61
     body = json.loads(out.read_text())
-    assert body["sigma"]["iterations"] > 10_000
+    assert body["sigma"]["method"] == "golub_kahan_lanczos"
+    assert body["sigma"]["iterations"] > 3
     assert body["tolerances"]["max_iter"] == 60_000
     assert [c["theorem"] for c in body["certificates"]] == ["T2", "T2.1", "T3", "T4", "HWH"]

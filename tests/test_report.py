@@ -143,6 +143,9 @@ def _fixtures(e1, c2):
 # Solves per fixture: the input, the basis when it is not the input, and
 # each component that does not cover the whole matrix.
 _EXPECTED_SOLVES = {"E1": 1, "C2": 1, "iE1": 2, "blocks": 3}
+# Tables per fixture: the basis (or input), and the entrywise modulus
+# unless the input is nonnegative and so its own modulus.
+_EXPECTED_TABLES = {"E1": 1, "C2": 2, "iE1": 2, "blocks": 1}
 
 
 @pytest.mark.parametrize("name", sorted(_EXPECTED_SOLVES))
@@ -152,7 +155,7 @@ def test_full_analysis_computes_each_quantity_once(name, e1, c2, count_calls):
         "largest_singular": _EXPECTED_SOLVES[name],
         "detect_scalar": 1,
         "decompose": 1,
-        "walk_table": 2,  # the basis (or input), and the entrywise modulus
+        "walk_table": _EXPECTED_TABLES[name],
         "_classify": 1,
     }
 

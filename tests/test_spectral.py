@@ -68,11 +68,14 @@ def test_singular_values_match_numpy_svd(rand_complex):
 
 
 def test_convergence_error_carries_best_guess():
-    a = DenseMatrix(np.diag([1.0, 0.9999]))
+    # 60 x 60 is above the dense SVD cutoff; 3 Lanczos steps cannot
+    # resolve a top gap of 1e-3.
+    a = DenseMatrix(np.diag(np.r_[1.0, 0.999, np.linspace(0.5, 0.1, 58)]))
     with pytest.raises(ConvergenceError) as exc:
-        largest_singular(a, tol=1e-14, max_iter=3)
+        largest_singular(a, max_iter=3)
     best = exc.value.best
     assert best is not None
+    assert best.iterations == 3
     assert 0.9 < best.sigma < 1.1
 
 
@@ -137,3 +140,68 @@ def test_max_ratio_dominates_aggregate():
     est = sigma_ratio_estimate(a, s=1, r_max=20)
     for agg, mx in zip(est.ratios, est.max_ratios):
         assert mx >= agg - 1e-9 * max(1.0, abs(agg))
+
+
+def _rotated(spectrum, seed=0):
+    """A square matrix with the given singular values, randomly rotated."""
+    rng = np.random.default_rng(seed)
+    n = len(spectrum)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return DenseMatrix((q1 * spectrum) @ q2.T)
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_near_tie_spectra_converge(gap):
+    rest = 0.5 * np.random.default_rng(1).uniform(size=298)
+    for a in (DenseMatrix(np.diag([1.0, 1.0 - gap, 0.5])),
+              _rotated(np.r_[1.0, 1.0 - gap, 0.5, rest[1:]])):
+        res = largest_singular(a)
+        assert res.residual <= 1e-12 * res.sigma
+        assert abs(res.sigma - singular_values(a)[0]) <= 1e-12 * res.sigma
+        assert res.iterations <= 62
+
+
+def test_rank_one_exhausts_krylov_space_at_once():
+    res = largest_singular(DenseMatrix(np.ones((140, 100))))
+    assert res.iterations <= 2
+    assert abs(res.sigma - math.sqrt(140 * 100)) <= 1e-12 * res.sigma
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (70, 60)])
+def test_power_of_two_scaling_is_exact(shape):
+    # One shape per route: dense SVD and Lanczos.
+    a = np.random.default_rng(3).uniform(size=shape)
+    sigma = largest_singular(DenseMatrix(a)).sigma
+    for k in (600, -600):
+        assert largest_singular(DenseMatrix(2.0**k * a)).sigma == 2.0**k * sigma
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (70, 60)])
+def test_extreme_scales_keep_sigma(shape):
+    a = np.random.default_rng(4).uniform(size=shape)
+    sigma = largest_singular(DenseMatrix(a)).sigma
+    for c in (1e-160, 1e150, 1e200):
+        scaled = largest_singular(DenseMatrix(c * a)).sigma
+        assert abs(scaled - c * sigma) <= 1e-12 * c * sigma
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (1, 80), (80, 1), (60, 50)])
+def test_thin_and_zero_shapes(shape):
+    a = np.random.default_rng(5).standard_normal(shape)
+    assert largest_singular(DenseMatrix(a)).sigma == pytest.approx(
+        np.linalg.norm(a, 2), rel=1e-12
+    )
+    zero = largest_singular(DenseMatrix(np.zeros(shape)))
+    assert zero.sigma == 0.0 and zero.residual == 0.0
+
+
+def test_start_vector_in_the_nullspace_restarts():
+    # At odd n the start vector is symmetric under reversal and each row
+    # of I - J (J the reversal) is antisymmetric, so A v1 = 0 exactly.
+    n = 61
+    a = np.zeros((n, n))
+    a[np.arange(n), np.arange(n)] = 1.0
+    a[np.arange(n), n - 1 - np.arange(n)] -= 1.0
+    res = largest_singular(DenseMatrix(a))
+    assert res.sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)

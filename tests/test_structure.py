@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +15,7 @@ from walkbound import (
     is_connected,
     singular_multiset_check,
 )
+from walkbound.core import support_mask
 
 
 def _block_diag_matrix(seed, shapes):
@@ -164,3 +167,46 @@ def test_singular_multiset_survives_shuffle():
         a.data[np.ix_(rng.permutation(a.m), rng.permutation(a.n))].real
     )
     assert singular_multiset_check(shuffled)
+
+
+def _decompose_by_vertex(a):
+    """Reference search, one vertex at a time: (rows, cols) per component."""
+    mask = support_mask(a)
+    row_seen = np.zeros(a.m, dtype=bool)
+    col_seen = np.zeros(a.n, dtype=bool)
+    found = []
+    for start in range(a.m):
+        if row_seen[start] or not mask[start].any():
+            continue
+        rows, cols = [], []
+        queue = deque([("r", start)])
+        row_seen[start] = True
+        while queue:
+            side, idx = queue.popleft()
+            if side == "r":
+                rows.append(idx)
+                for j in np.flatnonzero(mask[idx] & ~col_seen):
+                    col_seen[j] = True
+                    queue.append(("c", int(j)))
+            else:
+                cols.append(idx)
+                for i in np.flatnonzero(mask[:, idx] & ~row_seen):
+                    row_seen[i] = True
+                    queue.append(("r", int(i)))
+        found.append((tuple(sorted(rows)), tuple(sorted(cols))))
+    return found
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_level_search_matches_vertex_search(seed):
+    rng = np.random.default_rng(seed)
+    shapes = [tuple(rng.integers(1, 6, size=2)) for _ in range(rng.integers(1, 6))]
+    base = _block_diag_matrix(seed, shapes).data.real
+    # Sparsify, add zero rows and columns, and shuffle.
+    base = base * (rng.uniform(size=base.shape) < 0.6)
+    base = np.pad(base, ((0, 2), (0, 1)))
+    a = DenseMatrix(base[rng.permutation(base.shape[0])][:, rng.permutation(base.shape[1])])
+    dec = decompose(a)
+    assert [(c.row_indices, c.col_indices) for c in dec.components] == _decompose_by_vertex(a)
+    assert all(type(i) is int for i in dec.row_perm + dec.col_perm)
+    assert dec.isolated_rows == tuple(int(i) for i in np.flatnonzero(~support_mask(a).any(axis=1)))

@@ -4,10 +4,11 @@ An ``Analysis`` holds a matrix with the tolerance and iteration cap of one
 analysis.  It computes each shared quantity the first time it is asked
 for and keeps it: the scalarity test and the basis the certificates run
 on, one largest singular triple per distinct matrix, one walk table per
-distinct matrix, the support decomposition, the classification and the
-degree-product report.  ``full_analysis`` reads everything from one
-context; ``classify``, each certificate and each bound builds a private
-one, so a single call computes only what it needs.
+distinct matrix, the support mask and its decomposition, the
+classification and the degree-product report.  ``full_analysis`` reads
+everything from one context; ``classify``, each certificate and each
+bound builds a private one, so a single call computes only what it
+needs.
 
 The layer functions are called through their module-level names, so code
 that rebinds them (a tracer, a test counting calls) sees every call.
@@ -26,9 +27,10 @@ from .core import (
     detect_scalar,
     entrywise_abs,
     max_modulus,
+    support_mask,
 )
 from .spectral import SpectralResult, largest_singular
-from .structure import ComponentDecomposition, decompose
+from .structure import ComponentDecomposition, _decompose
 from .walks import WalkTable, walk_table
 
 
@@ -93,9 +95,14 @@ class Analysis:
         return hit[1]
 
     @cached_property
+    def support(self) -> np.ndarray:
+        """The input's support mask, which the basis shares."""
+        return support_mask(self.a)
+
+    @cached_property
     def decomposition(self) -> ComponentDecomposition:
-        """Components of the input's support, which the basis shares."""
-        return decompose(self.a)
+        """Components of the input's support."""
+        return _decompose(self.a, self.support)
 
     def submatrices(self, matrix: DenseMatrix) -> list[DenseMatrix]:
         """``matrix`` (the input or the basis) on each support component.

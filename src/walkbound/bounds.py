@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import Analysis
-from .core import DEFAULT_TOL, DenseMatrix, col_sums, row_sums, support_mask, total_sum
+from .core import DEFAULT_TOL, DenseMatrix, col_sums, row_sums, total_sum
 from .errors import NotScalarError, PreconditionError
 from .walks import WalkTable
 
@@ -155,8 +155,7 @@ def _hwh_bound(ctx: Analysis, sigma: float | None = None) -> BoundReport:
     value = float(root @ data.real @ root) / total
     sig = _resolve_sigma(ctx, sigma)
     target = sig * sig
-    support = support_mask(a)
-    products = np.outer(d, d)[support]
+    products = np.outer(d, d)[ctx.support]
     certificate = bool(
         np.all(np.abs(products - target) <= tol * max(1.0, target))
     )

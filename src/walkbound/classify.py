@@ -29,7 +29,6 @@ from .core import (
     conj_transpose,
     matmul,
     row_sums,
-    support_mask,
     total_sum,
 )
 from .errors import NotScalarError, PreconditionError
@@ -319,8 +318,7 @@ def _certify_theorem3(ctx: Analysis, r: int,
     wc = table.col(r)
     total_r = table.row_total(r)
     total_c = table.col_total(r)
-    support = support_mask(basis)
-    pair_mods = np.abs(np.outer(wr, wc))[support]
+    pair_mods = np.abs(np.outer(wr, wc))[ctx.support]
 
     target = sigma ** (2 * (r - 1))
     support_gap = float(np.abs(pair_mods - target).max()) / max(1.0, target)

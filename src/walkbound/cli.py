@@ -9,8 +9,10 @@ infeasible.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
+from .analysis import Analysis
 from .bounds import hwh_bound, mean_bound, schur_upper_bound, walk_bound, weighted_bound
 from .classify import (
     certify_theorem2,
@@ -20,7 +22,6 @@ from .classify import (
     classify,
     hwh_equality_certificate,
 )
-from .core import DenseMatrix, support_mask
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -54,14 +55,14 @@ def _parse_blocks(text: str) -> list[tuple[int, int]]:
     return blocks
 
 
-def _input_meta(path: str, a: DenseMatrix) -> dict:
+def _input_meta(path: str, ctx: Analysis) -> dict:
     suffix = path.rsplit(".", 1)[-1].lower() if "." in path else ""
     return {
         "path": path,
         "format": suffix,
-        "shape": [a.m, a.n],
-        "nnz": int(support_mask(a).sum()),
-        "real": a.is_real(),
+        "shape": [ctx.a.m, ctx.a.n],
+        "nnz": int(ctx.support.sum()),
+        "real": ctx.a.is_real(),
     }
 
 
@@ -78,10 +79,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    a = read_matrix(args.path)
-    body = full_analysis(a, tol=args.tol, max_iter=args.max_iter,
-                         literal_t3=args.literal_t3ii)
-    report = {"schema": body["schema"], "input": _input_meta(args.path, a)}
+    ctx = Analysis(read_matrix(args.path), args.tol, args.max_iter)
+    body = full_analysis(ctx, literal_t3=args.literal_t3ii)
+    report = {"schema": body["schema"], "input": _input_meta(args.path, ctx)}
     report.update((k, v) for k, v in body.items() if k != "schema")
     _emit(to_json(report) if args.json else render_text(report), args.out)
     return 0
@@ -232,7 +232,10 @@ def _cmd_gen(args) -> int:
     return 0 if ok else 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and in-process callers run ``main`` many times."""
     parser = argparse.ArgumentParser(
         prog="walkbound",
         description="Walk weight bounds on the largest singular value, "

@@ -1,4 +1,4 @@
-"""Dense complex matrices and the elementary quantities built on them.
+"""Dense real or complex matrices and the elementary quantities built on them.
 
 Matrices are immutable; every operation returns a fresh value.  Row and
 column indices live in separate namespaces: a row index is never compared
@@ -22,22 +22,30 @@ DEFAULT_TOL = 1e-8
 
 
 class DenseMatrix:
-    """Immutable m x n matrix with complex128 entries.
+    """Immutable m x n matrix with float64 or complex128 entries.
 
     Accepts anything ``np.array`` does (nested lists, ndarrays, another
-    DenseMatrix's data).  Entries must be finite; the stored array is
-    marked read-only.
+    DenseMatrix's data).  A real input, including a complex one whose
+    imaginary parts are all zero, is stored as float64; any other as
+    complex128.  Entries must be finite; the stored array is marked
+    read-only.
     """
 
     __slots__ = ("_data",)
 
     def __init__(self, entries):
-        data = np.array(entries, dtype=np.complex128, order="C")
+        data = np.asarray(entries)
+        if data.dtype.kind not in "biuf":  # complex, or entries numpy must parse
+            data = data.astype(np.complex128, copy=False)
+            if not data.imag.any():
+                data = data.real
+        dtype = np.complex128 if data.dtype.kind == "c" else np.float64
+        data = np.array(data, dtype=dtype, order="C")
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise DimensionMismatchError(
                 f"expected a 2-D matrix with positive extents, got shape {data.shape}"
             )
-        if not (np.isfinite(data.real).all() and np.isfinite(data.imag).all()):
+        if not np.isfinite(data).all():
             raise NonFiniteEntryError("matrix entries must be finite")
         data.setflags(write=False)
         object.__setattr__(self, "_data", data)
@@ -59,12 +67,13 @@ class DenseMatrix:
         return self._data.shape
 
     def is_real(self) -> bool:
-        """True when every entry has exactly zero imaginary part."""
-        return not self._data.imag.any()
+        """True when every entry has exactly zero imaginary part, which is
+        when the entries are stored as float64."""
+        return self._data.dtype == np.float64
 
     def is_nonneg(self) -> bool:
         """True when the matrix is real with no negative entry."""
-        return self.is_real() and self._data.real.min() >= 0.0
+        return self.is_real() and self._data.min() >= 0.0
 
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
@@ -118,12 +127,12 @@ def total_sum(a: DenseMatrix) -> complex:
 
 
 def row_sums(a: DenseMatrix) -> np.ndarray:
-    """Length-m vector of row sums (complex)."""
+    """Length-m vector of row sums, in the matrix's dtype."""
     return a.data.sum(axis=1)
 
 
 def col_sums(a: DenseMatrix) -> np.ndarray:
-    """Length-n vector of column sums (complex)."""
+    """Length-n vector of column sums, in the matrix's dtype."""
     return a.data.sum(axis=0)
 
 
@@ -167,7 +176,8 @@ def detect_scalar(a: DenseMatrix, tol: float = DEFAULT_TOL) -> ScalarityResult:
     pivot = data.ravel()[first_flat]
     # pivot / abs(pivot) rounds to +-0.9999999999999999 for some real
     # pivots, which would perturb every entry of the nonnegative part.
-    phase = np.sign(pivot.real) + 0.0j if pivot.imag == 0.0 else pivot / abs(pivot)
+    # A real phase keeps a real input real.
+    phase = np.sign(pivot.real) if pivot.imag == 0.0 else pivot / abs(pivot)
     rotated = data * np.conj(phase)
     bad = nz & (
         (np.abs(rotated.imag) > tol * mods) | (rotated.real < -tol * mods)

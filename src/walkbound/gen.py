@@ -250,8 +250,8 @@ def certify(spec: GeneratorSpec, matrix: DenseMatrix) -> bool:
             data = matrix.data
             return (
                 data.shape[0] == data.shape[1]
-                and not data.imag.any()
-                and bool(np.isin(data.real, (0.0, 1.0)).all())
+                and matrix.is_real()
+                and bool(np.isin(data, (0.0, 1.0)).all())
                 and bool(np.array_equal(data, data.T))
             )
         if spec.kind == "paper_example":

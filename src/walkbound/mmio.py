@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-import numpy as np
 import scipy.io
 import scipy.sparse
 
@@ -55,7 +54,8 @@ def _read_matrix_market(path: Path) -> DenseMatrix:
         raise InputFormatError(f"{path}: {exc}") from exc
     if scipy.sparse.issparse(loaded):
         loaded = loaded.toarray()
-    return DenseMatrix(np.asarray(loaded))
+    # A real or integer field stays real: DenseMatrix stores it as float64.
+    return DenseMatrix(loaded)
 
 
 def read_matrix(path) -> DenseMatrix:

@@ -9,9 +9,9 @@ and sigma(2^k A) is exactly 2^k sigma(A).  When A has at most
 A larger A goes through Golub-Kahan-Lanczos bidiagonalization with full
 reorthogonalization.  It starts from the normalized all-ones vector plus
 a fixed alternating-sign perturbation of size 1e-6, so repeated runs on
-the same matrix are bit-identical.  The full spectrum goes through the
-dense Hermitian eigensolver of the Gram matrix instead, and serves as an
-independent cross-check.
+the same matrix are bit-identical.  The full spectrum comes from LAPACK's
+dense SVD without vectors; on matrices above ``_DENSE_MAX_DIM`` it
+cross-checks the Lanczos route.
 """
 
 from __future__ import annotations
@@ -200,20 +200,16 @@ def largest_singular(a: DenseMatrix, tol: float = 1e-12,
 
 
 def singular_values(a: DenseMatrix) -> np.ndarray:
-    """All singular values, descending.
+    """All min(m, n) singular values, descending, by LAPACK's dense SVD.
 
-    Computed as square roots of the Hermitian eigenvalues of the smaller
-    Gram matrix; small negative eigenvalues from rounding are clipped to
-    zero.
+    Computed on A, not as square roots of Gram eigenvalues: that route
+    leaves about sqrt(eps) * sigma where a singular value is exactly zero,
+    while the SVD leaves a few eps * sigma.
     """
-    data = a.data
-    m, n = data.shape
-    gram = data @ data.conj().T if m <= n else data.conj().T @ data
     try:
-        eigvals = np.linalg.eigvalsh(gram)
+        vals = np.linalg.svd(a.data, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    vals = np.sqrt(np.clip(eigvals, 0.0, None))[::-1].copy()
+        raise ConvergenceError(f"dense SVD failed: {exc}") from exc
     vals.setflags(write=False)
     return vals
 

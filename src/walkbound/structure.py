@@ -59,12 +59,17 @@ def decompose(a: DenseMatrix) -> ComponentDecomposition:
     The search advances one level at a time over the support mask: the
     columns touched by the frontier rows, then the rows touched by those
     new columns.  Components are ordered by their smallest row index and
-    carry the extracted submatrix.  The returned permutations list
+    carry the extracted submatrix, which is ``a`` itself when the
+    component covers the whole matrix.  The returned permutations list
     original row and column indices in an order that makes the matrix
     block diagonal, with isolated (all-zero) rows and columns moved to
     the end.
     """
-    mask = support_mask(a)
+    return _decompose(a, support_mask(a))
+
+
+def _decompose(a: DenseMatrix, mask: np.ndarray) -> ComponentDecomposition:
+    """``decompose`` on the already computed support mask of ``a``."""
     live_rows = mask.any(axis=1)
     live_cols = mask.any(axis=0)
     row_seen = ~live_rows
@@ -84,7 +89,10 @@ def decompose(a: DenseMatrix) -> ComponentDecomposition:
         row_seen |= rows
         row_idx = np.flatnonzero(rows)
         col_idx = np.flatnonzero(cols)
-        sub = DenseMatrix(a.data[np.ix_(row_idx, col_idx)])
+        if len(row_idx) == a.m and len(col_idx) == a.n:
+            sub = a
+        else:
+            sub = DenseMatrix(a.data[np.ix_(row_idx, col_idx)])
         components.append(Component(tuple(row_idx.tolist()), tuple(col_idx.tolist()), sub))
     isolated_rows = tuple(np.flatnonzero(~live_rows).tolist())
     isolated_cols = tuple(np.flatnonzero(~live_cols).tolist())

@@ -9,8 +9,9 @@ across the matrix:
 
 where the previous level is read from the opposite side.  Order 2 is the
 vector of row sums on the row side and of column sums on the column side.
-For a nonnegative matrix every weight is real and nonnegative; complex
-entries give complex weights.
+Weights are tabulated in the matrix's dtype: a real matrix has float64
+weights, nonnegative for a nonnegative matrix, and a complex one has
+complex128 weights.
 """
 
 from __future__ import annotations
@@ -65,16 +66,16 @@ class WalkTable:
 def walk_table(a: DenseMatrix, order: int) -> WalkTable:
     """Tabulate walk weights of orders 1..order by the level recursion.
 
-    Runs in O(order * m * n); no squaring shortcut is taken, so every
-    intermediate level is available afterwards.  Raises WalkScaleError
-    when any weight modulus passes 1e300.
+    Runs in O(order * m * n) in the matrix's dtype; no squaring shortcut
+    is taken, so every intermediate level is available afterwards.
+    Raises WalkScaleError when any weight modulus passes 1e300.
     """
     if order < 1:
         raise PreconditionError(f"walk order must be at least 1, got {order}")
     data = a.data
     m, n = data.shape
-    rows = np.empty((order, m), dtype=np.complex128)
-    cols = np.empty((order, n), dtype=np.complex128)
+    rows = np.empty((order, m), dtype=data.dtype)
+    cols = np.empty((order, n), dtype=data.dtype)
     rows[0] = 1.0
     cols[0] = 1.0
     for s in range(1, order):
@@ -123,15 +124,15 @@ def graph_walk_count_equivalence(g: DenseMatrix, s: int) -> bool:
     data = g.data
     if data.shape[0] != data.shape[1]:
         raise PreconditionError("graph adjacency must be square")
-    if data.imag.any() or not np.isin(data.real, (0.0, 1.0)).all():
+    if not g.is_real() or not np.isin(data, (0.0, 1.0)).all():
         raise PreconditionError("graph adjacency entries must be exactly 0 or 1")
     if not np.array_equal(data, data.T):
         raise PreconditionError("graph adjacency must be symmetric")
     nverts = data.shape[0]
-    neighbors = [np.flatnonzero(data.real[i]) for i in range(nverts)]
+    neighbors = [np.flatnonzero(data[i]) for i in range(nverts)]
     counts = [_enumerate_walks(neighbors, i, s) for i in range(nverts)]
     weights = walk_table(g, s).row(s)
-    return bool(np.array_equal(weights, np.array(counts, dtype=np.complex128)))
+    return bool(np.array_equal(weights, counts))
 
 
 def walk_identity_residual(a: DenseMatrix, r: int, s: int) -> float:

@@ -19,7 +19,17 @@ from walkbound.core import (
 def test_matrix_shape_and_dtype(e1):
     assert e1.shape == (3, 4)
     assert e1.m == 3 and e1.n == 4
-    assert e1.data.dtype == np.complex128
+    assert e1.data.dtype == np.float64
+    # Real, int and bool input, and complex input whose imaginary parts
+    # are all zero, is stored as float64; other complex input as complex128.
+    for entries in ([[1.5, -2.0]], [[1, 2]], [[True, False]],
+                    np.ones((2, 2), dtype=np.float32), [[1 + 0j, -2 - 0j]]):
+        a = DenseMatrix(entries)
+        assert a.data.dtype == np.float64 and a.is_real()
+    for entries in ([[1.0, 2j]], np.full((2, 2), 1j, dtype=np.complex64)):
+        a = DenseMatrix(entries)
+        assert a.data.dtype == np.complex128 and not a.is_real()
+    assert DenseMatrix([[1 + 0j, 2]]) == DenseMatrix([[1.0, 2.0]])
 
 
 def test_matrix_rejects_wrong_rank():

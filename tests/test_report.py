@@ -25,7 +25,9 @@ from walkbound import (
     to_json,
     walk_bound,
     weighted_bound,
+    write_matrix,
 )
+from walkbound import cli
 from walkbound.report import (
     _WALK_GRID,
     _WEIGHTED_GRID,
@@ -100,7 +102,8 @@ def test_text_rendering_mentions_the_essentials(e1):
 _COUNTED = (
     ("spectral", "largest_singular"),
     ("core", "detect_scalar"),
-    ("structure", "decompose"),
+    ("core", "support_mask"),
+    ("structure", "_decompose"),
     ("walks", "walk_table"),
     ("classify", "_classify"),
 )
@@ -154,10 +157,33 @@ def test_full_analysis_computes_each_quantity_once(name, e1, c2, count_calls):
     assert count_calls == {
         "largest_singular": _EXPECTED_SOLVES[name],
         "detect_scalar": 1,
-        "decompose": 1,
+        "support_mask": 1,
+        "_decompose": 1,
         "walk_table": _EXPECTED_TABLES[name],
         "_classify": 1,
     }
+
+
+@pytest.mark.parametrize("name", ["E1", "-E1", "w_star", "path3", "nonneg", "signed"])
+def test_zero_imaginary_parts_give_the_same_bytes(name, e1, w_star, path3, rand_nonneg):
+    rng = np.random.default_rng(5)
+    x = {
+        "E1": e1.data,
+        "-E1": -e1.data,
+        "w_star": w_star.data,
+        "path3": path3.data,
+        "nonneg": rand_nonneg(7, min_dim=3).data,
+        "signed": rng.normal(size=(5, 4)),
+    }[name]
+    assert to_json(full_analysis(DenseMatrix(x))) == to_json(full_analysis(DenseMatrix(x + 0j)))
+
+
+def test_cli_analyze_builds_one_support_mask(e1, tmp_path, count_calls):
+    # The input block's nnz reads the analysis's mask, not a second one.
+    path = tmp_path / "e1.mtx"
+    write_matrix(path, e1)
+    assert cli.main(["analyze", str(path), "--json", "--out", str(tmp_path / "r.json")]) == 0
+    assert count_calls["support_mask"] == 1
 
 
 def test_walk_bound_without_sigma_solves_once(e1, count_calls):

@@ -67,6 +67,27 @@ def test_singular_values_match_numpy_svd(rand_complex):
     assert np.allclose(ours, ref, atol=1e-10)
 
 
+def test_singular_values_vanish_on_a_rank_deficient_block_matrix():
+    # Permuted block diagonal of rank 1, 2 and 1: five of the nine
+    # singular values are exactly zero.  Square roots of Gram eigenvalues
+    # leave about sqrt(eps) * sigma there; the SVD leaves a few eps.
+    rng = np.random.default_rng(3)
+    blocks = [np.outer(rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 5)),
+              rng.uniform(size=(3, 2)) @ rng.uniform(size=(2, 3)),
+              np.ones((2, 4))]
+    x = np.zeros((9, 12))
+    i = j = 0
+    for b in blocks:
+        x[i:i + b.shape[0], j:j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    x = x[rng.permutation(9)][:, rng.permutation(12)]
+    for a in (DenseMatrix(x), DenseMatrix(x.T), DenseMatrix(1j * x)):
+        vals = singular_values(a)
+        assert vals.shape == (9,)
+        assert np.all(vals[4:] <= 1e-14 * vals[0])
+        assert vals[3] > 1e-3 * vals[0]
+
+
 def test_convergence_error_carries_best_guess():
     # 60 x 60 is above the dense SVD cutoff; 3 Lanczos steps cannot
     # resolve a top gap of 1e-3.

@@ -42,6 +42,14 @@ def test_c2_totals(c2):
     assert t.row_total(3) == 8
 
 
+def test_table_keeps_the_matrix_dtype(e1, c2):
+    for a, dtype in ((e1, np.float64), (DenseMatrix(-e1.data), np.float64),
+                     (c2, np.complex128)):
+        t = walk_table(a, 4)
+        for arr in (t.row_weights, t.col_weights, t.row_totals, t.col_totals):
+            assert arr.dtype == dtype
+
+
 def test_order_one_is_all_ones(rand_complex):
     t = walk_table(rand_complex(11), 1)
     assert np.all(t.row(1) == 1.0)

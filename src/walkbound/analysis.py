@@ -96,7 +96,7 @@ class Analysis:
 
     @cached_property
     def support(self) -> np.ndarray:
-        """The input's support mask, which the basis shares."""
+        """The input's support mask."""
         return support_mask(self.a)
 
     @cached_property
@@ -107,16 +107,18 @@ class Analysis:
     def submatrices(self, matrix: DenseMatrix) -> list[DenseMatrix]:
         """``matrix`` (the input or the basis) on each support component.
 
-        A component that covers the whole matrix is ``matrix`` itself, so
-        its sigma is the one already solved for ``matrix``.  Submatrices
-        of a matrix other than the input are built anew on each call.
+        The decomposition gives a component that covers the whole input
+        the input itself as its submatrix; ``matrix`` then stands for
+        itself, so its sigma is the one already solved for ``matrix``.
+        Other submatrices of a matrix other than the input are built
+        anew on each call.
         """
+        if matrix is self.a:
+            return [comp.submatrix for comp in self.decomposition.components]
         subs = []
         for comp in self.decomposition.components:
-            if len(comp.row_indices) == matrix.m and len(comp.col_indices) == matrix.n:
+            if comp.submatrix is self.a:
                 subs.append(matrix)
-            elif matrix is self.a:
-                subs.append(comp.submatrix)
             else:
                 rows_cols = np.ix_(comp.row_indices, comp.col_indices)
                 subs.append(DenseMatrix(matrix.data[rows_cols]))

@@ -29,6 +29,7 @@ from .core import (
     conj_transpose,
     matmul,
     row_sums,
+    support_mask,
     total_sum,
 )
 from .errors import NotScalarError, PreconditionError
@@ -318,7 +319,10 @@ def _certify_theorem3(ctx: Analysis, r: int,
     wc = table.col(r)
     total_r = table.row_total(r)
     total_c = table.col_total(r)
-    pair_mods = np.abs(np.outer(wr, wc))[ctx.support]
+    # The basis's own support: an entry of a scalar input can pass the
+    # phase test yet have a nonnegative part at or below the zero cutoff.
+    support = ctx.support if basis is ctx.a else support_mask(basis)
+    pair_mods = np.abs(np.outer(wr, wc))[support]
 
     target = sigma ** (2 * (r - 1))
     support_gap = float(np.abs(pair_mods - target).max()) / max(1.0, target)

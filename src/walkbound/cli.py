@@ -9,7 +9,6 @@ infeasible.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from .analysis import Analysis
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .gen import GeneratorSpec, certify, generate
 from .mmio import read_matrix, write_matrix
-from .report import _certificate_dict, _fmt, full_analysis, render_text, to_json
+from .report import _certificate_dict, _fmt, _full_analysis, render_text, to_json
 from .structure import decompose
 
 
@@ -80,7 +79,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_analyze(args) -> int:
     ctx = Analysis(read_matrix(args.path), args.tol, args.max_iter)
-    body = full_analysis(ctx, literal_t3=args.literal_t3ii)
+    body = _full_analysis(ctx, args.literal_t3ii)
     report = {"schema": body["schema"], "input": _input_meta(args.path, ctx)}
     report.update((k, v) for k, v in body.items() if k != "schema")
     _emit(to_json(report) if args.json else render_text(report), args.out)
@@ -232,10 +231,7 @@ def _cmd_gen(args) -> int:
     return 0 if ok else 4
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, and in-process callers run ``main`` many times."""
     parser = argparse.ArgumentParser(
         prog="walkbound",
         description="Walk weight bounds on the largest singular value, "

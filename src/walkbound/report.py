@@ -67,16 +67,19 @@ def _certificate_dict(cert) -> dict:
     }
 
 
-def full_analysis(a: DenseMatrix | Analysis, *, tol: float = 1e-8,
-                  max_iter: int = 10_000, literal_t3: bool = False) -> dict:
+def full_analysis(a: DenseMatrix, *, tol: float = 1e-8, max_iter: int = 10_000,
+                  literal_t3: bool = False) -> dict:
     """Run the whole pipeline on one matrix and return the report body.
 
     Every quantity comes from one ``Analysis`` context, so each is
-    computed once, and ``max_iter`` caps every solve.  ``a`` may be that
-    context itself, whose own ``tol`` and ``max_iter`` then apply; the
-    caller keeps it and can read what the analysis computed.
+    computed once, and ``max_iter`` caps every solve.
     """
-    ctx = a if isinstance(a, Analysis) else Analysis(a, tol, max_iter)
+    return _full_analysis(Analysis(a, tol, max_iter), literal_t3)
+
+
+def _full_analysis(ctx: Analysis, literal_t3: bool = False) -> dict:
+    """``full_analysis`` on a context the caller keeps, so it can read
+    what the analysis computed."""
     a, tol, max_iter = ctx.a, ctx.tol, ctx.max_iter
     notes: list[str] = []
     spectral = ctx.singular(a)

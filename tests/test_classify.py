@@ -13,6 +13,7 @@ from walkbound import (
     certify_theorem4,
     characterize_pseudo_regular,
     classify,
+    detect_scalar,
     hwh_equality_certificate,
     relaxed_pseudo_regular,
 )
@@ -199,6 +200,20 @@ def test_theorem3_literal_gap_exposed(w_star):
     assert "literal_gap" in cert.details
     plain = certify_theorem3(w_star, r=2)
     assert "literal_gap" not in plain.details
+
+
+
+def test_theorem3_reads_the_support_of_its_basis():
+    # At tol 0.8 the entry at 135 degrees passes the phase test, but its
+    # nonnegative part is 0, so the input's support is wider than the
+    # basis's.  Condition (ii) runs on the basis the walk weights come from.
+    a = DenseMatrix([[1.0, 0.0], [0.0, 0.5 * np.exp(0.75j * np.pi)]])
+    basis = DenseMatrix([[1.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(detect_scalar(a, tol=0.8).nonneg_part.data, basis.data)
+    on_input = certify_theorem3(a, r=2, tol=0.8).details
+    on_basis = certify_theorem3(basis, r=2, tol=0.8).details
+    assert on_input["support_gap"] == on_basis["support_gap"] == 0.0
+    assert on_input["support_holds"] is True
 
 
 def test_theorem4_regular_case():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from walkbound import DenseMatrix, write_matrix
-from walkbound import cli
 from walkbound.cli import main
 
 
@@ -173,11 +172,3 @@ def test_max_iter_caps_every_solve(tmp_path, monkeypatch):
     assert body["sigma"]["iterations"] > 3
     assert body["tolerances"]["max_iter"] == 60_000
     assert [c["theorem"] for c in body["certificates"]] == ["T2", "T2.1", "T3", "T4", "HWH"]
-
-
-def test_main_calls_share_one_parser(e1_file, capsys):
-    cli._build_parser.cache_clear()
-    assert main(["classify", e1_file]) == 0
-    assert main(["components", e1_file]) == 0
-    info = cli._build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 1)

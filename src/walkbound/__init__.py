@@ -47,13 +47,10 @@ from .spectral import (
     singular_values,
 )
 from .structure import (
-    BipartiteGraph,
     Component,
     ComponentDecomposition,
-    bipartite_graph,
     connectivity_via_powers,
     decompose,
-    is_connected,
     singular_multiset_check,
 )
 from .walks import (
@@ -64,7 +61,6 @@ from .walks import (
 )
 
 __all__ = [
-    "BipartiteGraph",
     "BoundReport",
     "ClassificationReport",
     "Component",
@@ -86,7 +82,6 @@ __all__ = [
     "WalkboundError",
     "WalkScaleError",
     "WalkTable",
-    "bipartite_graph",
     "certify",
     "certify_theorem2",
     "certify_theorem2_1",
@@ -103,7 +98,6 @@ __all__ = [
     "hermitian_eigen",
     "hwh_bound",
     "hwh_equality_certificate",
-    "is_connected",
     "largest_singular",
     "mean_bound",
     "read_matrix",

@@ -5,10 +5,10 @@ analysis.  It computes each shared quantity the first time it is asked
 for and keeps it: the scalarity test and the basis the certificates run
 on, one largest singular triple per distinct matrix, one walk table per
 distinct matrix, the support mask and its decomposition, the
-classification and the degree-product report.  ``full_analysis`` reads
-everything from one context; ``classify``, each certificate and each
-bound builds a private one, so a single call computes only what it
-needs.
+classification and the degree-product report.  Every layer function
+takes a matrix or a context: ``full_analysis`` reads everything from one
+context, and a single call on a bare matrix builds its own, so it
+computes only what it needs.
 
 The layer functions are called through their module-level names, so code
 that rebinds them (a tracer, a test counting calls) sees every call.
@@ -30,7 +30,6 @@ from .core import (
     support_mask,
 )
 from .spectral import SpectralResult, largest_singular
-from .structure import ComponentDecomposition, _decompose
 from .walks import WalkTable, walk_table
 
 
@@ -51,6 +50,13 @@ class Analysis:
         # from being reused while the context lives.
         self._solves: dict[int, tuple[DenseMatrix, SpectralResult]] = {}
         self._tables: dict[int, tuple[DenseMatrix, WalkTable]] = {}
+
+    @classmethod
+    def of(cls, a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
+           max_iter: int = 10_000) -> Analysis:
+        """``a`` itself when it is a context, else a new context for the
+        matrix ``a``; ``tol`` and ``max_iter`` apply only to a matrix."""
+        return a if isinstance(a, cls) else cls(a, tol, max_iter)
 
     @cached_property
     def max_modulus(self) -> float:
@@ -100,9 +106,11 @@ class Analysis:
         return support_mask(self.a)
 
     @cached_property
-    def decomposition(self) -> ComponentDecomposition:
-        """Components of the input's support."""
-        return _decompose(self.a, self.support)
+    def decomposition(self):
+        """The ComponentDecomposition of the input's support."""
+        from .structure import decompose  # structure imports this module
+
+        return decompose(self)
 
     def submatrices(self, matrix: DenseMatrix) -> list[DenseMatrix]:
         """``matrix`` (the input or the basis) on each support component.
@@ -127,14 +135,14 @@ class Analysis:
     @cached_property
     def classification(self):
         """The ClassificationReport; raises PreconditionError where undefined."""
-        from .classify import _classify  # classify builds contexts itself
+        from .classify import classify  # classify imports this module
 
-        return _classify(self)
+        return classify(self)
 
     @cached_property
     def hwh_report(self):
         """The degree-product BoundReport; raises PreconditionError where
         the bound does not apply."""
-        from .bounds import _hwh_bound  # bounds builds contexts itself
+        from .bounds import hwh_bound  # bounds imports this module
 
-        return _hwh_bound(self)
+        return hwh_bound(self)

@@ -3,6 +3,9 @@
 Every bound comes back as a BoundReport carrying the value, the reference
 sigma, the signed gap, and a tightness flag at the requested tolerance.
 Lower bounds use gap = sigma - value; the upper bound uses value - sigma.
+
+Each bound takes a DenseMatrix or an ``Analysis`` of one.  ``tol``
+applies only to a matrix: a context brings its own tolerance.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ def _walk_ratio_value(table: WalkTable, p: int, r: int) -> float:
     return float((wp / wr) ** (1.0 / (p - r)))
 
 
-def walk_bound(a: DenseMatrix, p: int, r: int, tol: float = DEFAULT_TOL,
+def walk_bound(a: DenseMatrix | Analysis, p: int, r: int,
+               tol: float = DEFAULT_TOL,
                sigma: float | None = None) -> BoundReport:
     """Walk-total ratio lower bound (w^p(R)/w^r(R))^(1/(p-r)).
 
@@ -67,10 +71,7 @@ def walk_bound(a: DenseMatrix, p: int, r: int, tol: float = DEFAULT_TOL,
     weights are taken on the nonnegative part, whose largest singular
     value equals that of the input.
     """
-    return _walk_bound(Analysis(a, tol), p, r, sigma)
-
-
-def _walk_bound(ctx: Analysis, p: int, r: int, sigma: float | None = None) -> BoundReport:
+    ctx = Analysis.of(a, tol)
     if p % 2 == 0 or r % 2 == 0:
         raise PreconditionError(
             f"walk bound needs odd orders, got p={p}, r={r}; "
@@ -85,7 +86,7 @@ def _walk_bound(ctx: Analysis, p: int, r: int, sigma: float | None = None) -> Bo
     return _lower_report("walk", value, sig, ctx.tol, {"p": p, "r": r})
 
 
-def weighted_bound(a: DenseMatrix, r: int = 1, tol: float = DEFAULT_TOL,
+def weighted_bound(a: DenseMatrix | Analysis, r: int = 1, tol: float = DEFAULT_TOL,
                    sigma: float | None = None) -> BoundReport:
     """Weight-geometric lower bound valid for arbitrary complex matrices.
 
@@ -95,10 +96,7 @@ def weighted_bound(a: DenseMatrix, r: int = 1, tol: float = DEFAULT_TOL,
 
     Zero denominator (possible only for the zero matrix) reports 0.
     """
-    return _weighted_bound(Analysis(a, tol), r, sigma)
-
-
-def _weighted_bound(ctx: Analysis, r: int, sigma: float | None = None) -> BoundReport:
+    ctx = Analysis.of(a, tol)
     if r < 1:
         raise PreconditionError("order r must be at least 1")
     table = ctx.table(ctx.modulus, r)
@@ -112,19 +110,16 @@ def _weighted_bound(ctx: Analysis, r: int, sigma: float | None = None) -> BoundR
     return _lower_report("weighted", value, _resolve_sigma(ctx, sigma), ctx.tol, {"r": r})
 
 
-def mean_bound(a: DenseMatrix, tol: float = DEFAULT_TOL,
+def mean_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
                sigma: float | None = None) -> BoundReport:
     """|sum of entries| / sqrt(n m), the order-1 weighted bound."""
-    return _mean_bound(Analysis(a, tol), sigma)
-
-
-def _mean_bound(ctx: Analysis, sigma: float | None = None) -> BoundReport:
+    ctx = Analysis.of(a, tol)
     a = ctx.a
     value = abs(total_sum(a)) / float(np.sqrt(a.m * a.n))
     return _lower_report("mean", value, _resolve_sigma(ctx, sigma), ctx.tol, {})
 
 
-def hwh_bound(a: DenseMatrix, tol: float = DEFAULT_TOL,
+def hwh_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
               sigma: float | None = None) -> BoundReport:
     """Degree-product lower bound for symmetric nonnegative matrices.
 
@@ -133,10 +128,7 @@ def hwh_bound(a: DenseMatrix, tol: float = DEFAULT_TOL,
     condition d_i * d_j = sigma^2 holds on every support pair, which is
     exactly when the bound is attained.
     """
-    return _hwh_bound(Analysis(a, tol), sigma)
-
-
-def _hwh_bound(ctx: Analysis, sigma: float | None = None) -> BoundReport:
+    ctx = Analysis.of(a, tol)
     a, tol = ctx.a, ctx.tol
     data = a.data
     if data.shape[0] != data.shape[1]:
@@ -162,13 +154,10 @@ def _hwh_bound(ctx: Analysis, sigma: float | None = None) -> BoundReport:
     return _lower_report("hwh", value, sig, tol, {}, certificate)
 
 
-def schur_upper_bound(a: DenseMatrix, tol: float = DEFAULT_TOL,
+def schur_upper_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
                       sigma: float | None = None) -> BoundReport:
     """Upper bound sqrt(max_i r_i * max_j c_j) for nonnegative matrices."""
-    return _schur_upper_bound(Analysis(a, tol), sigma)
-
-
-def _schur_upper_bound(ctx: Analysis, sigma: float | None = None) -> BoundReport:
+    ctx = Analysis.of(a, tol)
     a = ctx.a
     if not a.is_real():
         raise PreconditionError("the upper bound needs real entries")

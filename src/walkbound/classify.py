@@ -12,6 +12,9 @@ The classes nest: regular implies almost regular implies pseudo regular.
 The certificates tie specific walk-total equalities to these classes; a
 certificate evaluated on a non-scalar matrix still reports its gaps, but
 claims nothing about classification, which is undefined there.
+
+Each function takes a DenseMatrix or an ``Analysis`` of one.  ``tol``
+applies only to a matrix: a context brings its own tolerance.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .core import (
 )
 from .errors import NotScalarError, PreconditionError
 from .spectral import hermitian_eigen
-from .walks import walk_table
+from .walks import WalkTable
 
 
 @dataclass(frozen=True)
@@ -91,27 +94,27 @@ def _require_scalar_nonzero(ctx: Analysis) -> DenseMatrix:
     return ctx.basis
 
 
-def classify(a: DenseMatrix, tol: float = DEFAULT_TOL) -> ClassificationReport:
+def _proportionality(table: WalkTable, hi: int, lo: int, tol: float) -> float | None:
+    """lambda when w^hi(i) = lambda * w^lo(i) for every row index, with
+    lambda the ratio of the totals; None when the weights are not
+    proportional."""
+    w_lo = table.row(lo).real
+    w_hi = table.row(hi).real
+    lo_total = table.row_total(lo).real
+    if lo_total <= 0.0:
+        return None
+    lam = table.row_total(hi).real / lo_total
+    deviation = float(np.abs(w_hi - lam * w_lo).max())
+    return lam if deviation <= tol * max(1.0, float(np.abs(w_hi).max())) else None
+
+
+def classify(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Full regularity classification of a nonzero scalar matrix."""
-    return Analysis(a, tol).classification
-
-
-def _classify(ctx: Analysis) -> ClassificationReport:
+    ctx = Analysis.of(a, tol)
     tol = ctx.tol
     nonneg = _require_scalar_nonzero(ctx)
     regular = _sums_regular(nonneg, tol)
-
-    table = ctx.table(nonneg, 5)
-    w3 = table.row(3).real
-    w5 = table.row(5).real
-    w3_total = table.row_total(3).real
-    if w3_total <= 0.0:
-        pseudo = False
-        lam = None
-    else:
-        lam = table.row_total(5).real / w3_total
-        deviation = float(np.abs(w5 - lam * w3).max())
-        pseudo = deviation <= tol * max(1.0, float(np.abs(w5).max()))
+    lam = _proportionality(ctx.table(nonneg, 5), 5, 3, tol)
 
     sigma = ctx.singular(nonneg).sigma
     summaries = [
@@ -124,15 +127,17 @@ def _classify(ctx: Analysis) -> ClassificationReport:
     return ClassificationReport(
         scalarity=ctx.scalarity,
         is_regular=regular,
-        is_pseudo_regular=pseudo,
-        pseudo_lambda=lam if pseudo else None,
+        is_pseudo_regular=lam is not None,
+        pseudo_lambda=lam,
         is_almost_regular=almost,
         per_component=tuple(summaries),
         tol=tol,
     )
 
 
-def characterize_pseudo_regular(a: DenseMatrix, tol: float = DEFAULT_TOL) -> PseudoRegularCharacterization:
+def characterize_pseudo_regular(
+    a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
+) -> PseudoRegularCharacterization:
     """Pseudo regularity through the spectrum of A A*.
 
     Equivalent to the index-by-index test in classify(): the order-3 row
@@ -140,10 +145,12 @@ def characterize_pseudo_regular(a: DenseMatrix, tol: float = DEFAULT_TOL) -> Pse
     and the all-ones vector must have no component in the eigenspace of
     any other nonzero eigenvalue.
     """
-    nonneg = _require_scalar_nonzero(Analysis(a, tol))
+    ctx = Analysis.of(a, tol)
+    tol = ctx.tol
+    nonneg = _require_scalar_nonzero(ctx)
     m = nonneg.m
     gram = matmul(nonneg, conj_transpose(nonneg))
-    w3 = walk_table(nonneg, 3).row(3).real
+    w3 = ctx.table(nonneg, 3).row(3).real
     norm_w3 = float(np.linalg.norm(w3))
     pairs = hermitian_eigen(gram)
     lam_scale = max(1.0, pairs[0][0])
@@ -168,7 +175,7 @@ def characterize_pseudo_regular(a: DenseMatrix, tol: float = DEFAULT_TOL) -> Pse
                                          tuple(offending))
 
 
-def relaxed_pseudo_regular(a: DenseMatrix, r: int, s: int,
+def relaxed_pseudo_regular(a: DenseMatrix | Analysis, r: int, s: int,
                            tol: float = DEFAULT_TOL) -> bool:
     """Proportionality of order-r and order-s row weights, odd r > s >= 3.
 
@@ -180,16 +187,9 @@ def relaxed_pseudo_regular(a: DenseMatrix, r: int, s: int,
         raise PreconditionError(
             f"orders must be odd with r > s >= 3, got r={r}, s={s}"
         )
-    nonneg = _require_scalar_nonzero(Analysis(a, tol))
-    table = walk_table(nonneg, r)
-    ws = table.row(s).real
-    wr = table.row(r).real
-    ws_total = table.row_total(s).real
-    if ws_total <= 0.0:
-        return False
-    lam = table.row_total(r).real / ws_total
-    deviation = float(np.abs(wr - lam * ws).max())
-    return deviation <= tol * max(1.0, float(np.abs(wr).max()))
+    ctx = Analysis.of(a, tol)
+    nonneg = _require_scalar_nonzero(ctx)
+    return _proportionality(ctx.table(nonneg, r), r, s, ctx.tol) is not None
 
 
 @dataclass(frozen=True)
@@ -220,17 +220,14 @@ def _certificate_basis(ctx: Analysis) -> tuple[bool, DenseMatrix]:
     return ctx.scalarity.is_scalar, ctx.basis
 
 
-def certify_theorem2(a: DenseMatrix, s: int = 1, r: int = 0,
+def certify_theorem2(a: DenseMatrix | Analysis, s: int = 1, r: int = 0,
                      tol: float = DEFAULT_TOL) -> EqualityCertificate:
     """sigma^(2s) * w^(2r+1)(R) = w^(2r+2s+1)(R) forces pseudo regularity.
 
     The implication is only claimed for scalar input; for anything else
     the certificate reports the equality gap and nothing more.
     """
-    return _certify_theorem2(Analysis(a, tol), s, r)
-
-
-def _certify_theorem2(ctx: Analysis, s: int, r: int) -> EqualityCertificate:
+    ctx = Analysis.of(a, tol)
     if s < 1 or r < 0:
         raise PreconditionError(f"need s >= 1 and r >= 0, got s={s}, r={r}")
     scalar, basis = _certificate_basis(ctx)
@@ -252,17 +249,14 @@ def _certify_theorem2(ctx: Analysis, s: int, r: int) -> EqualityCertificate:
     )
 
 
-def certify_theorem2_1(a: DenseMatrix, r: int = 1, s: int = 1,
+def certify_theorem2_1(a: DenseMatrix | Analysis, r: int = 1, s: int = 1,
                        tol: float = DEFAULT_TOL) -> EqualityCertificate:
     """Row and column total equalities together force almost regularity.
 
     Checks sigma^(2s) * w^1(R) = w^(2s+1)(R) and
     sigma^(2r) * w^1(C) = w^(2r+1)(C); both must hold.
     """
-    return _certify_theorem2_1(Analysis(a, tol), r, s)
-
-
-def _certify_theorem2_1(ctx: Analysis, r: int, s: int) -> EqualityCertificate:
+    ctx = Analysis.of(a, tol)
     if r < 1 or s < 1:
         raise PreconditionError(f"need r >= 1 and s >= 1, got r={r}, s={s}")
     scalar, basis = _certificate_basis(ctx)
@@ -286,7 +280,7 @@ def _certify_theorem2_1(ctx: Analysis, r: int, s: int) -> EqualityCertificate:
     )
 
 
-def certify_theorem3(a: DenseMatrix, r: int = 2, tol: float = DEFAULT_TOL,
+def certify_theorem3(a: DenseMatrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
                      include_literal: bool = False) -> EqualityCertificate:
     """Three readings of almost regularity, checked against each other.
 
@@ -304,11 +298,7 @@ def certify_theorem3(a: DenseMatrix, r: int = 2, tol: float = DEFAULT_TOL,
     residual of the unscaled support identity
     |w^r(i) w^r(j)| = sigma^2 |w^r(R) w^r(C)| as a diagnostic.
     """
-    return _certify_theorem3(Analysis(a, tol), r, include_literal)
-
-
-def _certify_theorem3(ctx: Analysis, r: int,
-                      include_literal: bool = False) -> EqualityCertificate:
+    ctx = Analysis.of(a, tol)
     if r < 1:
         raise PreconditionError(f"order r must be at least 1, got {r}")
     tol = ctx.tol
@@ -322,14 +312,14 @@ def _certify_theorem3(ctx: Analysis, r: int,
     # The basis's own support: an entry of a scalar input can pass the
     # phase test yet have a nonnegative part at or below the zero cutoff.
     support = ctx.support if basis is ctx.a else support_mask(basis)
-    pair_mods = np.abs(np.outer(wr, wc))[support]
+    pair_abs = np.abs(np.outer(wr, wc))
+    pair_mods = pair_abs[support]
 
     target = sigma ** (2 * (r - 1))
     support_gap = float(np.abs(pair_mods - target).max()) / max(1.0, target)
     cond_ii = support_gap <= tol
 
-    sqrt_pairs = np.sqrt(np.abs(np.outer(wr, wc)))
-    rhs = abs(complex((basis.data * sqrt_pairs).sum()))
+    rhs = abs(complex((basis.data * np.sqrt(pair_abs)).sum()))
     lhs = sigma * float(np.sqrt(abs(total_r * total_c)))
     equality_gap = abs(lhs - rhs) / max(1.0, lhs, rhs)
     cond_iii = equality_gap <= tol
@@ -360,16 +350,14 @@ def _certify_theorem3(ctx: Analysis, r: int,
     return EqualityCertificate("T3", holds, equality_gap, implied, details)
 
 
-def certify_theorem4(a: DenseMatrix, tol: float = DEFAULT_TOL) -> EqualityCertificate:
+def certify_theorem4(a: DenseMatrix | Analysis,
+                     tol: float = DEFAULT_TOL) -> EqualityCertificate:
     """Equality sigma = |sum of entries| / sqrt(n m) pins down regularity.
 
     For scalar input this is a two-way check: the equality must hold
     exactly when the classification says regular.
     """
-    return _certify_theorem4(Analysis(a, tol))
-
-
-def _certify_theorem4(ctx: Analysis) -> EqualityCertificate:
+    ctx = Analysis.of(a, tol)
     scalar, basis = _certificate_basis(ctx)
     sigma = ctx.singular(basis).sigma
     mean_value = abs(total_sum(basis)) / float(np.sqrt(basis.m * basis.n))
@@ -385,16 +373,14 @@ def _certify_theorem4(ctx: Analysis) -> EqualityCertificate:
     )
 
 
-def hwh_equality_certificate(a: DenseMatrix, tol: float = DEFAULT_TOL) -> EqualityCertificate:
+def hwh_equality_certificate(a: DenseMatrix | Analysis,
+                             tol: float = DEFAULT_TOL) -> EqualityCertificate:
     """Attainment of the degree-product bound versus its support condition.
 
     The bound meets sigma exactly when d_i * d_j = sigma^2 on every
     support pair; the certificate verifies the two readings agree.
     """
-    return _hwh_equality_certificate(Analysis(a, tol))
-
-
-def _hwh_equality_certificate(ctx: Analysis) -> EqualityCertificate:
+    ctx = Analysis.of(a, tol)
     report = ctx.hwh_report
     gap = abs(report.gap) / max(1.0, report.sigma)
     holds = report.tight

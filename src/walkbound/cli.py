@@ -32,8 +32,16 @@ from .errors import (
 )
 from .gen import GeneratorSpec, certify, generate
 from .mmio import read_matrix, write_matrix
-from .report import _certificate_dict, _fmt, _full_analysis, render_text, to_json
-from .structure import decompose
+from .report import (
+    _bound_dict,
+    _certificate_dict,
+    _classification_dict,
+    _components_dict,
+    _fmt,
+    full_analysis,
+    render_text,
+    to_json,
+)
 
 
 def _parse_shape(text: str) -> tuple[int, int]:
@@ -79,7 +87,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_analyze(args) -> int:
     ctx = Analysis(read_matrix(args.path), args.tol, args.max_iter)
-    body = _full_analysis(ctx, args.literal_t3ii)
+    body = full_analysis(ctx, literal_t3=args.literal_t3ii)
     report = {"schema": body["schema"], "input": _input_meta(args.path, ctx)}
     report.update((k, v) for k, v in body.items() if k != "schema")
     _emit(to_json(report) if args.json else render_text(report), args.out)
@@ -99,8 +107,7 @@ def _cmd_bound(args) -> int:
     else:
         rep = schur_upper_bound(a, tol=args.tol)
     if args.json:
-        from .report import _bound_dict, to_json as _dump
-        _emit(_dump(_bound_dict(rep)), args.out)
+        _emit(to_json(_bound_dict(rep)), args.out)
         return 0
     params = " ".join(f"{k}={v}" for k, v in sorted(rep.params.items()))
     extra = f" certificate {_fmt(rep.certificate)}" if rep.certificate is not None else ""
@@ -116,19 +123,7 @@ def _cmd_classify(args) -> int:
     a = read_matrix(args.path)
     rep = classify(a, args.tol)
     if args.json:
-        from .report import _complex_dict, _num, to_json as _dump
-        _emit(_dump({
-            "is_scalar": True,
-            "phase": _complex_dict(rep.scalarity.phase),
-            "is_regular": rep.is_regular,
-            "is_pseudo_regular": rep.is_pseudo_regular,
-            "pseudo_lambda": _num(rep.pseudo_lambda),
-            "is_almost_regular": rep.is_almost_regular,
-            "per_component": [
-                {"regular": s.regular, "sigma": float(s.sigma)}
-                for s in rep.per_component
-            ],
-        }), args.out)
+        _emit(to_json(_classification_dict(rep)), args.out)
         return 0
     lam = f" (lambda {_fmt(rep.pseudo_lambda)})" if rep.pseudo_lambda is not None else ""
     lines = [
@@ -144,22 +139,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    a = read_matrix(args.path)
-    dec = decompose(a)
+    ctx = Analysis(read_matrix(args.path), args.tol)
     if args.json:
-        from .report import to_json as _dump
-        _emit(_dump({
-            "count": len(dec.components),
-            "isolated_rows": list(dec.isolated_rows),
-            "isolated_cols": list(dec.isolated_cols),
-            "row_perm": list(dec.row_perm),
-            "col_perm": list(dec.col_perm),
-            "components": [
-                {"rows": list(c.row_indices), "cols": list(c.col_indices)}
-                for c in dec.components
-            ],
-        }), args.out)
+        _emit(to_json(_components_dict(ctx)), args.out)
         return 0
+    dec = ctx.decomposition
     lines = [f"components: {len(dec.components)}"]
     for k, comp in enumerate(dec.components):
         lines.append(
@@ -189,8 +173,7 @@ def _cmd_certify(args) -> int:
     else:
         cert = hwh_equality_certificate(a, tol=args.tol)
     if args.json:
-        from .report import to_json as _dump
-        _emit(_dump(_certificate_dict(cert)), args.out)
+        _emit(to_json(_certificate_dict(cert)), args.out)
         return 0
     lines = [
         f"{cert.theorem}: holds {_fmt(cert.holds)} gap {cert.gap:.3g} "

@@ -93,14 +93,11 @@ def max_modulus(a: DenseMatrix) -> float:
     return float(np.abs(a.data).max())
 
 
-def zero_threshold(a: DenseMatrix) -> float:
-    """Absolute cutoff below which entries count as zero for support tests."""
-    return ZERO_TOL_FACTOR * max_modulus(a)
-
-
 def support_mask(a: DenseMatrix) -> np.ndarray:
-    """Boolean m x n array marking entries above the zero threshold."""
-    return np.abs(a.data) > zero_threshold(a)
+    """Boolean m x n array marking entries above ZERO_TOL_FACTOR times
+    the largest modulus."""
+    mods = np.abs(a.data)
+    return mods > ZERO_TOL_FACTOR * mods.max()
 
 
 def entrywise_abs(a: DenseMatrix) -> DenseMatrix:

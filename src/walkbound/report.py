@@ -12,13 +12,13 @@ import json
 
 from . import __version__
 from .analysis import Analysis
-from .bounds import _mean_bound, _schur_upper_bound, _walk_bound, _weighted_bound
+from .bounds import mean_bound, schur_upper_bound, walk_bound, weighted_bound
 from .classify import (
-    _certify_theorem2,
-    _certify_theorem2_1,
-    _certify_theorem3,
-    _certify_theorem4,
-    _hwh_equality_certificate,
+    certify_theorem2,
+    certify_theorem2_1,
+    certify_theorem3,
+    certify_theorem4,
+    hwh_equality_certificate,
 )
 from .core import DenseMatrix
 from .errors import PreconditionError
@@ -67,19 +67,51 @@ def _certificate_dict(cert) -> dict:
     }
 
 
-def full_analysis(a: DenseMatrix, *, tol: float = 1e-8, max_iter: int = 10_000,
-                  literal_t3: bool = False) -> dict:
+def _classification_dict(report) -> dict:
+    return {
+        "is_scalar": True,
+        "phase": _complex_dict(report.scalarity.phase),
+        "is_regular": report.is_regular,
+        "is_pseudo_regular": report.is_pseudo_regular,
+        "pseudo_lambda": _num(report.pseudo_lambda),
+        "is_almost_regular": report.is_almost_regular,
+        "per_component": [
+            {"regular": s.regular, "sigma": float(s.sigma)}
+            for s in report.per_component
+        ],
+    }
+
+
+def _components_dict(ctx: Analysis) -> dict:
+    dec = ctx.decomposition
+    return {
+        "count": len(dec.components),
+        "isolated_rows": list(dec.isolated_rows),
+        "isolated_cols": list(dec.isolated_cols),
+        "row_perm": list(dec.row_perm),
+        "col_perm": list(dec.col_perm),
+        "components": [
+            {
+                "rows": list(comp.row_indices),
+                "cols": list(comp.col_indices),
+                "shape": [len(comp.row_indices), len(comp.col_indices)],
+                "sigma": ctx.singular(sub).sigma,
+            }
+            for comp, sub in zip(dec.components, ctx.submatrices(ctx.a))
+        ],
+    }
+
+
+def full_analysis(a: DenseMatrix | Analysis, *, tol: float = 1e-8,
+                  max_iter: int = 10_000, literal_t3: bool = False) -> dict:
     """Run the whole pipeline on one matrix and return the report body.
 
     Every quantity comes from one ``Analysis`` context, so each is
-    computed once, and ``max_iter`` caps every solve.
+    computed once, and ``max_iter`` caps every solve.  Given a context,
+    the report uses its ``tol`` and ``max_iter``, and the caller can read
+    afterwards what the analysis computed.
     """
-    return _full_analysis(Analysis(a, tol, max_iter), literal_t3)
-
-
-def _full_analysis(ctx: Analysis, literal_t3: bool = False) -> dict:
-    """``full_analysis`` on a context the caller keeps, so it can read
-    what the analysis computed."""
+    ctx = Analysis.of(a, tol, max_iter)
     a, tol, max_iter = ctx.a, ctx.tol, ctx.max_iter
     notes: list[str] = []
     spectral = ctx.singular(a)
@@ -92,13 +124,13 @@ def _full_analysis(ctx: Analysis, literal_t3: bool = False) -> dict:
         # One table at the grid's highest order serves every lower order.
         ctx.table(ctx.basis, max(p for p, _ in _WALK_GRID))
         for p, r in _WALK_GRID:
-            bound_reports.append(_walk_bound(ctx, p, r))
+            bound_reports.append(walk_bound(ctx, p, r))
     else:
         notes.append("walk ratio bounds skipped: matrix is not scalar")
     ctx.table(ctx.modulus, max(_WEIGHTED_GRID))
     for r in _WEIGHTED_GRID:
-        bound_reports.append(_weighted_bound(ctx, r))
-    bound_reports.append(_mean_bound(ctx))
+        bound_reports.append(weighted_bound(ctx, r))
+    bound_reports.append(mean_bound(ctx))
     try:
         hwh = ctx.hwh_report
     except PreconditionError:  # the degree-product bound does not apply
@@ -106,23 +138,10 @@ def _full_analysis(ctx: Analysis, literal_t3: bool = False) -> dict:
     else:
         bound_reports.append(hwh)
     if a.is_nonneg():
-        bound_reports.append(_schur_upper_bound(ctx))
+        bound_reports.append(schur_upper_bound(ctx))
 
     try:
-        report = ctx.classification
-        classification = {
-            "is_scalar": True,
-            "phase": _complex_dict(report.scalarity.phase),
-            "is_regular": report.is_regular,
-            "is_pseudo_regular": report.is_pseudo_regular,
-            "pseudo_lambda": _num(report.pseudo_lambda),
-            "is_almost_regular": report.is_almost_regular,
-            "per_component": [
-                {"regular": s.regular, "sigma": float(s.sigma)}
-                for s in report.per_component
-            ],
-            "error": None,
-        }
+        classification = dict(_classification_dict(ctx.classification), error=None)
     except PreconditionError as exc:
         classification = {
             "is_scalar": sc.is_scalar,
@@ -139,32 +158,14 @@ def _full_analysis(ctx: Analysis, literal_t3: bool = False) -> dict:
     if zero:
         notes.append("certificates skipped: zero matrix")
     else:
-        certificates.append(_certificate_dict(_certify_theorem2(ctx, s=1, r=0)))
-        certificates.append(_certificate_dict(_certify_theorem2_1(ctx, r=1, s=1)))
+        certificates.append(_certificate_dict(certify_theorem2(ctx, s=1, r=0)))
+        certificates.append(_certificate_dict(certify_theorem2_1(ctx, r=1, s=1)))
         certificates.append(_certificate_dict(
-            _certify_theorem3(ctx, r=2, include_literal=literal_t3)
+            certify_theorem3(ctx, r=2, include_literal=literal_t3)
         ))
-        certificates.append(_certificate_dict(_certify_theorem4(ctx)))
+        certificates.append(_certificate_dict(certify_theorem4(ctx)))
         if hwh is not None:
-            certificates.append(_certificate_dict(_hwh_equality_certificate(ctx)))
-
-    dec = ctx.decomposition
-    components = {
-        "count": len(dec.components),
-        "isolated_rows": list(dec.isolated_rows),
-        "isolated_cols": list(dec.isolated_cols),
-        "row_perm": list(dec.row_perm),
-        "col_perm": list(dec.col_perm),
-        "components": [
-            {
-                "rows": list(comp.row_indices),
-                "cols": list(comp.col_indices),
-                "shape": [len(comp.row_indices), len(comp.col_indices)],
-                "sigma": ctx.singular(sub).sigma,
-            }
-            for comp, sub in zip(dec.components, ctx.submatrices(a))
-        ],
-    }
+            certificates.append(_certificate_dict(hwh_equality_certificate(ctx)))
 
     return {
         "schema": SCHEMA_VERSION,
@@ -177,7 +178,7 @@ def _full_analysis(ctx: Analysis, literal_t3: bool = False) -> dict:
         "bounds": [_bound_dict(b) for b in bound_reports],
         "classification": classification,
         "certificates": certificates,
-        "components": components,
+        "components": _components_dict(ctx),
         "notes": notes,
         "tool_version": __version__,
         "tolerances": {"tol": float(tol), "max_iter": int(max_iter)},

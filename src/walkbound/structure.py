@@ -1,4 +1,4 @@
-"""Support structure: the bipartite graph, components, connectivity.
+"""Support structure: components and connectivity.
 
 The support of an m x n matrix is read as a bipartite graph on m row
 vertices and n column vertices, with an edge (i, j) whenever |a_ij| is
@@ -13,28 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    DenseMatrix,
-    detect_scalar,
-    support_mask,
-)
+from .analysis import Analysis
+from .core import DEFAULT_TOL, DenseMatrix, detect_scalar
 from .errors import NotScalarError, PreconditionError
 from .spectral import singular_values
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    m: int
-    n: int
-    edges: frozenset
-
-
-def bipartite_graph(a: DenseMatrix) -> BipartiteGraph:
-    """Support graph with one vertex per row and per column."""
-    mask = support_mask(a)
-    edges = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))
-    return BipartiteGraph(a.m, a.n, edges)
 
 
 @dataclass(frozen=True)
@@ -53,7 +35,7 @@ class ComponentDecomposition:
     isolated_cols: tuple
 
 
-def decompose(a: DenseMatrix) -> ComponentDecomposition:
+def decompose(a: DenseMatrix | Analysis) -> ComponentDecomposition:
     """Connected components of the support graph, by breadth-first search.
 
     The search advances one level at a time over the support mask: the
@@ -63,13 +45,10 @@ def decompose(a: DenseMatrix) -> ComponentDecomposition:
     component covers the whole matrix.  The returned permutations list
     original row and column indices in an order that makes the matrix
     block diagonal, with isolated (all-zero) rows and columns moved to
-    the end.
+    the end.  An ``Analysis`` gives its matrix and its support mask.
     """
-    return _decompose(a, support_mask(a))
-
-
-def _decompose(a: DenseMatrix, mask: np.ndarray) -> ComponentDecomposition:
-    """``decompose`` on the already computed support mask of ``a``."""
+    ctx = Analysis.of(a)
+    a, mask = ctx.a, ctx.support
     live_rows = mask.any(axis=1)
     live_cols = mask.any(axis=0)
     row_seen = ~live_rows
@@ -105,14 +84,6 @@ def _decompose(a: DenseMatrix, mask: np.ndarray) -> ComponentDecomposition:
     return ComponentDecomposition(
         tuple(components), row_perm, col_perm, isolated_rows, isolated_cols
     )
-
-
-def is_connected(a: DenseMatrix) -> bool:
-    """True when the support graph is one component covering every vertex."""
-    dec = decompose(a)
-    if dec.isolated_rows or dec.isolated_cols:
-        return False
-    return len(dec.components) == 1
 
 
 def connectivity_via_powers(a: DenseMatrix, i: int, j: int,

@@ -71,6 +71,29 @@ def test_components_subcommand(tmp_path, capsys):
     assert body["count"] == 2
 
 
+def _json_out(argv, capsys):
+    assert main(argv + ["--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_components_json_is_the_analyze_components(tmp_path, capsys):
+    # Two blocks and an isolated row.
+    a = DenseMatrix([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+    path = str(tmp_path / "b.mtx")
+    write_matrix(path, a)
+    body = _json_out(["components", path], capsys)
+    assert body == _json_out(["analyze", path], capsys)["components"]
+    assert body["isolated_rows"] == [3]
+    assert [c["shape"] for c in body["components"]] == [[2, 2], [1, 1]]
+
+
+def test_classify_json_is_the_analyze_classification(e1_file, capsys):
+    body = _json_out(["classify", e1_file], capsys)
+    expected = _json_out(["analyze", e1_file], capsys)["classification"]
+    assert expected.pop("error") is None
+    assert body == expected
+
+
 def test_certify_subcommand(e1_file, capsys):
     assert main(["certify", e1_file, "--theorem", "T2"]) == 0
     out = capsys.readouterr().out

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from walkbound import DenseMatrix, DimensionMismatchError, NonFiniteEntryError, detect_scalar
 from walkbound.core import (
+    ZERO_TOL_FACTOR,
     col_sums,
     conj_transpose,
     matmul,
@@ -12,7 +13,6 @@ from walkbound.core import (
     row_sums,
     support_mask,
     total_sum,
-    zero_threshold,
 )
 
 
@@ -82,9 +82,13 @@ def test_reality_and_sign_predicates(e1, c2):
 def test_support_threshold_scales_with_magnitude():
     a = DenseMatrix([[1e8, 1e-8], [0.0, 1e-3]])
     assert max_modulus(a) == 1e8
-    assert zero_threshold(a) == 1e8 * 1e-12
     # 1e-8 sits below 1e8 * 1e-12, so it is not support.
     assert support_mask(a).tolist() == [[True, False], [False, True]]
+    # The cutoff is 1e-12 times the largest modulus, itself excluded.
+    cut = ZERO_TOL_FACTOR * 1e8
+    assert ZERO_TOL_FACTOR == 1e-12
+    b = DenseMatrix([[1e8, cut], [0.0, np.nextafter(cut, np.inf)]])
+    assert support_mask(b).tolist() == [[True, False], [False, True]]
 
 
 def test_transpose_conjugates(c2):

@@ -12,6 +12,7 @@ from walkbound import (
     certify_theorem2_1,
     certify_theorem3,
     certify_theorem4,
+    characterize_pseudo_regular,
     classify,
     decompose,
     detect_scalar,
@@ -20,6 +21,7 @@ from walkbound import (
     hwh_equality_certificate,
     largest_singular,
     mean_bound,
+    relaxed_pseudo_regular,
     render_text,
     schur_upper_bound,
     to_json,
@@ -28,6 +30,7 @@ from walkbound import (
     write_matrix,
 )
 from walkbound import cli
+from walkbound.analysis import Analysis
 from walkbound.report import (
     _WALK_GRID,
     _WEIGHTED_GRID,
@@ -103,9 +106,9 @@ _COUNTED = (
     ("spectral", "largest_singular"),
     ("core", "detect_scalar"),
     ("core", "support_mask"),
-    ("structure", "_decompose"),
+    ("structure", "decompose"),
     ("walks", "walk_table"),
-    ("classify", "_classify"),
+    ("classify", "classify"),
 )
 
 
@@ -161,10 +164,52 @@ def test_full_analysis_computes_each_quantity_once(name, e1, c2, count_calls):
         "largest_singular": _EXPECTED_SOLVES[name],
         "detect_scalar": 1,
         "support_mask": _EXPECTED_MASKS[name],
-        "_decompose": 1,
+        "decompose": 1,
         "walk_table": _EXPECTED_TABLES[name],
-        "_classify": 1,
+        "classify": 1,
     }
+
+
+def _sym_nonneg():
+    x = np.random.default_rng(3).uniform(size=(5, 5))
+    return DenseMatrix(x + x.T)
+
+
+# Each function that takes a matrix or a context, with arguments under
+# which it applies to a symmetric nonnegative matrix.
+_CONTEXT_CALLS = {
+    "walk_bound": (walk_bound, (5, 3)),
+    "weighted_bound": (weighted_bound, (2,)),
+    "mean_bound": (mean_bound, ()),
+    "hwh_bound": (hwh_bound, ()),
+    "schur_upper_bound": (schur_upper_bound, ()),
+    "certify_theorem2": (certify_theorem2, ()),
+    "certify_theorem2_1": (certify_theorem2_1, ()),
+    "certify_theorem3": (certify_theorem3, (2,)),
+    "certify_theorem4": (certify_theorem4, ()),
+    "hwh_equality_certificate": (hwh_equality_certificate, ()),
+    "characterize_pseudo_regular": (characterize_pseudo_regular, ()),
+    "relaxed_pseudo_regular": (relaxed_pseudo_regular, (5, 3)),
+    "classify": (classify, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTEXT_CALLS))
+def test_a_context_gives_the_matrix_answer(name):
+    fn, args = _CONTEXT_CALLS[name]
+    a = _sym_nonneg()
+    assert fn(Analysis(a, 1e-6), *args) == fn(a, *args, tol=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(_CONTEXT_CALLS))
+def test_calls_on_an_analysed_context_recompute_nothing(name, count_calls):
+    fn, args = _CONTEXT_CALLS[name]
+    ctx = Analysis(_sym_nonneg())
+    full_analysis(ctx)
+    costly = ("largest_singular", "walk_table", "support_mask")
+    before = {k: count_calls[k] for k in costly}
+    fn(ctx, *args)
+    assert {k: count_calls[k] for k in costly} == before
 
 
 @pytest.mark.parametrize("name", ["E1", "-E1", "w_star", "path3", "nonneg", "signed"])

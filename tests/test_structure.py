@@ -9,10 +9,8 @@ from walkbound import (
     DenseMatrix,
     NotScalarError,
     PreconditionError,
-    bipartite_graph,
     connectivity_via_powers,
     decompose,
-    is_connected,
     singular_multiset_check,
 )
 from walkbound.core import support_mask
@@ -31,11 +29,9 @@ def _block_diag_matrix(seed, shapes):
     return DenseMatrix(full)
 
 
-def test_bipartite_graph_edges(e1):
-    g = bipartite_graph(e1)
-    assert g.m == 3 and g.n == 4
-    assert (0, 0) in g.edges and (0, 2) not in g.edges
-    assert len(g.edges) == 6
+def _connected(dec):
+    """One component covering every row and column."""
+    return len(dec.components) == 1 and not dec.isolated_rows and not dec.isolated_cols
 
 
 def test_decompose_connected(e1):
@@ -43,7 +39,7 @@ def test_decompose_connected(e1):
     assert len(dec.components) == 1
     assert dec.components[0].row_indices == (0, 1, 2)
     assert dec.components[0].col_indices == (0, 1, 2, 3)
-    assert is_connected(e1)
+    assert _connected(dec)
 
 
 def test_decompose_blocks():
@@ -53,7 +49,7 @@ def test_decompose_blocks():
     assert dec.components[0].row_indices == (0, 1)
     assert dec.components[1].row_indices == (2,)
     assert dec.components[1].col_indices == (3, 4)
-    assert not is_connected(a)
+    assert not _connected(dec)
 
 
 def test_decompose_finds_blocks_after_shuffle():
@@ -93,7 +89,7 @@ def test_isolated_rows_and_cols():
     assert dec.isolated_rows == (1,)
     assert dec.isolated_cols == (1, 2)
     assert len(dec.components) == 1
-    assert not is_connected(a)
+    assert not _connected(dec)
 
 
 def test_component_submatrix_content():

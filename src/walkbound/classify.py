@@ -29,14 +29,12 @@ from .core import (
     DenseMatrix,
     ScalarityResult,
     col_sums,
-    conj_transpose,
-    matmul,
     row_sums,
     support_mask,
     total_sum,
 )
 from .errors import NotScalarError, PreconditionError
-from .spectral import hermitian_eigen
+from .spectral import _scaled, _svd, _unscaled
 from .walks import WalkTable
 
 
@@ -65,7 +63,8 @@ class PseudoRegularCharacterization:
     eigenvector of A A* to a nonzero eigenvalue mu and every other
     nonzero eigenvalue has its eigenspace orthogonal to the all-ones
     vector.  offending_eigenvalues lists the nonzero eigenvalues that
-    break the orthogonality requirement.
+    break the orthogonality requirement.  Eigenvalues are squared
+    singular values of A, in the input's units.
     """
 
     satisfied: bool
@@ -144,35 +143,31 @@ def characterize_pseudo_regular(
     weight vector must be an eigenvector of A A* to a nonzero eigenvalue,
     and the all-ones vector must have no component in the eigenspace of
     any other nonzero eigenvalue.
+
+    Read off one thin SVD U diag(s) V* of the nonnegative part over 2^e:
+    with lambda_i = (s_i / s_1)^2 and c = U* 1, the order-3 weights are
+    sum_i lambda_i c_i u_i up to scale, and every test is relative.
     """
     ctx = Analysis.of(a, tol)
     tol = ctx.tol
     nonneg = _require_scalar_nonzero(ctx)
-    m = nonneg.m
-    gram = matmul(nonneg, conj_transpose(nonneg))
-    w3 = ctx.table(nonneg, 3).row(3).real
-    norm_w3 = float(np.linalg.norm(w3))
-    pairs = hermitian_eigen(gram)
-    lam_scale = max(1.0, pairs[0][0])
-    if norm_w3 == 0.0:
-        return PseudoRegularCharacterization(False, None, ())
-    gw3 = gram.data.real @ w3
-    mu = float(np.dot(w3, gw3) / np.dot(w3, w3))
-    eigen_residual = float(np.linalg.norm(gw3 - mu * w3))
-    is_eigenvector = eigen_residual <= tol * lam_scale * max(norm_w3, 1e-300)
-    mu_nonzero = mu > tol * lam_scale
-    ones = np.ones(m)
-    offending = []
-    for val, vec in pairs:
-        if val <= tol * lam_scale:
-            continue
-        if abs(val - mu) <= tol * lam_scale:
-            continue
-        if abs(np.vdot(vec, ones)) > tol * np.sqrt(m):
-            offending.append(val)
-    satisfied = is_eigenvector and mu_nonzero and not offending
-    return PseudoRegularCharacterization(satisfied, mu if is_eigenvector else None,
-                                         tuple(offending))
+    b, exponent = _scaled(nonneg)
+    u, sv, _ = _svd(b)
+    lam = (sv / sv[0]) ** 2
+    c = u.sum(axis=0)  # U* 1
+    w3 = lam * c
+    # Rayleigh quotient and residual of w3 under A A* / s_1^2.
+    mu = float(np.dot(lam * w3, w3) / np.dot(w3, w3))
+    residual = float(np.linalg.norm((lam - mu) * w3))
+    is_eigenvector = residual <= tol * float(np.linalg.norm(w3))
+    offending = [
+        _unscaled(float(v), 2 * exponent)
+        for v, lam_i, c_i in zip(sv * sv, lam, c)
+        if lam_i > tol and abs(lam_i - mu) > tol and abs(c_i) > tol * np.sqrt(nonneg.m)
+    ]
+    satisfied = is_eigenvector and mu > tol and not offending
+    mu = _unscaled(mu * sv[0] ** 2, 2 * exponent) if is_eigenvector else None
+    return PseudoRegularCharacterization(satisfied, mu, tuple(offending))
 
 
 def relaxed_pseudo_regular(a: DenseMatrix | Analysis, r: int, s: int,

@@ -1,15 +1,18 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 a computation
-failed to converge or overflowed, 4 the operation does not apply to the
-given matrix (wrong shape, parity, or class) or a generator request was
-infeasible.
+failed to converge or left the float64 range, 4 the operation does not
+apply to the given matrix (wrong shape, parity, or class) or a generator
+request was infeasible.  A failed computation prints one ``error:``
+line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .analysis import Analysis
 from .bounds import hwh_bound, mean_bound, schur_upper_bound, walk_bound, weighted_bound
@@ -289,14 +292,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # An overflow fails the command rather than print inf or nan.
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except (InputFormatError, DimensionMismatchError, NonFiniteEntryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, WalkScaleError) as exc:
+    except (ConvergenceError, WalkScaleError, FloatingPointError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (PreconditionError, GeneratorError) as exc:

@@ -105,19 +105,6 @@ def entrywise_abs(a: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(np.abs(a.data))
 
 
-def conj_transpose(a: DenseMatrix) -> DenseMatrix:
-    """The conjugate transpose; an involution that swaps the shape."""
-    return DenseMatrix(a.data.conj().T)
-
-
-def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    if a.n != b.m:
-        raise DimensionMismatchError(
-            f"cannot multiply {a.m}x{a.n} by {b.m}x{b.n}: inner extents differ"
-        )
-    return DenseMatrix(a.data @ b.data)
-
-
 def total_sum(a: DenseMatrix) -> complex:
     """Sum of all entries."""
     return complex(a.data.sum())

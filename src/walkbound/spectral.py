@@ -1,17 +1,20 @@
 """Largest singular value, full singular spectrum, and the walk-ratio estimator.
 
-The largest singular value is computed on A itself, never on a Gram
-matrix.  A real input is worked on in float64 and a complex one in
-complex128, after division by the power of two that brings its largest
-real or imaginary part into [0.5, 1): no norm overflows or underflows,
-and sigma(2^k A) is exactly 2^k sigma(A).  When A has at most
-``_DENSE_MAX_DIM`` rows or columns, LAPACK's dense SVD gives the answer.
-A larger A goes through Golub-Kahan-Lanczos bidiagonalization with full
-reorthogonalization.  It starts from the normalized all-ones vector plus
+Every spectrum is read off A itself, never off a Gram matrix A A*.  A
+real input is worked on in float64 and a complex one in complex128,
+after division by the power of two that brings its largest real or
+imaginary part into [0.5, 1): no norm overflows or underflows, and
+sigma(2^k A) is exactly 2^k sigma(A).  The ratio estimator scales its
+results back to the input's units with ``np.ldexp`` and raises
+WalkScaleError for one that does not fit in float64 there.  When A has
+at most ``_DENSE_MAX_DIM`` rows or columns, LAPACK's dense SVD gives the
+largest singular value.  A larger A goes through Golub-Kahan-Lanczos
+bidiagonalization with full reorthogonalization.  It starts from the normalized all-ones vector plus
 a fixed alternating-sign perturbation of size 1e-6, so repeated runs on
 the same matrix are bit-identical.  The full spectrum comes from LAPACK's
 dense SVD without vectors; on matrices above ``_DENSE_MAX_DIM`` it
-cross-checks the Lanczos route.
+cross-checks the Lanczos route.  ``hermitian_eigen`` is the one solver
+that takes a Hermitian matrix as given.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseMatrix, conj_transpose, matmul
-from .errors import ConvergenceError, PreconditionError
+from .core import DenseMatrix
+from .errors import ConvergenceError, PreconditionError, WalkScaleError
 from .walks import walk_table
 
 _START_PERTURBATION = 1e-6
@@ -34,11 +37,10 @@ _START_PERTURBATION = 1e-6
 # 128.
 _DENSE_MAX_DIM = 48
 
-# Relative eigenvalue spread treated as one degenerate cluster when the
-# top eigenspace is assembled for the estimator's orthogonality test.
-_TOP_CLUSTER_RTOL = 1e-8
-
-_ORTHOGONALITY_TOL = 1e-10
+# A settled ratio sequence farther than this, relative, from sigma^(2s)
+# has converged to a lower singular value: the all-ones vector misses
+# the top singular space, or nearly so.
+_LIMIT_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,23 @@ def _scaled(a: DenseMatrix) -> tuple[np.ndarray, int]:
     exponent = int(np.frexp(np.abs(parts).max())[1])
     scaled = np.ldexp(parts, -exponent)
     return (scaled if real else scaled.view(np.complex128)), exponent
+
+
+def _unscaled(x: float, exponent: int) -> float:
+    """x * 2^exponent; WalkScaleError when that overflows float64."""
+    with np.errstate(over="ignore"):
+        y = float(np.ldexp(x, exponent))
+    if not np.isfinite(y):
+        raise WalkScaleError(f"{x:.6g} * 2^{exponent} overflows float64")
+    return y
+
+
+def _svd(x: np.ndarray, compute_uv: bool = True):
+    """Thin ``np.linalg.svd``; a LAPACK failure raises ConvergenceError."""
+    try:
+        return np.linalg.svd(x, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense SVD failed: {exc}") from exc
 
 
 def _adjoint_times(b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -137,9 +156,7 @@ def _golub_kahan_lanczos(b: np.ndarray, exponent: int, tol: float,
     for k in range(1, cap + 1):
         r = _orthogonalize(_adjoint_times(b, us[k - 1]) - alphas[-1] * vs[k - 1], vs[:k])
         beta = float(np.linalg.norm(r))
-        ritz_left, ritz, ritz_right_h = np.linalg.svd(
-            np.diag(alphas) + np.diag(betas, 1)
-        )
+        ritz_left, ritz, ritz_right_h = _svd(np.diag(alphas) + np.diag(betas, 1))
         sigma = float(ritz[0])
         if beta * abs(ritz_left[-1, 0]) <= tol * sigma or beta == 0.0 or k == cap:
             best = _triple(b, exponent, sigma, ritz_left[:, 0] @ us[:k],
@@ -187,10 +204,7 @@ def largest_singular(a: DenseMatrix, tol: float = 1e-12,
         return _triple(b, 0, 0.0, left, right, 0)
     if sigma_method(b.shape) == "golub_kahan_lanczos":
         return _golub_kahan_lanczos(b, exponent, tol, max_iter)
-    try:
-        u, s, vh = np.linalg.svd(b, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense SVD failed: {exc}") from exc
+    u, s, vh = _svd(b)
     result = _triple(b, exponent, float(s[0]), u[:, 0], vh[0].conj(), 0)
     if result.residual > tol * max(1.0, result.sigma):
         raise ConvergenceError(
@@ -206,10 +220,7 @@ def singular_values(a: DenseMatrix) -> np.ndarray:
     leaves about sqrt(eps) * sigma where a singular value is exactly zero,
     while the SVD leaves a few eps * sigma.
     """
-    try:
-        vals = np.linalg.svd(a.data, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense SVD failed: {exc}") from exc
+    vals = _svd(a.data, compute_uv=False)
     vals.setflags(write=False)
     return vals
 
@@ -248,11 +259,12 @@ class RatioEstimate:
 
     ratios[r] is the order 2r+2s+1 row total divided by the order 2r+1
     row total; max_ratios holds the same quotient taken entrywise and
-    maximized over row indices with a usable denominator.  degenerate is
-    set when the denominators collapse toward zero while sigma stays
-    positive, or when the all-ones vector is orthogonal to the top
-    eigenspace of A A*; in that case no limit is reported even if the
-    ratio sequence happens to settle.
+    maximized over row indices with a usable denominator.  Both are in
+    the input's units.  degenerate is set when the denominators collapse
+    toward zero while sigma stays positive, or when the sequence settles
+    farther than 1e-6 relative from sigma^(2s): the all-ones vector then
+    misses, or nearly misses, the top left singular space, and no limit
+    is reported.
     """
 
     ratios: tuple[float, ...]
@@ -265,10 +277,12 @@ class RatioEstimate:
 def sigma_ratio_estimate(a: DenseMatrix, s: int = 1, r_max: int = 60) -> RatioEstimate:
     """Estimate sigma^(2s) from ratios of odd-order walk totals.
 
-    Defined for real matrices.  The limit is reported only when the last
-    two aggregate ratios agree to a relative 1e-9 and the degeneracy
-    checks pass; the entrywise maximum sequence is returned for
-    inspection but never drives the limit.
+    Defined for real matrices.  The walk table is built on A / 2^e, the
+    scaling ``largest_singular`` uses, and every ratio is scaled back by
+    exactly 2^(2se).  The limit is reported only when the last two
+    aggregate ratios agree to a relative 1e-9 and lie within 1e-6
+    relative of sigma^(2s); the entrywise maximum sequence is returned
+    for inspection but never drives the limit.
     """
     if s < 1:
         raise PreconditionError("s must be at least 1")
@@ -276,30 +290,18 @@ def sigma_ratio_estimate(a: DenseMatrix, s: int = 1, r_max: int = 60) -> RatioEs
         raise PreconditionError("r_max must be at least 1")
     if not a.is_real():
         raise PreconditionError("ratio estimator is defined for real matrices")
-    m = a.m
-    gram = matmul(a, conj_transpose(a))
-    pairs = hermitian_eigen(gram)
-    lam_max = max(pairs[0][0], 0.0)
-    sigma = float(np.sqrt(lam_max))
-    degenerate = False
-    if sigma > 0.0:
-        ones = np.ones(m)
-        cluster = lam_max - _TOP_CLUSTER_RTOL * max(1.0, lam_max)
-        proj_sq = sum(
-            abs(np.vdot(vec, ones)) ** 2 for val, vec in pairs if val >= cluster
-        )
-        if float(np.sqrt(proj_sq)) <= _ORTHOGONALITY_TOL * np.sqrt(m):
-            degenerate = True
-    table = walk_table(a, 2 * r_max + 2 * s + 1)
+    b, exponent = _scaled(a)
+    b = DenseMatrix(b)
+    sigma = largest_singular(b).sigma
+    table = walk_table(b, 2 * r_max + 2 * s + 1)
     ratios: list[float] = []
     max_ratios: list[float] = []
+    degenerate = False
     sigma2_pow = 1.0
     for r in range(r_max + 1):
         den = table.row_total(2 * r + 1).real
-        floor = 1e-12 * m * sigma2_pow
-        if den <= floor:
-            if sigma > 0.0:
-                degenerate = True
+        if den <= 1e-12 * a.m * sigma2_pow:
+            degenerate = sigma > 0.0
             break
         num = table.row_total(2 * r + 2 * s + 1).real
         ratios.append(num / den)
@@ -308,13 +310,22 @@ def sigma_ratio_estimate(a: DenseMatrix, s: int = 1, r_max: int = 60) -> RatioEs
         usable = den_vec > 1e-12 * sigma2_pow
         if usable.any():
             max_ratios.append(float((num_vec[usable] / den_vec[usable]).max()))
-        sigma2_pow *= lam_max if lam_max > 0.0 else 1.0
-    limit = None
-    if not degenerate:
-        if sigma == 0.0:
-            limit = 0.0
-        elif len(ratios) >= 2 and abs(ratios[-1] - ratios[-2]) < 1e-9 * max(
-            abs(ratios[-1]), 1e-300
-        ):
+        sigma2_pow *= sigma * sigma
+    limit = 0.0 if sigma == 0.0 else None
+    settled = len(ratios) >= 2 and abs(ratios[-1] - ratios[-2]) < 1e-9 * abs(ratios[-1])
+    if sigma > 0.0 and settled and not degenerate:
+        # Past the float64 range sigma^(2s) is inf or 0, and the test fails.
+        with np.errstate(all="ignore"):
+            off = abs(ratios[-1] / np.float64(sigma) ** (2 * s) - 1.0)
+        if off <= _LIMIT_RTOL:
             limit = ratios[-1]
-    return RatioEstimate(tuple(ratios), tuple(max_ratios), degenerate, limit, s)
+        else:
+            degenerate = True
+    shift = 2 * s * exponent
+    return RatioEstimate(
+        tuple(_unscaled(x, shift) for x in ratios),
+        tuple(_unscaled(x, shift) for x in max_ratios),
+        degenerate,
+        None if limit is None else _unscaled(limit, shift),
+        s,
+    )

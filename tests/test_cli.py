@@ -157,6 +157,32 @@ def test_infeasible_gen_exits_4(tmp_path, capsys):
     assert rc == 4
 
 
+_EVERY_SUBCOMMAND = (
+    [["analyze"], ["analyze", "--json"]]
+    + [["bound", "--method", m, "--json"] for m in ("walk", "weighted", "mean", "hwh", "schur")]
+    + [["bound", "--method", "weighted", "--r", "2", "--json"], ["bound", "--method", "schur"],
+       ["classify", "--json"], ["components", "--json"]]
+    + [["certify", "--theorem", t, "--json"] for t in ("T2", "T2.1", "T3", "T4", "HWH")]
+)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_overflowing_input_exits_with_one_error_line(tmp_path, capsys, symmetric):
+    # Scaled by 1e200, sums and walk weights of this 13x13 pass the
+    # float64 range.  Every subcommand either answers or fails with exit
+    # 3 or 4 and one error line: no traceback, no numpy warning.
+    x = np.random.default_rng(13).uniform(size=(13, 13))
+    path = tmp_path / "big.csv"
+    write_matrix(path, DenseMatrix(1e200 * (x + x.T if symmetric else x)))
+    for argv in _EVERY_SUBCOMMAND:
+        rc = main([argv[0], str(path), *argv[1:]])
+        err = capsys.readouterr().err
+        assert rc in (0, 3, 4), argv
+        assert "Traceback" not in err and "Warning" not in err, argv
+        if rc:
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def test_installed_entry_point_runs(e1_file):
     proc = subprocess.run(
         [sys.executable, "-m", "walkbound", "analyze", e1_file],

@@ -7,8 +7,6 @@ from walkbound import DenseMatrix, DimensionMismatchError, NonFiniteEntryError, 
 from walkbound.core import (
     ZERO_TOL_FACTOR,
     col_sums,
-    conj_transpose,
-    matmul,
     max_modulus,
     row_sums,
     support_mask,
@@ -89,19 +87,6 @@ def test_support_threshold_scales_with_magnitude():
     assert ZERO_TOL_FACTOR == 1e-12
     b = DenseMatrix([[1e8, cut], [0.0, np.nextafter(cut, np.inf)]])
     assert support_mask(b).tolist() == [[True, False], [False, True]]
-
-
-def test_transpose_conjugates(c2):
-    h = conj_transpose(c2)
-    assert np.array_equal(h.data, c2.data.conj().T)
-
-
-def test_matmul_checks_inner_extent(e1):
-    with pytest.raises(DimensionMismatchError):
-        matmul(e1, e1)
-    prod = matmul(e1, conj_transpose(e1))
-    assert prod.shape == (3, 3)
-    assert np.allclose(prod.data, np.eye(3) + np.ones((3, 3)))
 
 
 def test_sums(e1):

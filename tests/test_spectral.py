@@ -7,6 +7,7 @@ from walkbound import (
     ConvergenceError,
     DenseMatrix,
     PreconditionError,
+    WalkScaleError,
     hermitian_eigen,
     largest_singular,
     sigma_ratio_estimate,
@@ -136,6 +137,46 @@ def test_ratio_estimate_degenerate_witness():
     est = sigma_ratio_estimate(a, s=1, r_max=40)
     assert est.degenerate
     assert est.limit is None
+
+
+def test_ratio_estimate_near_orthogonal_ones_is_degenerate():
+    # A = 1.2 u1 u1^T + u2 u2^T with u1 tilted 2e-10 off (1, -1) / sqrt(2):
+    # the all-ones vector projects 2.8e-10 onto u1, so 60 steps leave the
+    # ratios settled near 1, far below sigma^2 = 1.44.
+    t = -math.pi / 4 + 2e-10
+    u1 = np.array([math.cos(t), math.sin(t)])
+    u2 = np.array([-math.sin(t), math.cos(t)])
+    assert abs(u1.sum()) < 3e-10
+    est = sigma_ratio_estimate(DenseMatrix(1.2 * np.outer(u1, u1) + np.outer(u2, u2)))
+    assert abs(est.ratios[-1] - est.ratios[-2]) < 1e-9 * est.ratios[-1]
+    assert est.ratios[-1] == pytest.approx(1.0, abs=1e-9)
+    assert est.degenerate
+    assert est.limit is None
+
+
+def test_ratio_estimate_settling_below_sigma_is_degenerate():
+    # The all-ones vector is an eigenvector to 1, while sigma^2 = 9.
+    est = sigma_ratio_estimate(DenseMatrix([[2.0, -1.0], [-1.0, 2.0]]), s=1, r_max=40)
+    assert all(r == pytest.approx(1.0, abs=1e-12) for r in est.ratios)
+    assert est.degenerate
+    assert est.limit is None
+
+
+@pytest.mark.parametrize("k", [-250, -150, 150, 240])
+def test_ratio_estimate_scales_exactly_by_powers_of_two(k):
+    a = np.random.default_rng(9).uniform(0.1, 1.0, size=(5, 4))
+    est = sigma_ratio_estimate(DenseMatrix(a), s=2, r_max=20)
+    scaled = sigma_ratio_estimate(DenseMatrix(np.ldexp(a, k)), s=2, r_max=20)
+    assert scaled.ratios == tuple(np.ldexp(est.ratios, 4 * k))
+    assert scaled.max_ratios == tuple(np.ldexp(est.max_ratios, 4 * k))
+    assert scaled.limit == np.ldexp(est.limit, 4 * k)
+    assert not scaled.degenerate
+
+
+def test_ratio_estimate_out_of_range_raises_walk_scale_error():
+    # sigma^2 of the scaled matrix is 4e400, past the float64 range.
+    with pytest.raises(WalkScaleError):
+        sigma_ratio_estimate(DenseMatrix(1e200 * np.ones((2, 2))))
 
 
 def test_ratio_estimate_identity_is_flat():

@@ -1,14 +1,16 @@
 """One lazily filled analysis context per matrix.
 
 An ``Analysis`` holds a matrix with the tolerance and iteration cap of one
-analysis.  It computes each shared quantity the first time it is asked
-for and keeps it: the scalarity test and the basis the certificates run
-on, one largest singular triple per distinct matrix, one walk table per
-distinct matrix, the support mask and its decomposition, the
-classification and the degree-product report.  Every layer function
-takes a matrix or a context: ``full_analysis`` reads everything from one
-context, and a single call on a bare matrix builds its own, so it
-computes only what it needs.
+analysis.  ``ctx.a`` is the input over the power of two 2^e that brings
+its largest real or imaginary part into [0.5, 1); ``ctx.singular(...)``,
+``ctx.table(...)`` and every test are in those units, so A and 2^k A
+present the same bits to every test, and ``ctx.unscaled`` takes numbers
+back to the input's units.  Each shared quantity is computed once, on
+first use: the scalarity test and the certificates' basis, one singular
+triple and one walk table per distinct matrix, the support mask and its
+decomposition, the classification and the degree-product report.  Every
+layer function takes a matrix or a context: ``full_analysis`` reads
+everything from one context, and a call on a bare matrix builds its own.
 
 The layer functions are called through their module-level names, so code
 that rebinds them (a tracer, a test counting calls) sees every call.
@@ -29,21 +31,24 @@ from .core import (
     max_modulus,
     support_mask,
 )
-from .spectral import SpectralResult, largest_singular
+from .spectral import SpectralResult, _scaled, _unscaled, largest_singular
 from .walks import WalkTable, walk_table
 
 
 class Analysis:
     """Quantities derived from one matrix, each computed once on first use.
 
+    ``a`` is ``input`` over 2^``exponent`` (``input`` itself at 0).
     Per-matrix results are keyed by identity: the input, the basis and
     the component submatrices are distinct matrices even when their
-    entries agree.  ``max_iter`` caps every solve.
+    entries agree.  ``max_iter`` caps every solve; a failed solve's
+    ConvergenceError carries its best triple and message in ``a``'s units.
     """
 
     def __init__(self, a: DenseMatrix, tol: float = DEFAULT_TOL,
                  max_iter: int = 10_000):
-        self.a = a
+        self.input = a
+        self.a, self.exponent = _scaled(a)
         self.tol = tol
         self.max_iter = max_iter
         # id(matrix) -> (matrix, result); holding the matrix keeps the id
@@ -57,6 +62,10 @@ class Analysis:
         """``a`` itself when it is a context, else a new context for the
         matrix ``a``; ``tol`` and ``max_iter`` apply only to a matrix."""
         return a if isinstance(a, cls) else cls(a, tol, max_iter)
+
+    def unscaled(self, x: float, degree: int = 1) -> float:
+        """x * 2^(degree * exponent); WalkScaleError past float64."""
+        return _unscaled(x, degree * self.exponent)
 
     @cached_property
     def max_modulus(self) -> float:

@@ -2,7 +2,8 @@
 
 Every bound comes back as a BoundReport carrying the value, the reference
 sigma, the signed gap, and a tightness flag at the requested tolerance.
-Lower bounds use gap = sigma - value; the upper bound uses value - sigma.
+Lower bounds use gap = sigma - value; the upper bound uses value - sigma,
+each judged on the context's A / 2^e and reported in the input's units.
 
 Each bound takes a DenseMatrix or an ``Analysis`` of one.  ``tol``
 applies only to a matrix: a context brings its own tolerance.
@@ -33,19 +34,14 @@ class BoundReport:
     certificate: bool | None = None
 
 
-def _resolve_sigma(ctx: Analysis, sigma: float | None) -> float:
-    if sigma is not None:
-        if sigma < 0.0:
-            raise PreconditionError("sigma must be nonnegative")
-        return float(sigma)
-    return ctx.singular(ctx.a).sigma
-
-
-def _lower_report(method: str, value: float, sigma: float, tol: float,
-                  params: dict, certificate: bool | None = None) -> BoundReport:
-    gap = sigma - value
-    tight = abs(gap) <= tol * max(1.0, sigma)
-    return BoundReport(method, value, sigma, gap, tight, params, certificate)
+def _report(ctx: Analysis, method: str, value: float, params: dict,
+            certificate: bool | None = None, upper: bool = False) -> BoundReport:
+    """A lower (or ``upper``) bound on the sigma of ``ctx.a``, in the input's units."""
+    sigma = ctx.singular(ctx.a).sigma
+    gap = value - sigma if upper else sigma - value
+    tight = abs(gap) <= ctx.tol * max(1.0, sigma)
+    return BoundReport(method, ctx.unscaled(value), ctx.unscaled(sigma),
+                       ctx.unscaled(gap), tight, params, certificate)
 
 
 def _walk_ratio_value(table: WalkTable, p: int, r: int) -> float:
@@ -62,8 +58,7 @@ def _walk_ratio_value(table: WalkTable, p: int, r: int) -> float:
 
 
 def walk_bound(a: DenseMatrix | Analysis, p: int, r: int,
-               tol: float = DEFAULT_TOL,
-               sigma: float | None = None) -> BoundReport:
+               tol: float = DEFAULT_TOL) -> BoundReport:
     """Walk-total ratio lower bound (w^p(R)/w^r(R))^(1/(p-r)).
 
     Valid for scalar matrices and odd orders p > r >= 1 only; even orders
@@ -82,12 +77,11 @@ def walk_bound(a: DenseMatrix | Analysis, p: int, r: int,
     if not ctx.scalarity.is_scalar:
         raise NotScalarError("walk bound is defined for scalar matrices")
     value = _walk_ratio_value(ctx.table(ctx.basis, p), p, r)
-    sig = _resolve_sigma(ctx, sigma)
-    return _lower_report("walk", value, sig, ctx.tol, {"p": p, "r": r})
+    return _report(ctx, "walk", value, {"p": p, "r": r})
 
 
-def weighted_bound(a: DenseMatrix | Analysis, r: int = 1, tol: float = DEFAULT_TOL,
-                   sigma: float | None = None) -> BoundReport:
+def weighted_bound(a: DenseMatrix | Analysis, r: int = 1,
+                   tol: float = DEFAULT_TOL) -> BoundReport:
     """Weight-geometric lower bound valid for arbitrary complex matrices.
 
     With w the order-r walk weights of the entrywise modulus matrix,
@@ -107,20 +101,18 @@ def weighted_bound(a: DenseMatrix | Analysis, r: int = 1, tol: float = DEFAULT_T
         value = float(abs(wr @ ctx.a.data @ wc)) / den
     else:
         value = 0.0
-    return _lower_report("weighted", value, _resolve_sigma(ctx, sigma), ctx.tol, {"r": r})
+    return _report(ctx, "weighted", value, {"r": r})
 
 
-def mean_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
-               sigma: float | None = None) -> BoundReport:
+def mean_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
     """|sum of entries| / sqrt(n m), the order-1 weighted bound."""
     ctx = Analysis.of(a, tol)
     a = ctx.a
     value = abs(total_sum(a)) / float(np.sqrt(a.m * a.n))
-    return _lower_report("mean", value, _resolve_sigma(ctx, sigma), ctx.tol, {})
+    return _report(ctx, "mean", value, {})
 
 
-def hwh_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
-              sigma: float | None = None) -> BoundReport:
+def hwh_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
     """Degree-product lower bound for symmetric nonnegative matrices.
 
     value = (1/S) * sum_ij a_ij sqrt(d_i d_j) with d the row sums and S
@@ -129,7 +121,7 @@ def hwh_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
     exactly when the bound is attained.
     """
     ctx = Analysis.of(a, tol)
-    a, tol = ctx.a, ctx.tol
+    a = ctx.a
     data = a.data
     if data.shape[0] != data.shape[1]:
         raise PreconditionError("degree-product bound needs a square matrix")
@@ -145,17 +137,14 @@ def hwh_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
     total = total_sum(a).real
     root = np.sqrt(d)
     value = float(root @ data.real @ root) / total
-    sig = _resolve_sigma(ctx, sigma)
-    target = sig * sig
+    sigma = ctx.singular(a).sigma
+    target = sigma * sigma
     products = np.outer(d, d)[ctx.support]
-    certificate = bool(
-        np.all(np.abs(products - target) <= tol * max(1.0, target))
-    )
-    return _lower_report("hwh", value, sig, tol, {}, certificate)
+    certificate = bool(np.all(np.abs(products - target) <= ctx.tol * max(1.0, target)))
+    return _report(ctx, "hwh", value, {}, certificate)
 
 
-def schur_upper_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
-                      sigma: float | None = None) -> BoundReport:
+def schur_upper_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
     """Upper bound sqrt(max_i r_i * max_j c_j) for nonnegative matrices."""
     ctx = Analysis.of(a, tol)
     a = ctx.a
@@ -166,7 +155,4 @@ def schur_upper_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
     r = row_sums(a).real
     c = col_sums(a).real
     value = float(np.sqrt(r.max() * c.max()))
-    sig = _resolve_sigma(ctx, sigma)
-    gap = value - sig
-    tight = abs(gap) <= ctx.tol * max(1.0, sig)
-    return BoundReport("schur", value, sig, gap, tight, {})
+    return _report(ctx, "schur", value, {}, upper=True)

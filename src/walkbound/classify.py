@@ -19,7 +19,7 @@ applies only to a matrix: a context brings its own tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .core import (
     total_sum,
 )
 from .errors import NotScalarError, PreconditionError
-from .spectral import _scaled, _svd, _unscaled
+from .spectral import _svd
 from .walks import WalkTable
 
 
@@ -123,13 +123,17 @@ def classify(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL) -> Classificat
     almost = bool(summaries) and all(
         s.regular and abs(s.sigma - sigma) <= tol * max(1.0, sigma) for s in summaries
     )
+    scalarity = ctx.scalarity
+    if ctx.exponent:  # a nonnegative input is its own nonnegative part
+        unscaled = ctx.input if nonneg is ctx.a else nonneg.times_pow2(ctx.exponent)
+        scalarity = replace(scalarity, nonneg_part=unscaled)
     return ClassificationReport(
-        scalarity=ctx.scalarity,
+        scalarity=scalarity,
         is_regular=regular,
         is_pseudo_regular=lam is not None,
-        pseudo_lambda=lam,
+        pseudo_lambda=None if lam is None else ctx.unscaled(lam, 2),
         is_almost_regular=almost,
-        per_component=tuple(summaries),
+        per_component=tuple(replace(s, sigma=ctx.unscaled(s.sigma)) for s in summaries),
         tol=tol,
     )
 
@@ -144,15 +148,14 @@ def characterize_pseudo_regular(
     and the all-ones vector must have no component in the eigenspace of
     any other nonzero eigenvalue.
 
-    Read off one thin SVD U diag(s) V* of the nonnegative part over 2^e:
+    Read off one thin SVD U diag(s) V* of the context's nonnegative part:
     with lambda_i = (s_i / s_1)^2 and c = U* 1, the order-3 weights are
     sum_i lambda_i c_i u_i up to scale, and every test is relative.
     """
     ctx = Analysis.of(a, tol)
     tol = ctx.tol
     nonneg = _require_scalar_nonzero(ctx)
-    b, exponent = _scaled(nonneg)
-    u, sv, _ = _svd(b)
+    u, sv, _ = _svd(nonneg.data)
     lam = (sv / sv[0]) ** 2
     c = u.sum(axis=0)  # U* 1
     w3 = lam * c
@@ -161,12 +164,12 @@ def characterize_pseudo_regular(
     residual = float(np.linalg.norm((lam - mu) * w3))
     is_eigenvector = residual <= tol * float(np.linalg.norm(w3))
     offending = [
-        _unscaled(float(v), 2 * exponent)
+        ctx.unscaled(float(v), 2)
         for v, lam_i, c_i in zip(sv * sv, lam, c)
         if lam_i > tol and abs(lam_i - mu) > tol and abs(c_i) > tol * np.sqrt(nonneg.m)
     ]
     satisfied = is_eigenvector and mu > tol and not offending
-    mu = _unscaled(mu * sv[0] ** 2, 2 * exponent) if is_eigenvector else None
+    mu = ctx.unscaled(mu * sv[0] ** 2, 2) if is_eigenvector else None
     return PseudoRegularCharacterization(satisfied, mu, tuple(offending))
 
 
@@ -364,7 +367,7 @@ def certify_theorem4(a: DenseMatrix | Analysis,
         implied = None
     return EqualityCertificate(
         "T4", holds, gap, implied,
-        {"sigma": sigma, "mean_value": mean_value, "scalar": scalar},
+        {"sigma": ctx.unscaled(sigma), "mean_value": ctx.unscaled(mean_value), "scalar": scalar},
     )
 
 
@@ -377,7 +380,7 @@ def hwh_equality_certificate(a: DenseMatrix | Analysis,
     """
     ctx = Analysis.of(a, tol)
     report = ctx.hwh_report
-    gap = abs(report.gap) / max(1.0, report.sigma)
+    gap = abs(float(np.ldexp(report.gap, -ctx.exponent))) / max(1.0, ctx.singular(ctx.a).sigma)
     holds = report.tight
     support_condition = bool(report.certificate)
     return EqualityCertificate(

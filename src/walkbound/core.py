@@ -75,6 +75,15 @@ class DenseMatrix:
         """True when the matrix is real with no negative entry."""
         return self.is_real() and self._data.min() >= 0.0
 
+    def times_pow2(self, exponent: int) -> DenseMatrix:
+        """This matrix times 2^exponent, exact while the entries stay normal."""
+        with np.errstate(over="raise"):
+            data = np.ldexp(self._data.view(np.float64), exponent).view(self._data.dtype)
+        data.setflags(write=False)
+        out = object.__new__(DenseMatrix)  # adopts ``data``: finite, and no one else's
+        object.__setattr__(out, "_data", data)
+        return out
+
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented

@@ -95,7 +95,7 @@ def _components_dict(ctx: Analysis) -> dict:
                 "rows": list(comp.row_indices),
                 "cols": list(comp.col_indices),
                 "shape": [len(comp.row_indices), len(comp.col_indices)],
-                "sigma": ctx.singular(sub).sigma,
+                "sigma": ctx.unscaled(ctx.singular(sub).sigma),
             }
             for comp, sub in zip(dec.components, ctx.submatrices(ctx.a))
         ],
@@ -107,17 +107,15 @@ def full_analysis(a: DenseMatrix | Analysis, *, tol: float = 1e-8,
     """Run the whole pipeline on one matrix and return the report body.
 
     Every quantity comes from one ``Analysis`` context, so each is
-    computed once, and ``max_iter`` caps every solve.  Given a context,
-    the report uses its ``tol`` and ``max_iter``, and the caller can read
-    afterwards what the analysis computed.
+    computed once, and ``max_iter`` caps every solve.  Numbers are in the
+    input's units.  Given a context, the report uses its ``tol`` and
+    ``max_iter``, and the caller can read afterwards what it computed.
     """
     ctx = Analysis.of(a, tol, max_iter)
     a, tol, max_iter = ctx.a, ctx.tol, ctx.max_iter
     notes: list[str] = []
     spectral = ctx.singular(a)
-    sigma = spectral.sigma
     sc = ctx.scalarity
-    zero = ctx.max_modulus == 0.0
 
     bound_reports = []
     if sc.is_scalar:
@@ -155,29 +153,26 @@ def full_analysis(a: DenseMatrix | Analysis, *, tol: float = 1e-8,
         }
 
     certificates = []
-    if zero:
+    if ctx.max_modulus == 0.0:
         notes.append("certificates skipped: zero matrix")
     else:
-        certificates.append(_certificate_dict(certify_theorem2(ctx, s=1, r=0)))
-        certificates.append(_certificate_dict(certify_theorem2_1(ctx, r=1, s=1)))
-        certificates.append(_certificate_dict(
-            certify_theorem3(ctx, r=2, include_literal=literal_t3)
-        ))
-        certificates.append(_certificate_dict(certify_theorem4(ctx)))
+        certificates = [certify_theorem2(ctx, s=1, r=0), certify_theorem2_1(ctx, r=1, s=1),
+                        certify_theorem3(ctx, r=2, include_literal=literal_t3),
+                        certify_theorem4(ctx)]
         if hwh is not None:
-            certificates.append(_certificate_dict(hwh_equality_certificate(ctx)))
+            certificates.append(hwh_equality_certificate(ctx))
 
     return {
         "schema": SCHEMA_VERSION,
         "sigma": {
-            "value": float(sigma),
+            "value": ctx.unscaled(spectral.sigma),
             "method": sigma_method(a.shape),
-            "residual": float(spectral.residual),
+            "residual": ctx.unscaled(spectral.residual),
             "iterations": int(spectral.iterations),
         },
         "bounds": [_bound_dict(b) for b in bound_reports],
         "classification": classification,
-        "certificates": certificates,
+        "certificates": [_certificate_dict(c) for c in certificates],
         "components": _components_dict(ctx),
         "notes": notes,
         "tool_version": __version__,

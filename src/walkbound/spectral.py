@@ -1,31 +1,30 @@
 """Largest singular value, full singular spectrum, and the walk-ratio estimator.
 
-Every spectrum is read off A itself, never off a Gram matrix A A*.  A
-real input is worked on in float64 and a complex one in complex128,
-after division by the power of two that brings its largest real or
-imaginary part into [0.5, 1): no norm overflows or underflows, and
-sigma(2^k A) is exactly 2^k sigma(A).  The ratio estimator scales its
-results back to the input's units with ``np.ldexp`` and raises
-WalkScaleError for one that does not fit in float64 there.  When A has
-at most ``_DENSE_MAX_DIM`` rows or columns, LAPACK's dense SVD gives the
-largest singular value.  A larger A goes through Golub-Kahan-Lanczos
-bidiagonalization with full reorthogonalization.  It starts from the normalized all-ones vector plus
-a fixed alternating-sign perturbation of size 1e-6, so repeated runs on
-the same matrix are bit-identical.  The full spectrum comes from LAPACK's
-dense SVD without vectors; on matrices above ``_DENSE_MAX_DIM`` it
+Every spectrum is read off A itself, never off a Gram matrix A A*, in
+float64 for a real A and complex128 otherwise, after ``_scaled`` divides
+A by the power of two 2^e that brings its largest real or imaginary part
+into [0.5, 1) (an ``Analysis`` does so once): no norm overflows or
+underflows, and sigma(2^k A) is exactly 2^k sigma(A).  ``_unscaled``
+raises WalkScaleError for a result past float64 in the input's units.
+Up to ``_DENSE_MAX_DIM`` rows or columns LAPACK's dense SVD gives the
+largest singular value; a larger A goes through Golub-Kahan-Lanczos
+bidiagonalization with full reorthogonalization, from the normalized
+all-ones vector plus a fixed alternating-sign perturbation of size 1e-6,
+so repeated runs are bit-identical.  The full spectrum comes from
+LAPACK's dense SVD without vectors; above ``_DENSE_MAX_DIM`` it
 cross-checks the Lanczos route.  ``hermitian_eigen`` is the one solver
 that takes a Hermitian matrix as given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DenseMatrix
 from .errors import ConvergenceError, PreconditionError, WalkScaleError
-from .walks import walk_table
 
 _START_PERTURBATION = 1e-6
 
@@ -68,24 +67,20 @@ def _start_vector(dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _scaled(a: DenseMatrix) -> tuple[np.ndarray, int]:
+def _scaled(a: DenseMatrix) -> tuple[DenseMatrix, int]:
     """A / 2^e, exactly, with its largest real or imaginary part in
-    [0.5, 1), and e.  A real input comes back as float64."""
-    real = a.is_real()
-    # A complex matrix is scaled as the float64 pairs of its entries.
-    parts = a.data.real if real else a.data.view(np.float64)
-    exponent = int(np.frexp(np.abs(parts).max())[1])
-    scaled = np.ldexp(parts, -exponent)
-    return (scaled if real else scaled.view(np.complex128)), exponent
+    [0.5, 1), and e; ``a`` itself when e is 0."""
+    parts = a.data.view(np.float64)  # a complex entry as its two float64 parts
+    exponent = math.frexp(max(parts.max(), -parts.min()))[1]
+    return (a, 0) if exponent == 0 else (a.times_pow2(-exponent), exponent)
 
 
 def _unscaled(x: float, exponent: int) -> float:
     """x * 2^exponent; WalkScaleError when that overflows float64."""
-    with np.errstate(over="ignore"):
-        y = float(np.ldexp(x, exponent))
-    if not np.isfinite(y):
-        raise WalkScaleError(f"{x:.6g} * 2^{exponent} overflows float64")
-    return y
+    try:
+        return math.ldexp(x, exponent)  # exact, and cheaper than np.errstate
+    except OverflowError:
+        raise WalkScaleError(f"{x:.6g} * 2^{exponent} overflows float64") from None
 
 
 def _svd(x: np.ndarray, compute_uv: bool = True):
@@ -124,8 +119,8 @@ def _triple(b: np.ndarray, exponent: int, sigma: float, left: np.ndarray,
     right = np.array(right)
     left.setflags(write=False)
     right.setflags(write=False)
-    return SpectralResult(float(np.ldexp(sigma, exponent)), left, right, iterations,
-                          float(np.ldexp(residual, exponent)))
+    return SpectralResult(_unscaled(sigma, exponent), left, right, iterations,
+                          _unscaled(residual, exponent))
 
 
 def _golub_kahan_lanczos(b: np.ndarray, exponent: int, tol: float,
@@ -195,7 +190,8 @@ def largest_singular(a: DenseMatrix, tol: float = 1e-12,
     """
     if max_iter < 1:
         raise PreconditionError("max_iter must be positive")
-    b, exponent = _scaled(a)
+    scaled, exponent = _scaled(a)
+    b = scaled.data
     m, n = b.shape
     if not b.any():
         left = np.zeros(m, dtype=b.dtype)
@@ -277,30 +273,31 @@ class RatioEstimate:
 def sigma_ratio_estimate(a: DenseMatrix, s: int = 1, r_max: int = 60) -> RatioEstimate:
     """Estimate sigma^(2s) from ratios of odd-order walk totals.
 
-    Defined for real matrices.  The walk table is built on A / 2^e, the
-    scaling ``largest_singular`` uses, and every ratio is scaled back by
+    Defined for real matrices.  Sigma and the walk table come from
+    ``Analysis.of(a)``, on A / 2^e, and every ratio is scaled back by
     exactly 2^(2se).  The limit is reported only when the last two
     aggregate ratios agree to a relative 1e-9 and lie within 1e-6
     relative of sigma^(2s); the entrywise maximum sequence is returned
     for inspection but never drives the limit.
     """
+    from .analysis import Analysis  # analysis imports this module
+
     if s < 1:
         raise PreconditionError("s must be at least 1")
     if r_max < 1:
         raise PreconditionError("r_max must be at least 1")
     if not a.is_real():
         raise PreconditionError("ratio estimator is defined for real matrices")
-    b, exponent = _scaled(a)
-    b = DenseMatrix(b)
-    sigma = largest_singular(b).sigma
-    table = walk_table(b, 2 * r_max + 2 * s + 1)
+    ctx = Analysis.of(a)
+    sigma = ctx.singular(ctx.a).sigma
+    table = ctx.table(ctx.a, 2 * r_max + 2 * s + 1)
     ratios: list[float] = []
     max_ratios: list[float] = []
     degenerate = False
     sigma2_pow = 1.0
     for r in range(r_max + 1):
         den = table.row_total(2 * r + 1).real
-        if den <= 1e-12 * a.m * sigma2_pow:
+        if den <= 1e-12 * ctx.a.m * sigma2_pow:
             degenerate = sigma > 0.0
             break
         num = table.row_total(2 * r + 2 * s + 1).real
@@ -321,11 +318,10 @@ def sigma_ratio_estimate(a: DenseMatrix, s: int = 1, r_max: int = 60) -> RatioEs
             limit = ratios[-1]
         else:
             degenerate = True
-    shift = 2 * s * exponent
     return RatioEstimate(
-        tuple(_unscaled(x, shift) for x in ratios),
-        tuple(_unscaled(x, shift) for x in max_ratios),
+        tuple(ctx.unscaled(x, 2 * s) for x in ratios),
+        tuple(ctx.unscaled(x, 2 * s) for x in max_ratios),
         degenerate,
-        None if limit is None else _unscaled(limit, shift),
+        None if limit is None else ctx.unscaled(limit, 2 * s),
         s,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Analysis
-from .core import DEFAULT_TOL, DenseMatrix, detect_scalar
+from .core import DEFAULT_TOL, DenseMatrix, detect_scalar, support_mask
 from .errors import NotScalarError, PreconditionError
 from .spectral import singular_values
 
@@ -45,10 +45,10 @@ def decompose(a: DenseMatrix | Analysis) -> ComponentDecomposition:
     component covers the whole matrix.  The returned permutations list
     original row and column indices in an order that makes the matrix
     block diagonal, with isolated (all-zero) rows and columns moved to
-    the end.  An ``Analysis`` gives its matrix and its support mask.
+    the end.  A context gives its own matrix A / 2^e and its support mask.
     """
-    ctx = Analysis.of(a)
-    a, mask = ctx.a, ctx.support
+    mask = a.support if isinstance(a, Analysis) else support_mask(a)
+    a = a.a if isinstance(a, Analysis) else a
     live_rows = mask.any(axis=1)
     live_cols = mask.any(axis=0)
     row_seen = ~live_rows

@@ -41,6 +41,7 @@ from walkbound import (
     weighted_bound,
     write_matrix,
 )
+from walkbound.analysis import Analysis
 from walkbound.cli import main as cli_main
 
 
@@ -138,21 +139,23 @@ def test_criterion_4_bounds_never_exceed_sigma(acceptance):
         ]
         for seed in range(200):
             a = _random_nonneg(seed, 12)
+            ctx = Analysis(a)
             sigma = float(singular_values(a)[0])
             slack = 1e-9 * max(1.0, sigma)
             for p, r in walk_pairs:
-                assert walk_bound(a, p, r, sigma=sigma).value <= sigma + slack
+                assert walk_bound(ctx, p, r).value <= sigma + slack
             for r in (1, 2, 3):
-                assert weighted_bound(a, r, sigma=sigma).value <= sigma + slack
-            assert mean_bound(a, sigma=sigma).value <= sigma + slack
-            assert schur_upper_bound(a, sigma=sigma).value >= sigma - slack
+                assert weighted_bound(ctx, r).value <= sigma + slack
+            assert mean_bound(ctx).value <= sigma + slack
+            assert schur_upper_bound(ctx).value >= sigma - slack
         for seed in range(200):
             a = _random_complex(seed, 12)
+            ctx = Analysis(a)
             sigma = float(singular_values(a)[0])
             slack = 1e-9 * max(1.0, sigma)
             for r in (1, 2, 3):
-                assert weighted_bound(a, r, sigma=sigma).value <= sigma + slack
-            assert mean_bound(a, sigma=sigma).value <= sigma + slack
+                assert weighted_bound(ctx, r).value <= sigma + slack
+            assert mean_bound(ctx).value <= sigma + slack
         # Symmetric subset for the degree-product bound.
         for seed in range(50):
             rng = np.random.default_rng(50_000 + seed)
@@ -160,7 +163,7 @@ def test_criterion_4_bounds_never_exceed_sigma(acceptance):
             half = rng.uniform(0.1, 1.0, size=(n, n))
             a = DenseMatrix((half + half.T) / 2)
             sigma = float(singular_values(a)[0])
-            assert hwh_bound(a, sigma=sigma).value <= sigma + 1e-9 * max(1.0, sigma)
+            assert hwh_bound(Analysis(a)).value <= sigma + 1e-9 * max(1.0, sigma)
 
 
 def test_criterion_5_ratio_estimator(acceptance):
@@ -338,7 +341,7 @@ def test_criterion_10_large_random_ratio(acceptance):
         rng = np.random.default_rng(2026)
         a = DenseMatrix(rng.integers(0, 2, size=(200, 200)).astype(float))
         sigma = float(singular_values(a)[0])
-        ratio = mean_bound(a, sigma=sigma).value / sigma
+        ratio = mean_bound(Analysis(a)).value / sigma
         assert ratio >= 0.95
         assert time.perf_counter() - start < 30.0
 

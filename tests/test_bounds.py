@@ -153,8 +153,3 @@ def test_weighted_bound_valid_on_random_complex(rand_complex, seed):
     sigma = float(singular_values(a)[0])
     for r in (1, 2, 3):
         assert weighted_bound(a, r).value <= sigma + 1e-9 * max(1.0, sigma)
-
-
-def test_reports_accept_precomputed_sigma(e1):
-    rep = walk_bound(e1, 3, 1, sigma=2.0)
-    assert rep.sigma == 2.0 and rep.tight

@@ -168,16 +168,19 @@ _EVERY_SUBCOMMAND = (
 
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_overflowing_input_exits_with_one_error_line(tmp_path, capsys, symmetric):
-    # Scaled by 1e200, sums and walk weights of this 13x13 pass the
-    # float64 range.  Every subcommand either answers or fails with exit
-    # 3 or 4 and one error line: no traceback, no numpy warning.
+    # Scaled by 1e200, sums and walk weights of this 13x13 would pass the
+    # float64 range; on the input over 2^e they do not, so every
+    # subcommand answers.  Only the degree-product bound and certificate
+    # refuse a matrix that is not symmetric, with exit 4 and one error
+    # line: no traceback, no numpy warning.
     x = np.random.default_rng(13).uniform(size=(13, 13))
     path = tmp_path / "big.csv"
     write_matrix(path, DenseMatrix(1e200 * (x + x.T if symmetric else x)))
     for argv in _EVERY_SUBCOMMAND:
         rc = main([argv[0], str(path), *argv[1:]])
         err = capsys.readouterr().err
-        assert rc in (0, 3, 4), argv
+        refused = not symmetric and ("hwh" in argv or "HWH" in argv)
+        assert rc == (4 if refused else 0), argv
         assert "Traceback" not in err and "Warning" not in err, argv
         if rc:
             assert err.startswith("error: ") and err.count("\n") == 1, argv

@@ -1,11 +1,16 @@
-"""The spectral readings of A scale with A.
+"""Every reading of A scales with A.
 
 Multiplying A by c > 0 multiplies A A* by c^2, so the pseudo-regular
 characterization keeps its verdict and its eigenvalues scale by c^2, and
-the ratio estimator's limit scales by c^(2s).  A power of two scales
-every float exactly, so there the results must be bit-identical.
+the ratio estimator's limit scales by c^(2s).  Every class, certificate
+and tightness verdict is the same at every scale, and each reported
+number of degree d in A scales by c^d.  A power of two scales every
+float exactly, so there the results must be bit-identical.
 """
 
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +20,11 @@ from walkbound import (
     WalkScaleError,
     characterize_pseudo_regular,
     classify,
+    decompose,
+    detect_scalar,
+    full_analysis,
     largest_singular,
+    mean_bound,
     sigma_ratio_estimate,
 )
 from walkbound.gen import GeneratorSpec, generate
@@ -29,10 +38,6 @@ FIXTURES = {
         params={"blocks": [(3, 3), (2, 4)], "style": "circulant", "target_sigma": 3.0},
     )),
 }
-
-# The fixtures in the pseudo-regular class, where classify's verdict
-# does not depend on the scale (see test_classify_agrees_at_every_scale).
-PSEUDO_REGULAR = ("e1", "regular", "almost_regular")
 
 
 def _scaled(a: DenseMatrix, base: int, k: int) -> tuple[DenseMatrix, float]:
@@ -61,11 +66,7 @@ def test_spectral_readings_scale_with_the_input(name, base, k):
     assert len(cch.offending_eigenvalues) == len(ch.offending_eigenvalues)
     for got, want in zip(cch.offending_eigenvalues, ch.offending_eigenvalues):
         assert _same(got, c * c * want, exact)
-    if name in PSEUDO_REGULAR:
-        try:
-            assert classify(ca).is_pseudo_regular == cch.satisfied
-        except WalkScaleError:  # order-5 weights overflow at large c
-            pass
+    assert classify(ca).is_pseudo_regular == cch.satisfied
 
     est, cest = sigma_ratio_estimate(a), sigma_ratio_estimate(ca)
     assert not cest.degenerate and not est.degenerate
@@ -74,18 +75,12 @@ def test_spectral_readings_scale_with_the_input(name, base, k):
     assert abs(cest.limit - sigma2) <= 1e-6 * sigma2
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "classify's proportionality test compares against tol * max(1, |w5|), "
-    "an absolute floor that calls any matrix pseudo-regular once its "
-    "weights are small"))
-def test_classify_agrees_at_every_scale():
-    a = FIXTURES["random_nonneg"]
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_classify_agrees_at_every_scale(name):
+    a = FIXTURES[name]
     for k in range(-150, 151, 10):
         ca, _ = _scaled(a, 10, k)
-        try:
-            verdict = classify(ca).is_pseudo_regular
-        except WalkScaleError:
-            continue
+        verdict = classify(ca).is_pseudo_regular
         assert verdict == characterize_pseudo_regular(ca).satisfied, k
 
 
@@ -93,3 +88,108 @@ def test_characterization_out_of_range_raises_walk_scale_error():
     # The eigenvalues of A A* are about 4e400 here.
     with pytest.raises(WalkScaleError):
         characterize_pseudo_regular(DenseMatrix(1e200 * FIXTURES["e1"].data))
+
+
+# Inputs of full_analysis: the worked examples, seeded random ones, a
+# path graph (the one symmetric input, so the only one with HWH) and one
+# above 48 per side, where sigma comes from Lanczos.
+REPORT_FIXTURES = {
+    "e1": FIXTURES["e1"],
+    "c2": DenseMatrix([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]),
+    "random_nonneg": FIXTURES["random_nonneg"],
+    "random_complex": generate(GeneratorSpec("random_complex", (4, 5), seed=3)),
+    "path": generate(GeneratorSpec("graph", params={"name": "path", "n": 6})),
+    "lanczos": generate(GeneratorSpec("random_nonneg", (60, 70), seed=5)),
+}
+
+# Degree in A of each reported number, by key; every other number is
+# scale-free.  A bound's gap has the units of sigma, a certificate's is
+# relative.
+_DEGREE = {"value": 1, "sigma": 1, "residual": 1, "mean_value": 1, "pseudo_lambda": 2}
+
+
+def _leaves(node, path=()):
+    """(path, value) for every leaf of a report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+def _degree(path) -> int:
+    if path[0] == "bounds" and path[-1] == "gap":
+        return 1
+    return _DEGREE.get(path[-1], 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_leaves(name):
+    return list(_leaves(full_analysis(REPORT_FIXTURES[name])))
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(name=st.sampled_from(sorted(REPORT_FIXTURES)), base=st.sampled_from([2, 10]),
+       k=st.integers(-150, 150))
+@example(name="random_nonneg", base=10, k=-9)  # pseudo-regular by the old floor
+@example(name="random_nonneg", base=10, k=150)  # order-5 weights past 1e300
+def test_full_analysis_is_the_same_at_every_scale(name, base, k):
+    unit = _unit_leaves(name)
+    ca, c = _scaled(REPORT_FIXTURES[name], base, k)
+    scaled = list(_leaves(full_analysis(ca)))
+    assert [path for path, _ in scaled] == [path for path, _ in unit]
+    # Gaps and residuals are rounding noise next to sigma, so at 10^k a
+    # number is compared relative to its own size or sigma's, the larger.
+    sigma = dict(unit)[("sigma", "value")] * c
+    for (path, got), (_, want) in zip(scaled, unit):
+        degree = _degree(path)
+        if not isinstance(want, float):
+            assert got == want, path
+        elif base == 2:
+            assert got == np.ldexp(want, k * degree), path
+        elif degree:
+            expect = want * c**degree
+            assert abs(got - expect) <= 1e-10 * max(abs(expect), sigma**degree), path
+
+
+def _verdicts(report):
+    cls = report["classification"]
+    return (
+        [cls[k] for k in ("is_scalar", "is_regular", "is_pseudo_regular",
+                          "is_almost_regular")],
+        [(c["theorem"], c["holds"], c["implied_class_verified"])
+         for c in report["certificates"] if c["theorem"] != "HWH"],
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(name=st.sampled_from(sorted(REPORT_FIXTURES)), seed=st.integers(0, 2**32 - 1))
+def test_permutations_change_no_verdict(name, seed):
+    # Row and column permutations drawn independently break symmetry, so
+    # the degree-product certificate, which needs it, is left out.
+    a = REPORT_FIXTURES[name]
+    rng = np.random.default_rng(seed)
+    permuted = DenseMatrix(a.data[rng.permutation(a.m)][:, rng.permutation(a.n)])
+    assert _verdicts(full_analysis(permuted)) == _verdicts(full_analysis(a))
+
+
+def test_public_outputs_are_in_the_input_units():
+    c = 2.0**40
+    blocks = c * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+    ca = DenseMatrix(blocks)
+    for comp in decompose(ca).components:
+        rows_cols = np.ix_(comp.row_indices, comp.col_indices)
+        assert np.array_equal(comp.submatrix.data, blocks[rows_cols])
+    for data in (c * FIXTURES["e1"].data, c * np.exp(0.3j) * FIXTURES["e1"].data):
+        ca = DenseMatrix(data)
+        assert classify(ca).scalarity.nonneg_part == detect_scalar(ca).nonneg_part
+    ca = DenseMatrix(c * FIXTURES["random_nonneg"].data)
+    assert mean_bound(ca).sigma == largest_singular(ca).sigma
+
+
+def test_largest_singular_past_float64_raises_walk_scale_error():
+    with pytest.raises(WalkScaleError):
+        largest_singular(DenseMatrix(1e308 * np.ones((2, 2))))

@@ -23,7 +23,7 @@ from .classify import (
     hwh_equality_certificate,
     relaxed_pseudo_regular,
 )
-from .core import DenseMatrix, ScalarityResult, detect_scalar
+from .core import DenseMatrix, ScalarityResult, SparseMatrix, detect_scalar
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -78,6 +78,7 @@ __all__ = [
     "PseudoRegularCharacterization",
     "RatioEstimate",
     "ScalarityResult",
+    "SparseMatrix",
     "SpectralResult",
     "WalkboundError",
     "WalkScaleError",

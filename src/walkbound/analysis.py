@@ -7,10 +7,12 @@ its largest real or imaginary part into [0.5, 1); ``ctx.singular(...)``,
 present the same bits to every test, and ``ctx.unscaled`` takes numbers
 back to the input's units.  Each shared quantity is computed once, on
 first use: the scalarity test and the certificates' basis, one singular
-triple and one walk table per distinct matrix, the support mask and its
-decomposition, the classification and the degree-product report.  Every
-layer function takes a matrix or a context: ``full_analysis`` reads
+triple and one walk table per distinct matrix, the support and its
+decomposition, the classification and the degree-product report.
+Every layer function takes a matrix or a context: ``full_analysis`` reads
 everything from one context, and a call on a bare matrix builds its own.
+The context keeps the input's storage: a ``SparseMatrix`` input has a
+sparse ``a``, nonnegative part, modulus and component submatrices.
 
 The layer functions are called through their module-level names, so code
 that rebinds them (a tracer, a test counting calls) sees every call.
@@ -20,16 +22,16 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
 from .core import (
     DEFAULT_TOL,
-    DenseMatrix,
+    Matrix,
     ScalarityResult,
+    Support,
     detect_scalar,
     entrywise_abs,
+    find_support,
     max_modulus,
-    support_mask,
+    submatrix,
 )
 from .spectral import SpectralResult, _scaled, _unscaled, largest_singular
 from .walks import WalkTable, walk_table
@@ -45,7 +47,7 @@ class Analysis:
     ConvergenceError carries its best triple and message in ``a``'s units.
     """
 
-    def __init__(self, a: DenseMatrix, tol: float = DEFAULT_TOL,
+    def __init__(self, a: Matrix, tol: float = DEFAULT_TOL,
                  max_iter: int = 10_000):
         self.input = a
         self.a, self.exponent = _scaled(a)
@@ -53,11 +55,11 @@ class Analysis:
         self.max_iter = max_iter
         # id(matrix) -> (matrix, result); holding the matrix keeps the id
         # from being reused while the context lives.
-        self._solves: dict[int, tuple[DenseMatrix, SpectralResult]] = {}
-        self._tables: dict[int, tuple[DenseMatrix, WalkTable]] = {}
+        self._solves: dict[int, tuple[Matrix, SpectralResult]] = {}
+        self._tables: dict[int, tuple[Matrix, WalkTable]] = {}
 
     @classmethod
-    def of(cls, a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
+    def of(cls, a: Matrix | Analysis, tol: float = DEFAULT_TOL,
            max_iter: int = 10_000) -> Analysis:
         """``a`` itself when it is a context, else a new context for the
         matrix ``a``; ``tol`` and ``max_iter`` apply only to a matrix."""
@@ -76,20 +78,20 @@ class Analysis:
         return detect_scalar(self.a, self.tol)
 
     @property
-    def basis(self) -> DenseMatrix:
+    def basis(self) -> Matrix:
         """The nonnegative part of a scalar input, the input otherwise."""
         sc = self.scalarity
         return sc.nonneg_part if sc.is_scalar else self.a
 
     @cached_property
-    def modulus(self) -> DenseMatrix:
+    def modulus(self) -> Matrix:
         """The entrywise modulus |a_ij|, which the weighted bounds tabulate.
 
         A nonnegative input is its own modulus, so its walk table serves
         both the basis and the modulus."""
         return self.a if self.a.is_nonneg() else entrywise_abs(self.a)
 
-    def singular(self, matrix: DenseMatrix) -> SpectralResult:
+    def singular(self, matrix: Matrix) -> SpectralResult:
         """The largest singular triple of ``matrix``."""
         hit = self._solves.get(id(matrix))
         if hit is None:
@@ -97,7 +99,7 @@ class Analysis:
             hit = self._solves[id(matrix)] = (matrix, result)
         return hit[1]
 
-    def table(self, matrix: DenseMatrix, order: int) -> WalkTable:
+    def table(self, matrix: Matrix, order: int) -> WalkTable:
         """Walk weights of ``matrix`` up to at least ``order``.
 
         A table is recomputed only when a higher order is asked for.  Its
@@ -110,9 +112,9 @@ class Analysis:
         return hit[1]
 
     @cached_property
-    def support(self) -> np.ndarray:
-        """The input's support mask."""
-        return support_mask(self.a)
+    def support(self) -> Support:
+        """The input's support."""
+        return find_support(self.a)
 
     @cached_property
     def decomposition(self):
@@ -121,7 +123,7 @@ class Analysis:
 
         return decompose(self)
 
-    def submatrices(self, matrix: DenseMatrix) -> list[DenseMatrix]:
+    def submatrices(self, matrix: Matrix) -> list[Matrix]:
         """``matrix`` (the input or the basis) on each support component.
 
         The decomposition gives a component that covers the whole input
@@ -137,8 +139,7 @@ class Analysis:
             if comp.submatrix is self.a:
                 subs.append(matrix)
             else:
-                rows_cols = np.ix_(comp.row_indices, comp.col_indices)
-                subs.append(DenseMatrix(matrix.data[rows_cols]))
+                subs.append(submatrix(matrix, comp.row_indices, comp.col_indices))
         return subs
 
     @cached_property

@@ -5,8 +5,10 @@ sigma, the signed gap, and a tightness flag at the requested tolerance.
 Lower bounds use gap = sigma - value; the upper bound uses value - sigma,
 each judged on the context's A / 2^e and reported in the input's units.
 
-Each bound takes a DenseMatrix or an ``Analysis`` of one.  ``tol``
-applies only to a matrix: a context brings its own tolerance.
+Each bound takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
+one.  ``tol`` applies only to a matrix: a context brings its own
+tolerance.  The bounds read A only through products with vectors, row
+sums and the support pairs, so a SparseMatrix costs its stored entries.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import Analysis
-from .core import DEFAULT_TOL, DenseMatrix, col_sums, row_sums, total_sum
+from .core import DEFAULT_TOL, Matrix, col_sums, row_sums, total_sum
 from .errors import NotScalarError, PreconditionError
 from .walks import WalkTable
 
@@ -57,7 +59,7 @@ def _walk_ratio_value(table: WalkTable, p: int, r: int) -> float:
     return float((wp / wr) ** (1.0 / (p - r)))
 
 
-def walk_bound(a: DenseMatrix | Analysis, p: int, r: int,
+def walk_bound(a: Matrix | Analysis, p: int, r: int,
                tol: float = DEFAULT_TOL) -> BoundReport:
     """Walk-total ratio lower bound (w^p(R)/w^r(R))^(1/(p-r)).
 
@@ -80,7 +82,7 @@ def walk_bound(a: DenseMatrix | Analysis, p: int, r: int,
     return _report(ctx, "walk", value, {"p": p, "r": r})
 
 
-def weighted_bound(a: DenseMatrix | Analysis, r: int = 1,
+def weighted_bound(a: Matrix | Analysis, r: int = 1,
                    tol: float = DEFAULT_TOL) -> BoundReport:
     """Weight-geometric lower bound valid for arbitrary complex matrices.
 
@@ -98,13 +100,13 @@ def weighted_bound(a: DenseMatrix | Analysis, r: int = 1,
     wc = np.sqrt(table.col(r).real)
     den = float(np.sqrt(table.row_total(r).real * table.col_total(r).real))
     if den > 0.0:
-        value = float(abs(wr @ ctx.a.data @ wc)) / den
+        value = float(abs((ctx.a.data.T @ wr) @ wc)) / den
     else:
         value = 0.0
     return _report(ctx, "weighted", value, {"r": r})
 
 
-def mean_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
+def mean_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
     """|sum of entries| / sqrt(n m), the order-1 weighted bound."""
     ctx = Analysis.of(a, tol)
     a = ctx.a
@@ -112,7 +114,7 @@ def mean_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL) -> BoundRepo
     return _report(ctx, "mean", value, {})
 
 
-def hwh_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
+def hwh_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
     """Degree-product lower bound for symmetric nonnegative matrices.
 
     value = (1/S) * sum_ij a_ij sqrt(d_i d_j) with d the row sums and S
@@ -127,30 +129,30 @@ def hwh_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL) -> BoundRepor
         raise PreconditionError("degree-product bound needs a square matrix")
     if not a.is_real():
         raise PreconditionError("degree-product bound needs real entries")
-    if float(np.abs(data - data.T).max()) > 1e-12 * max(ctx.max_modulus, 1e-300):
+    if float(abs(data - data.T).max()) > 1e-12 * max(ctx.max_modulus, 1e-300):
         raise PreconditionError("degree-product bound needs a symmetric matrix")
-    if data.real.min() < 0.0:
+    if not a.is_nonneg():
         raise PreconditionError("degree-product bound needs nonnegative entries")
     d = row_sums(a).real
     if d.min() <= 0.0:
         raise PreconditionError("degree-product bound needs positive row sums")
     total = total_sum(a).real
     root = np.sqrt(d)
-    value = float(root @ data.real @ root) / total
+    value = float((data.T @ root) @ root) / total
     sigma = ctx.singular(a).sigma
     target = sigma * sigma
-    products = np.outer(d, d)[ctx.support]
+    products = ctx.support.products(d, d)
     certificate = bool(np.all(np.abs(products - target) <= ctx.tol * max(1.0, target)))
     return _report(ctx, "hwh", value, {}, certificate)
 
 
-def schur_upper_bound(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
+def schur_upper_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
     """Upper bound sqrt(max_i r_i * max_j c_j) for nonnegative matrices."""
     ctx = Analysis.of(a, tol)
     a = ctx.a
     if not a.is_real():
         raise PreconditionError("the upper bound needs real entries")
-    if a.data.real.min() < 0.0:
+    if not a.is_nonneg():
         raise PreconditionError("the upper bound needs nonnegative entries")
     r = row_sums(a).real
     c = col_sums(a).real

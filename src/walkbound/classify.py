@@ -13,8 +13,12 @@ The certificates tie specific walk-total equalities to these classes; a
 certificate evaluated on a non-scalar matrix still reports its gaps, but
 claims nothing about classification, which is undefined there.
 
-Each function takes a DenseMatrix or an ``Analysis`` of one.  ``tol``
-applies only to a matrix: a context brings its own tolerance.
+Each function takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
+one.  ``tol`` applies only to a matrix: a context brings its own
+tolerance.  The support conditions of T3 and of the degree-product
+certificate are evaluated on the support pairs, and the equality of T3
+on a SparseMatrix as a product with vectors, so a SparseMatrix costs its
+stored entries; ``characterize_pseudo_regular`` densifies it.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from .analysis import Analysis
 from .core import (
     DEFAULT_TOL,
     DenseMatrix,
+    Matrix,
     ScalarityResult,
     col_sums,
     row_sums,
-    support_mask,
+    find_support,
     total_sum,
 )
 from .errors import NotScalarError, PreconditionError
@@ -72,7 +77,7 @@ class PseudoRegularCharacterization:
     offending_eigenvalues: tuple
 
 
-def _sums_regular(mat: DenseMatrix, tol: float) -> bool:
+def _sums_regular(mat: Matrix, tol: float) -> bool:
     r = row_sums(mat).real
     c = col_sums(mat).real
     r_spread = float(r.max() - r.min())
@@ -82,7 +87,7 @@ def _sums_regular(mat: DenseMatrix, tol: float) -> bool:
     )
 
 
-def _require_scalar_nonzero(ctx: Analysis) -> DenseMatrix:
+def _require_scalar_nonzero(ctx: Analysis) -> Matrix:
     if ctx.max_modulus == 0.0:
         raise PreconditionError("classification is undefined for the zero matrix")
     if not ctx.scalarity.is_scalar:
@@ -107,7 +112,7 @@ def _proportionality(table: WalkTable, hi: int, lo: int, tol: float) -> float | 
     return lam if deviation <= tol * max(1.0, float(np.abs(w_hi).max())) else None
 
 
-def classify(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL) -> ClassificationReport:
+def classify(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Full regularity classification of a nonzero scalar matrix."""
     ctx = Analysis.of(a, tol)
     tol = ctx.tol
@@ -139,7 +144,7 @@ def classify(a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL) -> Classificat
 
 
 def characterize_pseudo_regular(
-    a: DenseMatrix | Analysis, tol: float = DEFAULT_TOL,
+    a: Matrix | Analysis, tol: float = DEFAULT_TOL,
 ) -> PseudoRegularCharacterization:
     """Pseudo regularity through the spectrum of A A*.
 
@@ -150,12 +155,13 @@ def characterize_pseudo_regular(
 
     Read off one thin SVD U diag(s) V* of the context's nonnegative part:
     with lambda_i = (s_i / s_1)^2 and c = U* 1, the order-3 weights are
-    sum_i lambda_i c_i u_i up to scale, and every test is relative.
+    sum_i lambda_i c_i u_i up to scale, and every test is relative.  A
+    SparseMatrix is densified for the SVD.
     """
     ctx = Analysis.of(a, tol)
     tol = ctx.tol
     nonneg = _require_scalar_nonzero(ctx)
-    u, sv, _ = _svd(nonneg.data)
+    u, sv, _ = _svd(nonneg.to_dense().data)
     lam = (sv / sv[0]) ** 2
     c = u.sum(axis=0)  # U* 1
     w3 = lam * c
@@ -173,7 +179,7 @@ def characterize_pseudo_regular(
     return PseudoRegularCharacterization(satisfied, mu, tuple(offending))
 
 
-def relaxed_pseudo_regular(a: DenseMatrix | Analysis, r: int, s: int,
+def relaxed_pseudo_regular(a: Matrix | Analysis, r: int, s: int,
                            tol: float = DEFAULT_TOL) -> bool:
     """Proportionality of order-r and order-s row weights, odd r > s >= 3.
 
@@ -209,7 +215,7 @@ class EqualityCertificate:
     details: dict
 
 
-def _certificate_basis(ctx: Analysis) -> tuple[bool, DenseMatrix]:
+def _certificate_basis(ctx: Analysis) -> tuple[bool, Matrix]:
     """Whether the input is scalar, and the matrix the certificate
     arithmetic runs on: the nonnegative part when it is, the raw matrix
     otherwise."""
@@ -218,7 +224,7 @@ def _certificate_basis(ctx: Analysis) -> tuple[bool, DenseMatrix]:
     return ctx.scalarity.is_scalar, ctx.basis
 
 
-def certify_theorem2(a: DenseMatrix | Analysis, s: int = 1, r: int = 0,
+def certify_theorem2(a: Matrix | Analysis, s: int = 1, r: int = 0,
                      tol: float = DEFAULT_TOL) -> EqualityCertificate:
     """sigma^(2s) * w^(2r+1)(R) = w^(2r+2s+1)(R) forces pseudo regularity.
 
@@ -247,7 +253,7 @@ def certify_theorem2(a: DenseMatrix | Analysis, s: int = 1, r: int = 0,
     )
 
 
-def certify_theorem2_1(a: DenseMatrix | Analysis, r: int = 1, s: int = 1,
+def certify_theorem2_1(a: Matrix | Analysis, r: int = 1, s: int = 1,
                        tol: float = DEFAULT_TOL) -> EqualityCertificate:
     """Row and column total equalities together force almost regularity.
 
@@ -278,7 +284,7 @@ def certify_theorem2_1(a: DenseMatrix | Analysis, r: int = 1, s: int = 1,
     )
 
 
-def certify_theorem3(a: DenseMatrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
+def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
                      include_literal: bool = False) -> EqualityCertificate:
     """Three readings of almost regularity, checked against each other.
 
@@ -309,15 +315,20 @@ def certify_theorem3(a: DenseMatrix | Analysis, r: int = 2, tol: float = DEFAULT
     total_c = table.col_total(r)
     # The basis's own support: an entry of a scalar input can pass the
     # phase test yet have a nonnegative part at or below the zero cutoff.
-    support = ctx.support if basis is ctx.a else support_mask(basis)
-    pair_abs = np.abs(np.outer(wr, wc))
-    pair_mods = pair_abs[support]
+    support = ctx.support if basis is ctx.a else find_support(basis)
+    if isinstance(basis, DenseMatrix):
+        pair_abs = np.abs(np.outer(wr, wc))
+        pair_mods = pair_abs[support.mask]
+        weighted_sum = (basis.data * np.sqrt(pair_abs)).sum()
+    else:  # sum_ij a_ij sqrt(|w(i)|) sqrt(|w(j)|), one product with A
+        pair_mods = np.abs(support.products(wr, wc))
+        weighted_sum = np.sqrt(np.abs(wr)) @ (basis.data @ np.sqrt(np.abs(wc)))
 
     target = sigma ** (2 * (r - 1))
     support_gap = float(np.abs(pair_mods - target).max()) / max(1.0, target)
     cond_ii = support_gap <= tol
 
-    rhs = abs(complex((basis.data * np.sqrt(pair_abs)).sum()))
+    rhs = abs(complex(weighted_sum))
     lhs = sigma * float(np.sqrt(abs(total_r * total_c)))
     equality_gap = abs(lhs - rhs) / max(1.0, lhs, rhs)
     cond_iii = equality_gap <= tol
@@ -348,7 +359,7 @@ def certify_theorem3(a: DenseMatrix | Analysis, r: int = 2, tol: float = DEFAULT
     return EqualityCertificate("T3", holds, equality_gap, implied, details)
 
 
-def certify_theorem4(a: DenseMatrix | Analysis,
+def certify_theorem4(a: Matrix | Analysis,
                      tol: float = DEFAULT_TOL) -> EqualityCertificate:
     """Equality sigma = |sum of entries| / sqrt(n m) pins down regularity.
 
@@ -371,7 +382,7 @@ def certify_theorem4(a: DenseMatrix | Analysis,
     )
 
 
-def hwh_equality_certificate(a: DenseMatrix | Analysis,
+def hwh_equality_certificate(a: Matrix | Analysis,
                              tol: float = DEFAULT_TOL) -> EqualityCertificate:
     """Attainment of the degree-product bound versus its support condition.
 

@@ -71,7 +71,7 @@ def _input_meta(path: str, ctx: Analysis) -> dict:
         "path": path,
         "format": suffix,
         "shape": [ctx.a.m, ctx.a.n],
-        "nnz": int(ctx.support.sum()),
+        "nnz": ctx.support.count,
         "real": ctx.a.is_real(),
     }
 

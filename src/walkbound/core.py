@@ -1,4 +1,15 @@
-"""Dense real or complex matrices and the elementary quantities built on them.
+"""Real or complex matrices, dense or sparse, and the elementary quantities
+built on them.
+
+A ``DenseMatrix`` stores every entry in an ndarray; a ``SparseMatrix``
+stores the nonzero entries of a coordinate file in CSR form and never
+forms the m x n array unless ``to_dense`` is called.  Both expose
+``data``, which ``@`` and ``.T`` work on (the ndarray or the
+``csr_array``), and ``values``, the stored entries that elementwise
+tests read (every entry of a dense matrix, the stored ones of a sparse
+matrix).  Every function here but ``support_mask`` takes either; a dense
+input keeps the arithmetic, and so the bits, of a dense-only
+implementation.
 
 Matrices are immutable; every operation returns a fresh value.  Row and
 column indices live in separate namespaces: a row index is never compared
@@ -11,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DimensionMismatchError, NonFiniteEntryError
 
@@ -55,6 +67,11 @@ class DenseMatrix:
         return self._data
 
     @property
+    def values(self) -> np.ndarray:
+        """Every entry: the same array as ``data``."""
+        return self._data
+
+    @property
     def m(self) -> int:
         return self._data.shape[0]
 
@@ -84,6 +101,14 @@ class DenseMatrix:
         object.__setattr__(out, "_data", data)
         return out
 
+    def with_values(self, values: np.ndarray) -> DenseMatrix:
+        """A DenseMatrix of ``values``, an m x n array of entries."""
+        return DenseMatrix(values)
+
+    def to_dense(self) -> DenseMatrix:
+        """This matrix: it is dense already."""
+        return self
+
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
@@ -98,8 +123,112 @@ class DenseMatrix:
         return f"DenseMatrix({self.m}x{self.n})"
 
 
-def max_modulus(a: DenseMatrix) -> float:
-    return float(np.abs(a.data).max())
+class SparseMatrix:
+    """Immutable m x n matrix stored in CSR form, float64 or complex128.
+
+    Built from any scipy sparse matrix or array: duplicates are summed,
+    explicit zeros dropped and column indices sorted, so the stored
+    entries ``values`` run in row-major order, row i's at positions
+    ``indptr[i]`` to ``indptr[i + 1]`` with column indices ``indices``.
+    The dtype rule is DenseMatrix's, and the arrays are read-only.
+    ``data`` is the same matrix as a scipy ``csr_array``, built on first
+    use; ``to_dense`` is the one way to the m x n array.
+    """
+
+    __slots__ = ("values", "indices", "indptr", "shape", "_csr")
+
+    def __init__(self, entries):
+        csr = scipy.sparse.csr_array(entries, copy=True)
+        if csr.shape[0] < 1 or csr.shape[1] < 1:
+            raise DimensionMismatchError(
+                f"expected a 2-D matrix with positive extents, got shape {csr.shape}"
+            )
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        values = csr.data
+        if values.dtype.kind == "c" and not values.imag.any():
+            values = values.real
+        values = np.array(values, dtype=np.complex128 if values.dtype.kind == "c" else np.float64)
+        if not np.isfinite(values).all():
+            raise NonFiniteEntryError("matrix entries must be finite")
+        self._adopt(values, csr.indices, csr.indptr, csr.shape)
+
+    def _adopt(self, values, indices, indptr, shape) -> None:
+        for name, value in (("values", values), ("indices", indices),
+                            ("indptr", indptr)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "shape", (int(shape[0]), int(shape[1])))
+        object.__setattr__(self, "_csr", None)
+
+    @classmethod
+    def _from_arrays(cls, values, indices, indptr, shape) -> SparseMatrix:
+        """Adopts finite ``values`` of a float64 or complex128 dtype, with
+        sorted column indices; the arrays must be no one else's to write."""
+        out = object.__new__(cls)
+        out._adopt(values, indices, indptr, shape)
+        return out
+
+    @property
+    def data(self) -> scipy.sparse.csr_array:
+        if self._csr is None:
+            csr = scipy.sparse.csr_array((self.values, self.indices, self.indptr),
+                                         shape=self.shape)
+            object.__setattr__(self, "_csr", csr)
+        return self._csr
+
+    @property
+    def m(self) -> int:
+        return self.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.shape[1]
+
+    def row_of_entries(self) -> np.ndarray:
+        """The row index of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def is_real(self) -> bool:
+        """True when the entries are stored as float64."""
+        return self.values.dtype == np.float64
+
+    def is_nonneg(self) -> bool:
+        """True when the matrix is real with no negative entry."""
+        return self.is_real() and self.values.min(initial=0.0) >= 0.0
+
+    def times_pow2(self, exponent: int) -> SparseMatrix:
+        """This matrix times 2^exponent, exact while the entries stay normal."""
+        values = self.values
+        with np.errstate(over="raise"):
+            values = np.ldexp(values.view(np.float64), exponent).view(values.dtype)
+        return self.with_values(values)
+
+    def with_values(self, values: np.ndarray) -> SparseMatrix:
+        """The matrix with this one's pattern and stored entries ``values``,
+        a fresh float64 or complex128 array; a zero stays stored."""
+        return SparseMatrix._from_arrays(values, self.indices, self.indptr, self.shape)
+
+    def to_dense(self) -> DenseMatrix:
+        """The same matrix with every entry stored: m x n memory."""
+        dense = np.zeros(self.shape, dtype=self.values.dtype)
+        dense[self.row_of_entries(), self.indices] = self.values
+        return DenseMatrix(dense)
+
+    __hash__ = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseMatrix is immutable")
+
+    def __repr__(self):
+        return f"SparseMatrix({self.m}x{self.n}, {self.values.size} stored)"
+
+
+Matrix = DenseMatrix | SparseMatrix
+
+
+def max_modulus(a: Matrix) -> float:
+    return float(np.abs(a.values).max(initial=0.0))
 
 
 def support_mask(a: DenseMatrix) -> np.ndarray:
@@ -109,24 +238,98 @@ def support_mask(a: DenseMatrix) -> np.ndarray:
     return mods > ZERO_TOL_FACTOR * mods.max()
 
 
-def entrywise_abs(a: DenseMatrix) -> DenseMatrix:
+def segment_positions(ptr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Positions ptr[i] .. ptr[i+1]-1 for each i in ``idx``, concatenated:
+    where the entries of rows ``idx`` sit in a CSR matrix's arrays."""
+    starts = ptr[idx]
+    counts = ptr[idx + 1] - starts
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+@dataclass(frozen=True, eq=False)
+class Support:
+    """The entries above ZERO_TOL_FACTOR times the largest modulus.
+
+    A DenseMatrix's support is its m x n boolean ``mask`` (``rows`` and
+    ``cols`` are None); a SparseMatrix's is the row and column indices
+    ``rows`` and ``cols`` of the support pairs, in row-major order
+    (``mask`` is None).
+    """
+
+    mask: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    cols: np.ndarray | None = None
+
+    @property
+    def count(self) -> int:
+        """The number of support entries."""
+        return int(self.mask.sum()) if self.rows is None else self.rows.size
+
+    def products(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x[i] * y[j] for each support pair (i, j), in row-major order."""
+        if self.rows is None:
+            return np.outer(x, y)[self.mask]
+        return x[self.rows] * y[self.cols]
+
+
+def find_support(a: Matrix) -> Support:
+    """The support of ``a``: ``support_mask`` of a DenseMatrix, the stored
+    entries above the cutoff of a SparseMatrix."""
+    if isinstance(a, DenseMatrix):
+        return Support(mask=support_mask(a))
+    mods = np.abs(a.values)
+    keep = mods > ZERO_TOL_FACTOR * mods.max(initial=0.0)
+    return Support(rows=a.row_of_entries()[keep], cols=a.indices[keep])
+
+
+def submatrix(a: Matrix, rows, cols) -> Matrix:
+    """The rows ``rows`` and columns ``cols`` of ``a``, in that order."""
+    if isinstance(a, DenseMatrix):
+        return DenseMatrix(a.data[np.ix_(rows, cols)])
+    rows = np.asarray(rows)
+    cols = np.asarray(cols)
+    local = np.full(a.n, -1)  # column index -> its place in ``cols``
+    local[cols] = np.arange(cols.size)
+    pos = segment_positions(a.indptr, rows)
+    new_cols = local[a.indices[pos]]
+    keep = new_cols >= 0
+    counts = np.diff(a.indptr)[rows]
+    row_of = np.repeat(np.arange(rows.size), counts)[keep]
+    indptr = np.zeros(rows.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row_of, minlength=rows.size), out=indptr[1:])
+    return SparseMatrix._from_arrays(a.values[pos[keep]], new_cols[keep], indptr,
+                                     (rows.size, cols.size))
+
+
+def entrywise_abs(a: Matrix) -> Matrix:
     """The matrix of entry moduli |a_ij|."""
-    return DenseMatrix(np.abs(a.data))
+    return a.with_values(np.abs(a.values))
 
 
-def total_sum(a: DenseMatrix) -> complex:
+def total_sum(a: Matrix) -> complex:
     """Sum of all entries."""
-    return complex(a.data.sum())
+    return complex(a.values.sum())
 
 
-def row_sums(a: DenseMatrix) -> np.ndarray:
+def _binned_sums(a: SparseMatrix, bins: np.ndarray, size: int) -> np.ndarray:
+    """Sums of the stored entries that share a bin, in the matrix's dtype."""
+    values = a.values
+    sums = np.bincount(bins, values.real, size)
+    return sums if a.is_real() else sums + 1j * np.bincount(bins, values.imag, size)
+
+
+def row_sums(a: Matrix) -> np.ndarray:
     """Length-m vector of row sums, in the matrix's dtype."""
-    return a.data.sum(axis=1)
+    if isinstance(a, DenseMatrix):
+        return a.data.sum(axis=1)
+    return _binned_sums(a, a.row_of_entries(), a.m)
 
 
-def col_sums(a: DenseMatrix) -> np.ndarray:
+def col_sums(a: Matrix) -> np.ndarray:
     """Length-n vector of column sums, in the matrix's dtype."""
-    return a.data.sum(axis=0)
+    if isinstance(a, DenseMatrix):
+        return a.data.sum(axis=0)
+    return _binned_sums(a, a.indices, a.n)
 
 
 @dataclass(frozen=True)
@@ -146,10 +349,10 @@ class ScalarityResult:
 
     is_scalar: bool
     phase: complex | None
-    nonneg_part: DenseMatrix | None
+    nonneg_part: Matrix | None
 
 
-def detect_scalar(a: DenseMatrix, tol: float = DEFAULT_TOL) -> ScalarityResult:
+def detect_scalar(a: Matrix, tol: float = DEFAULT_TOL) -> ScalarityResult:
     """Test whether all nonzero entries share a single complex argument.
 
     The phase is read off the first nonzero entry in row-major order, so
@@ -161,7 +364,7 @@ def detect_scalar(a: DenseMatrix, tol: float = DEFAULT_TOL) -> ScalarityResult:
     """
     if a.is_nonneg():
         return ScalarityResult(True, 1.0 + 0.0j, a)
-    data = a.data
+    data = a.values
     mods = np.abs(data)
     cutoff = ZERO_TOL_FACTOR * float(mods.max())
     nz = mods > cutoff
@@ -178,4 +381,4 @@ def detect_scalar(a: DenseMatrix, tol: float = DEFAULT_TOL) -> ScalarityResult:
     if bad.any():
         return ScalarityResult(False, None, None)
     nonneg = np.where(rotated.real > 0.0, rotated.real, 0.0)
-    return ScalarityResult(True, complex(phase), DenseMatrix(nonneg))
+    return ScalarityResult(True, complex(phase), a.with_values(nonneg))

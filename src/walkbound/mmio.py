@@ -1,11 +1,13 @@
 """Reading and writing matrices on disk.
 
 Two formats: Matrix Market (.mtx or .mm; array and coordinate layouts,
-real, integer, or complex fields, symmetric storage expanded on read) and
-CSV (.csv) with complex literals written as a+bi.  Reading goes through
-scipy's parser; writing is done here so the byte layout stays fixed:
-array layout, column major, one value per line, shortest lossless float
-representation.
+real, integer, complex or pattern fields, symmetric storage expanded on
+read) and CSV (.csv) with complex literals written as a+bi.  Reading goes
+through scipy's parser.  The storage follows the file's layout: a
+coordinate file becomes a ``SparseMatrix`` with no m x n array formed,
+an array file or a CSV file a ``DenseMatrix``.  Writing is done here so the
+byte layout stays fixed: array layout, column major, one value per line,
+shortest lossless float representation.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 import scipy.io
 import scipy.sparse
 
-from .core import DenseMatrix
+from .core import DenseMatrix, Matrix, SparseMatrix
 from .errors import InputFormatError
 
 
@@ -47,19 +49,24 @@ def _read_csv(path: Path) -> DenseMatrix:
     return DenseMatrix(rows)
 
 
-def _read_matrix_market(path: Path) -> DenseMatrix:
+def _read_matrix_market(path: Path) -> Matrix:
     try:
         loaded = scipy.io.mmread(str(path))
     except Exception as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
+    # A real, integer or pattern field stays real: both types store it as
+    # float64.
     if scipy.sparse.issparse(loaded):
-        loaded = loaded.toarray()
-    # A real or integer field stays real: DenseMatrix stores it as float64.
+        return SparseMatrix(loaded)
     return DenseMatrix(loaded)
 
 
-def read_matrix(path) -> DenseMatrix:
-    """Load a matrix, picking the format from the file extension."""
+def read_matrix(path) -> Matrix:
+    """Load a matrix, picking the format from the file extension.
+
+    A coordinate Matrix Market file gives a SparseMatrix; an array file
+    or a CSV file gives a DenseMatrix.
+    """
     p = Path(path)
     if not p.exists():
         raise InputFormatError(f"no such file: {p}")
@@ -109,8 +116,11 @@ def _write_csv(path: Path, a: DenseMatrix) -> None:
             writer.writerow([_fmt_complex_csv(complex(z)) for z in data[i]])
 
 
-def write_matrix(path, a: DenseMatrix) -> None:
-    """Write a matrix; same matrix and path suffix give identical bytes."""
+def write_matrix(path, a: Matrix) -> None:
+    """Write a matrix; same matrix and path suffix give identical bytes.
+
+    Both formats list every entry, so a SparseMatrix is densified."""
+    a = a.to_dense()
     p = Path(path)
     suffix = p.suffix.lower()
     if suffix in (".mtx", ".mm"):

@@ -20,7 +20,7 @@ from .classify import (
     certify_theorem4,
     hwh_equality_certificate,
 )
-from .core import DenseMatrix
+from .core import Matrix
 from .errors import PreconditionError
 from .spectral import sigma_method
 
@@ -102,7 +102,7 @@ def _components_dict(ctx: Analysis) -> dict:
     }
 
 
-def full_analysis(a: DenseMatrix | Analysis, *, tol: float = 1e-8,
+def full_analysis(a: Matrix | Analysis, *, tol: float = 1e-8,
                   max_iter: int = 10_000, literal_t3: bool = False) -> dict:
     """Run the whole pipeline on one matrix and return the report body.
 

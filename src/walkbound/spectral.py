@@ -14,6 +14,12 @@ so repeated runs are bit-identical.  The full spectrum comes from
 LAPACK's dense SVD without vectors; above ``_DENSE_MAX_DIM`` it
 cross-checks the Lanczos route.  ``hermitian_eigen`` is the one solver
 that takes a Hermitian matrix as given.
+
+Lanczos only multiplies by A and by its transpose, taken once per solve,
+so a ``SparseMatrix`` is solved in its CSR storage at a cost that scales
+with its stored entries.  One with at most ``_DENSE_MAX_DIM`` rows or
+columns is densified for LAPACK, as are the inputs of ``singular_values``
+and ``hermitian_eigen``, which need every entry.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseMatrix
+from .core import Matrix
 from .errors import ConvergenceError, PreconditionError, WalkScaleError
 
 _START_PERTURBATION = 1e-6
@@ -67,11 +73,11 @@ def _start_vector(dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _scaled(a: DenseMatrix) -> tuple[DenseMatrix, int]:
+def _scaled(a: Matrix) -> tuple[Matrix, int]:
     """A / 2^e, exactly, with its largest real or imaginary part in
     [0.5, 1), and e; ``a`` itself when e is 0."""
-    parts = a.data.view(np.float64)  # a complex entry as its two float64 parts
-    exponent = math.frexp(max(parts.max(), -parts.min()))[1]
+    parts = a.values.view(np.float64)  # a complex entry as its two float64 parts
+    exponent = math.frexp(max(parts.max(initial=0.0), -parts.min(initial=0.0)))[1]
     return (a, 0) if exponent == 0 else (a.times_pow2(-exponent), exponent)
 
 
@@ -91,9 +97,16 @@ def _svd(x: np.ndarray, compute_uv: bool = True):
         raise ConvergenceError(f"dense SVD failed: {exc}") from exc
 
 
-def _adjoint_times(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """B* x without forming the conjugate transpose of B."""
-    return (x.conj() @ b).conj()
+def _adjoint_times(bt, x: np.ndarray) -> np.ndarray:
+    """B* x from the plain transpose ``bt`` of B, without conjugating B."""
+    return (bt @ x.conj()).conj()
+
+
+def _heaviest_column(b) -> int:
+    """Index of the column of B, an ndarray or a csr_array, of largest norm."""
+    if isinstance(b, np.ndarray):
+        return int(np.argmax(np.linalg.norm(b, axis=0)))
+    return int(np.argmax(np.bincount(b.indices, np.abs(b.data) ** 2, b.shape[1])))
 
 
 def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -107,13 +120,14 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x
 
 
-def _triple(b: np.ndarray, exponent: int, sigma: float, left: np.ndarray,
+def _triple(b, exponent: int, sigma: float, left: np.ndarray,
             right: np.ndarray, iterations: int) -> SpectralResult:
-    """The SpectralResult of a triple of the scaled matrix ``b``, with
-    sigma and the residual scaled back by 2^exponent."""
+    """The SpectralResult of a triple of the scaled matrix ``b``, an
+    ndarray or a csr_array, with sigma and the residual scaled back by
+    2^exponent."""
     residual = float(
         np.linalg.norm(b @ right - sigma * left)
-        + np.linalg.norm(_adjoint_times(b, left) - sigma * right)
+        + np.linalg.norm(_adjoint_times(b.T, left) - sigma * right)
     )
     left = np.array(left)
     right = np.array(right)
@@ -123,9 +137,12 @@ def _triple(b: np.ndarray, exponent: int, sigma: float, left: np.ndarray,
                           _unscaled(residual, exponent))
 
 
-def _golub_kahan_lanczos(b: np.ndarray, exponent: int, tol: float,
+def _golub_kahan_lanczos(b, exponent: int, tol: float,
                          max_iter: int) -> SpectralResult:
     """Lanczos bidiagonalization B V_k = U_k B_k with B_k upper bidiagonal.
+
+    ``b`` is an ndarray or a csr_array; it is only multiplied by vectors,
+    and its transpose is taken once.
 
     The top singular triple (s, p, q) of B_k gives sigma = s, left U_k p
     and right V_k q; its residual is beta_k |p_k|, read off the next
@@ -134,6 +151,7 @@ def _golub_kahan_lanczos(b: np.ndarray, exponent: int, tol: float,
     beta means the Krylov space is exhausted and the triple is exact.
     """
     m, n = b.shape
+    bt = b.T
     cap = min(max_iter, m, n)
     us = np.empty((cap, m), dtype=b.dtype)
     vs = np.empty((cap, n), dtype=b.dtype)
@@ -143,13 +161,13 @@ def _golub_kahan_lanczos(b: np.ndarray, exponent: int, tol: float,
         # The start vector lies in the nullspace; restart from the unit
         # vector of the heaviest column, which is nonzero.
         vs[0] = 0.0
-        vs[0, np.argmax(np.linalg.norm(b, axis=0))] = 1.0
+        vs[0, _heaviest_column(b)] = 1.0
         p = b @ vs[0]
     alphas = [float(np.linalg.norm(p))]
     betas: list[float] = []
     us[0] = p / alphas[0]
     for k in range(1, cap + 1):
-        r = _orthogonalize(_adjoint_times(b, us[k - 1]) - alphas[-1] * vs[k - 1], vs[:k])
+        r = _orthogonalize(_adjoint_times(bt, us[k - 1]) - alphas[-1] * vs[k - 1], vs[:k])
         beta = float(np.linalg.norm(r))
         ritz_left, ritz, ritz_right_h = _svd(np.diag(alphas) + np.diag(betas, 1))
         sigma = float(ritz[0])
@@ -179,26 +197,28 @@ def sigma_method(shape: tuple[int, int]) -> str:
     return "lapack_svd" if min(shape) <= _DENSE_MAX_DIM else "golub_kahan_lanczos"
 
 
-def largest_singular(a: DenseMatrix, tol: float = 1e-12,
+def largest_singular(a: Matrix, tol: float = 1e-12,
                      max_iter: int = 10_000) -> SpectralResult:
     """The largest singular triple, by dense SVD or Lanczos bidiagonalization.
 
     Convergence is declared when the combined defect residual drops below
     ``tol * max(1, sigma)``; the absolute residual is reported.  Raises
     ConvergenceError (with the best triple attached) when ``max_iter``
-    Lanczos steps are not enough.
+    Lanczos steps are not enough.  A SparseMatrix stays sparse for
+    Lanczos and is densified for the dense SVD.
     """
     if max_iter < 1:
         raise PreconditionError("max_iter must be positive")
-    scaled, exponent = _scaled(a)
+    dense = sigma_method(a.shape) == "lapack_svd"
+    scaled, exponent = _scaled(a.to_dense() if dense else a)
     b = scaled.data
     m, n = b.shape
-    if not b.any():
+    if not scaled.values.any():
         left = np.zeros(m, dtype=b.dtype)
         right = np.zeros(n, dtype=b.dtype)
         left[0] = right[0] = 1.0
         return _triple(b, 0, 0.0, left, right, 0)
-    if sigma_method(b.shape) == "golub_kahan_lanczos":
+    if not dense:
         return _golub_kahan_lanczos(b, exponent, tol, max_iter)
     u, s, vh = _svd(b)
     result = _triple(b, exponent, float(s[0]), u[:, 0], vh[0].conj(), 0)
@@ -209,26 +229,27 @@ def largest_singular(a: DenseMatrix, tol: float = 1e-12,
     return result
 
 
-def singular_values(a: DenseMatrix) -> np.ndarray:
+def singular_values(a: Matrix) -> np.ndarray:
     """All min(m, n) singular values, descending, by LAPACK's dense SVD.
 
     Computed on A, not as square roots of Gram eigenvalues: that route
     leaves about sqrt(eps) * sigma where a singular value is exactly zero,
-    while the SVD leaves a few eps * sigma.
+    while the SVD leaves a few eps * sigma.  A SparseMatrix is densified.
     """
-    vals = _svd(a.data, compute_uv=False)
+    vals = _svd(a.to_dense().data, compute_uv=False)
     vals.setflags(write=False)
     return vals
 
 
-def hermitian_eigen(h: DenseMatrix, tol: float = 1e-10) -> list[tuple[float, np.ndarray]]:
+def hermitian_eigen(h: Matrix, tol: float = 1e-10) -> list[tuple[float, np.ndarray]]:
     """Full eigensystem of a Hermitian matrix, eigenvalues descending.
 
     Rejects input whose Hermitian defect exceeds ``tol`` relative to the
     Frobenius norm.  Eigenvectors come back orthonormal, one unit vector
-    per eigenvalue, as (eigenvalue, vector) pairs.
+    per eigenvalue, as (eigenvalue, vector) pairs.  A SparseMatrix is
+    densified.
     """
-    data = h.data
+    data = h.to_dense().data
     if data.shape[0] != data.shape[1]:
         raise PreconditionError("hermitian_eigen needs a square matrix")
     scale = float(np.linalg.norm(data))
@@ -270,7 +291,7 @@ class RatioEstimate:
     s: int
 
 
-def sigma_ratio_estimate(a: DenseMatrix, s: int = 1, r_max: int = 60) -> RatioEstimate:
+def sigma_ratio_estimate(a: Matrix, s: int = 1, r_max: int = 60) -> RatioEstimate:
     """Estimate sigma^(2s) from ratios of odd-order walk totals.
 
     Defined for real matrices.  Sigma and the walk table come from

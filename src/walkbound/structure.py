@@ -4,7 +4,10 @@ The support of an m x n matrix is read as a bipartite graph on m row
 vertices and n column vertices, with an edge (i, j) whenever |a_ij| is
 above the zero threshold.  Components never mix indices from different
 blocks of a block-diagonal arrangement, and isolated vertices (zero rows
-or columns) belong to no component.
+or columns) belong to no component.  ``decompose`` reads only the support
+pairs, so a SparseMatrix is searched in time linear in its stored
+entries, and its components are CSR slices.  ``connectivity_via_powers``
+and ``singular_multiset_check`` need every entry and densify it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Analysis
-from .core import DEFAULT_TOL, DenseMatrix, detect_scalar, support_mask
+from .core import (
+    DEFAULT_TOL,
+    Matrix,
+    detect_scalar,
+    find_support,
+    segment_positions,
+    submatrix,
+)
 from .errors import NotScalarError, PreconditionError
 from .spectral import singular_values
 
@@ -23,7 +33,7 @@ from .spectral import singular_values
 class Component:
     row_indices: tuple
     col_indices: tuple
-    submatrix: DenseMatrix
+    submatrix: Matrix
 
 
 @dataclass(frozen=True)
@@ -35,22 +45,59 @@ class ComponentDecomposition:
     isolated_cols: tuple
 
 
-def decompose(a: DenseMatrix | Analysis) -> ComponentDecomposition:
+def _adjacency(heads: np.ndarray, tails: np.ndarray, size: int):
+    """CSR pointers and neighbour list of the edges heads[k] -> tails[k],
+    with vertices 0..size-1 on the heads side."""
+    order = np.argsort(heads, kind="stable")
+    ptr = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(heads, minlength=size), out=ptr[1:])
+    return ptr, tails[order]
+
+
+def _hits(ptr: np.ndarray, nbrs: np.ndarray, vertices: np.ndarray, size: int) -> np.ndarray:
+    """Boolean array over 0..size-1 marking every neighbour of ``vertices``."""
+    hit = np.zeros(size, dtype=bool)
+    hit[nbrs[segment_positions(ptr, vertices)]] = True
+    return hit
+
+
+def decompose(a: Matrix | Analysis) -> ComponentDecomposition:
     """Connected components of the support graph, by breadth-first search.
 
-    The search advances one level at a time over the support mask: the
-    columns touched by the frontier rows, then the rows touched by those
-    new columns.  Components are ordered by their smallest row index and
-    carry the extracted submatrix, which is ``a`` itself when the
-    component covers the whole matrix.  The returned permutations list
-    original row and column indices in an order that makes the matrix
-    block diagonal, with isolated (all-zero) rows and columns moved to
-    the end.  A context gives its own matrix A / 2^e and its support mask.
+    The search advances one level at a time: the columns touched by the
+    frontier rows, then the rows touched by those new columns.  A dense
+    matrix is searched on its support mask, a SparseMatrix on adjacency
+    lists of its support pairs, in time linear in their number.
+    Components are ordered by their smallest row index and carry the
+    extracted submatrix, which is ``a`` itself when the component covers
+    the whole matrix.  The returned permutations list original row and
+    column indices in an order that makes the matrix block diagonal, with
+    isolated (all-zero) rows and columns moved to the end.  A context
+    gives its own matrix A / 2^e and its support.
     """
-    mask = a.support if isinstance(a, Analysis) else support_mask(a)
+    support = a.support if isinstance(a, Analysis) else find_support(a)
     a = a.a if isinstance(a, Analysis) else a
-    live_rows = mask.any(axis=1)
-    live_cols = mask.any(axis=0)
+    if support.mask is not None:
+        mask = support.mask
+        live_rows = mask.any(axis=1)
+        live_cols = mask.any(axis=0)
+
+        def cols_touched(frontier):  # row indices -> boolean over columns
+            return mask[frontier].any(axis=0)
+
+        def rows_touched(new_cols):  # boolean over columns -> over rows
+            return mask[:, new_cols].any(axis=1)
+    else:
+        row_ptr, row_nbrs = _adjacency(support.rows, support.cols, a.m)
+        col_ptr, col_nbrs = _adjacency(support.cols, support.rows, a.n)
+        live_rows = np.diff(row_ptr) > 0
+        live_cols = np.diff(col_ptr) > 0
+
+        def cols_touched(frontier):
+            return _hits(row_ptr, row_nbrs, frontier, a.n)
+
+        def rows_touched(new_cols):
+            return _hits(col_ptr, col_nbrs, np.flatnonzero(new_cols), a.m)
     row_seen = ~live_rows
     components = []
     for start in np.flatnonzero(live_rows).tolist():
@@ -59,11 +106,11 @@ def decompose(a: DenseMatrix | Analysis) -> ComponentDecomposition:
         rows = np.zeros(a.m, dtype=bool)
         cols = np.zeros(a.n, dtype=bool)
         rows[start] = True
-        frontier = [start]
+        frontier = np.array([start])
         while len(frontier):
-            new_cols = mask[frontier].any(axis=0) & ~cols
+            new_cols = cols_touched(frontier) & ~cols
             cols |= new_cols
-            frontier = np.flatnonzero(mask[:, new_cols].any(axis=1) & ~rows)
+            frontier = np.flatnonzero(rows_touched(new_cols) & ~rows)
             rows[frontier] = True
         row_seen |= rows
         row_idx = np.flatnonzero(rows)
@@ -71,7 +118,7 @@ def decompose(a: DenseMatrix | Analysis) -> ComponentDecomposition:
         if len(row_idx) == a.m and len(col_idx) == a.n:
             sub = a
         else:
-            sub = DenseMatrix(a.data[np.ix_(row_idx, col_idx)])
+            sub = submatrix(a, row_idx, col_idx)
         components.append(Component(tuple(row_idx.tolist()), tuple(col_idx.tolist()), sub))
     isolated_rows = tuple(np.flatnonzero(~live_rows).tolist())
     isolated_cols = tuple(np.flatnonzero(~live_cols).tolist())
@@ -86,7 +133,7 @@ def decompose(a: DenseMatrix | Analysis) -> ComponentDecomposition:
     )
 
 
-def connectivity_via_powers(a: DenseMatrix, i: int, j: int,
+def connectivity_via_powers(a: Matrix, i: int, j: int,
                             r_cap: int | None = None) -> tuple[bool, int | None]:
     """Reachability of column j from row i through support products.
 
@@ -94,8 +141,10 @@ def connectivity_via_powers(a: DenseMatrix, i: int, j: int,
     (A A*)^r A has a nonzero (i, j) entry.  Works on the nonnegative part
     of a scalar matrix, where products cannot cancel, and stops early once
     the accumulated support stops growing.  Returns (reachable, r) with
-    the first power r that exhibits the entry, or (False, None).
+    the first power r that exhibits the entry, or (False, None).  A
+    SparseMatrix is densified.
     """
+    a = a.to_dense()
     if not (0 <= i < a.m and 0 <= j < a.n):
         raise PreconditionError(f"index pair ({i}, {j}) outside {a.m}x{a.n}")
     sc = detect_scalar(a)
@@ -127,14 +176,16 @@ def connectivity_via_powers(a: DenseMatrix, i: int, j: int,
     return False, None
 
 
-def singular_multiset_check(a: DenseMatrix, tol: float = DEFAULT_TOL) -> bool:
+def singular_multiset_check(a: Matrix, tol: float = DEFAULT_TOL) -> bool:
     """Whole-matrix nonzero singular values versus the component merge.
 
     Compares the sorted nonzero singular values of the matrix with the
     union of the nonzero singular values of its components; isolated rows
     and columns only ever contribute zeros.  Values within tol (scaled by
-    the largest value) of zero are discarded before comparing.
+    the largest value) of zero are discarded before comparing.  A
+    SparseMatrix is densified.
     """
+    a = a.to_dense()
     whole = singular_values(a)
     top = float(whole[0]) if whole.size else 0.0
     scale = max(1.0, top)

@@ -11,7 +11,8 @@ where the previous level is read from the opposite side.  Order 2 is the
 vector of row sums on the row side and of column sums on the column side.
 Weights are tabulated in the matrix's dtype: a real matrix has float64
 weights, nonnegative for a nonnegative matrix, and a complex one has
-complex128 weights.
+complex128 weights.  Each level is one product with A and one with its
+transpose, so a SparseMatrix costs its stored entries per level.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseMatrix
+from .core import Matrix
 from .errors import PreconditionError, WalkScaleError
 
 # Walk weights above this modulus abort the recursion: results past that
-# point are meaningless in float64 and the caller should rescale.
+# point are meaningless in float64.
 WEIGHT_LIMIT = 1e300
 
 
@@ -63,16 +64,18 @@ class WalkTable:
         return complex(self.col_totals[self._check(s)])
 
 
-def walk_table(a: DenseMatrix, order: int) -> WalkTable:
+def walk_table(a: Matrix, order: int) -> WalkTable:
     """Tabulate walk weights of orders 1..order by the level recursion.
 
-    Runs in O(order * m * n) in the matrix's dtype; no squaring shortcut
-    is taken, so every intermediate level is available afterwards.
-    Raises WalkScaleError when any weight modulus passes 1e300.
+    Runs in O(order * m * n) in the matrix's dtype, O(order * stored
+    entries) for a SparseMatrix; no squaring shortcut is taken, so every
+    intermediate level is available afterwards.  Raises WalkScaleError
+    when any weight modulus passes 1e300.
     """
     if order < 1:
         raise PreconditionError(f"walk order must be at least 1, got {order}")
     data = a.data
+    data_t = data.T
     m, n = data.shape
     rows = np.empty((order, m), dtype=data.dtype)
     cols = np.empty((order, n), dtype=data.dtype)
@@ -82,7 +85,7 @@ def walk_table(a: DenseMatrix, order: int) -> WalkTable:
         # The guard below handles overflow, so the matmul may run hot.
         with np.errstate(over="ignore", invalid="ignore"):
             rows[s] = data @ cols[s - 1]
-            cols[s] = data.T @ rows[s - 1]
+            cols[s] = data_t @ rows[s - 1]
         peak = max(
             float(np.abs(rows[s]).max(initial=0.0)),
             float(np.abs(cols[s]).max(initial=0.0)),
@@ -90,8 +93,9 @@ def walk_table(a: DenseMatrix, order: int) -> WalkTable:
         # "not <=" so that a NaN peak (inf * 0 downstream) also trips.
         if not peak <= WEIGHT_LIMIT:
             raise WalkScaleError(
-                f"walk weights exceeded {WEIGHT_LIMIT:g} at order {s + 1}; "
-                "divide the matrix by its largest entry modulus and retry"
+                f"walk weights exceeded {WEIGHT_LIMIT:g} at order {s + 1}: that "
+                "order is beyond float64 for this matrix (for "
+                "sigma_ratio_estimate, lower r_max)"
             )
     for arr in (rows, cols):
         arr.setflags(write=False)
@@ -110,17 +114,18 @@ def _enumerate_walks(neighbors: list[np.ndarray], start: int, length: int) -> in
     return sum(_enumerate_walks(neighbors, int(v), length - 1) for v in neighbors[start])
 
 
-def graph_walk_count_equivalence(g: DenseMatrix, s: int) -> bool:
+def graph_walk_count_equivalence(g: Matrix, s: int) -> bool:
     """Check that walk weights of a 0/1 symmetric matrix count graph walks.
 
     For the adjacency matrix of an undirected graph, the order-s row
     weight at vertex i must equal the number of walks on s vertices that
     start at i.  The count is recomputed here by brute-force enumeration
     and compared exactly.  Intended for small graphs; the enumeration is
-    exponential in s.
+    exponential in s, and a SparseMatrix is densified.
     """
     if s < 1:
         raise PreconditionError("walk order must be at least 1")
+    g = g.to_dense()
     data = g.data
     if data.shape[0] != data.shape[1]:
         raise PreconditionError("graph adjacency must be square")
@@ -135,7 +140,7 @@ def graph_walk_count_equivalence(g: DenseMatrix, s: int) -> bool:
     return bool(np.array_equal(weights, counts))
 
 
-def walk_identity_residual(a: DenseMatrix, r: int, s: int) -> float:
+def walk_identity_residual(a: Matrix, r: int, s: int) -> float:
     """Relative residual of the odd-order pairing identity.
 
     For a real matrix, the sum over row indices of

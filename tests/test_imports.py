@@ -7,12 +7,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # scipy.sparse.linalg and scipy.sparse.csgraph each add about 0.15 s to
 # ``import walkbound``, and scipy.linalg about 0.3 s; the sigma solve, the
-# component search and the spectral readings of A are numpy-only so that
-# no caller pays it.
+# component search and the spectral readings of A are numpy-only, and a
+# coordinate file is analysed with nothing of scipy.sparse beyond its
+# arrays and products, so that no caller pays it.
 _SCRIPT = """
+import os
 import sys
+import tempfile
 import numpy as np
-from walkbound import (DenseMatrix, characterize_pseudo_regular, decompose,
+from walkbound import (DenseMatrix, characterize_pseudo_regular, cli, decompose,
                        largest_singular, sigma_ratio_estimate)
 a = DenseMatrix(np.random.default_rng(0).uniform(size=(300, 300)))
 largest_singular(a)
@@ -20,6 +23,16 @@ decompose(a)
 b = DenseMatrix(np.random.default_rng(1).uniform(size=(60, 60)))
 characterize_pseudo_regular(b)
 sigma_ratio_estimate(b)
+# A coordinate file stays sparse through every layer of analyze.
+rng = np.random.default_rng(2)
+rows, cols = np.nonzero(rng.uniform(size=(200, 150)) < 0.05)
+lines = ["%%MatrixMarket matrix coordinate real general", f"200 150 {rows.size}"]
+lines += [f"{i + 1} {j + 1} {rng.uniform()!r}" for i, j in zip(rows, cols)]
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "sparse.mtx")
+    with open(path, "w") as fh:
+        fh.write("\\n".join(lines) + "\\n")
+    assert cli.main(["analyze", path, "--json", "--out", os.path.join(tmp, "r.json")]) == 0
 heavy = sorted(m for m in sys.modules if m in ("scipy.sparse.linalg", "scipy.sparse.csgraph")
                or m == "scipy.linalg" or m.startswith("scipy.linalg."))
 print(",".join(heavy))

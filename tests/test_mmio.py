@@ -76,9 +76,10 @@ def test_scipy_coordinate_files_load(tmp_path):
     )
     a = read_matrix(path)
     assert a.shape == (3, 3)
-    assert a.data[0, 0] == 2.5
-    assert a.data[2, 1] == 1.0
-    assert a.data[1, 1] == 0.0
+    dense = a.to_dense().data
+    assert dense[0, 0] == 2.5
+    assert dense[2, 1] == 1.0
+    assert dense[1, 1] == 0.0
 
 
 def test_missing_file():

@@ -179,6 +179,19 @@ def test_ratio_estimate_out_of_range_raises_walk_scale_error():
         sigma_ratio_estimate(DenseMatrix(1e200 * np.ones((2, 2))))
 
 
+def test_ratio_estimate_past_float64_names_the_order():
+    # Order-s weights grow like sigma^(s-1), sigma about 300 here, so
+    # r_max = 60 asks for an order past 1e300 even on A / 2^e; dividing
+    # the input again would not help, and the message says what would.
+    a = DenseMatrix(np.random.default_rng(0).uniform(0.0, 1.0, size=(600, 600)))
+    with pytest.raises(WalkScaleError) as info:
+        sigma_ratio_estimate(a)
+    assert str(info.value) == (
+        "walk weights exceeded 1e+300 at order 123: that order is beyond "
+        "float64 for this matrix (for sigma_ratio_estimate, lower r_max)"
+    )
+
+
 def test_ratio_estimate_identity_is_flat():
     est = sigma_ratio_estimate(DenseMatrix(np.eye(3)), s=1, r_max=10)
     assert not est.degenerate

@@ -26,12 +26,11 @@ from .core import (
     DEFAULT_TOL,
     Matrix,
     ScalarityResult,
-    Support,
     detect_scalar,
     entrywise_abs,
-    find_support,
     max_modulus,
     submatrix,
+    support_mask,
 )
 from .spectral import SpectralResult, _scaled, _unscaled, largest_singular
 from .walks import WalkTable, walk_table
@@ -112,9 +111,10 @@ class Analysis:
         return hit[1]
 
     @cached_property
-    def support(self) -> Support:
-        """The input's support."""
-        return find_support(self.a)
+    def support(self):
+        """The input's support: ``support_mask`` of ``a``, one flag per
+        stored entry."""
+        return support_mask(self.a)
 
     @cached_property
     def decomposition(self):

@@ -8,7 +8,9 @@ each judged on the context's A / 2^e and reported in the input's units.
 Each bound takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
 one.  ``tol`` applies only to a matrix: a context brings its own
 tolerance.  The bounds read A only through products with vectors, row
-sums and the support pairs, so a SparseMatrix costs its stored entries.
+sums and ``pair_products`` selected by the support, one flag per stored
+entry, so a SparseMatrix costs its stored entries and no bound looks at
+the storage.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def hwh_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
     value = float((data.T @ root) @ root) / total
     sigma = ctx.singular(a).sigma
     target = sigma * sigma
-    products = ctx.support.products(d, d)
+    products = a.pair_products(d, d)[ctx.support]
     certificate = bool(np.all(np.abs(products - target) <= ctx.tol * max(1.0, target)))
     return _report(ctx, "hwh", value, {}, certificate)
 

@@ -15,10 +15,11 @@ claims nothing about classification, which is undefined there.
 
 Each function takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
 one.  ``tol`` applies only to a matrix: a context brings its own
-tolerance.  The support conditions of T3 and of the degree-product
-certificate are evaluated on the support pairs, and the equality of T3
-on a SparseMatrix as a product with vectors, so a SparseMatrix costs its
-stored entries; ``characterize_pseudo_regular`` densifies it.
+tolerance.  T3 and the degree-product certificate read the walk or
+degree products ``pair_products`` at every stored entry and select the
+support pairs with the support, one flag per stored entry, so a
+SparseMatrix costs its stored entries and no function here looks at the
+storage; ``characterize_pseudo_regular`` densifies it.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ import numpy as np
 from .analysis import Analysis
 from .core import (
     DEFAULT_TOL,
-    DenseMatrix,
     Matrix,
     ScalarityResult,
     col_sums,
     row_sums,
-    find_support,
+    support_mask,
     total_sum,
 )
 from .errors import NotScalarError, PreconditionError
@@ -315,14 +315,10 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
     total_c = table.col_total(r)
     # The basis's own support: an entry of a scalar input can pass the
     # phase test yet have a nonnegative part at or below the zero cutoff.
-    support = ctx.support if basis is ctx.a else find_support(basis)
-    if isinstance(basis, DenseMatrix):
-        pair_abs = np.abs(np.outer(wr, wc))
-        pair_mods = pair_abs[support.mask]
-        weighted_sum = (basis.data * np.sqrt(pair_abs)).sum()
-    else:  # sum_ij a_ij sqrt(|w(i)|) sqrt(|w(j)|), one product with A
-        pair_mods = np.abs(support.products(wr, wc))
-        weighted_sum = np.sqrt(np.abs(wr)) @ (basis.data @ np.sqrt(np.abs(wc)))
+    support = ctx.support if basis is ctx.a else support_mask(basis)
+    pair_abs = np.abs(basis.pair_products(wr, wc))
+    pair_mods = pair_abs[support]
+    weighted_sum = (basis.values * np.sqrt(pair_abs)).sum()
 
     target = sigma ** (2 * (r - 1))
     support_gap = float(np.abs(pair_mods - target).max()) / max(1.0, target)

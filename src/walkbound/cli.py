@@ -1,10 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 a computation
-failed to converge or left the float64 range, 4 the operation does not
-apply to the given matrix (wrong shape, parity, or class) or a generator
-request was infeasible.  A failed computation prints one ``error:``
-line to stderr.
+Exit codes: 0 success, 2 unreadable or malformed input or a malformed
+argument (argparse prints the usage), 3 a computation failed to converge
+or left the float64 range, 4 the operation does not apply to the given
+matrix (wrong shape, parity, or class) or a generator request was
+infeasible.  A failed computation prints one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -65,13 +65,37 @@ def _parse_blocks(text: str) -> list[tuple[int, int]]:
     return blocks
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 < tol < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+    return tol
+
+
+def _parse_graph(text: str) -> dict:
+    """The generator params of NAME, NAME:N or complete_bipartite:A,B."""
+    name, _, sizes = text.partition(":")
+    try:
+        nums = [int(x) for x in sizes.split(",")] if sizes else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NAME[:N|:A,B], got {text!r}")
+    if name == "complete_bipartite" and nums:
+        if len(nums) != 2:
+            raise argparse.ArgumentTypeError("complete_bipartite takes two sizes, a,b")
+        return {"name": name, "a": nums[0], "b": nums[1]}
+    return {"name": name, "n": nums[0]} if nums else {"name": name}
+
+
 def _input_meta(path: str, ctx: Analysis) -> dict:
     suffix = path.rsplit(".", 1)[-1].lower() if "." in path else ""
     return {
         "path": path,
         "format": suffix,
         "shape": [ctx.a.m, ctx.a.n],
-        "nnz": ctx.support.count,
+        "nnz": int(ctx.support.sum()),
         "real": ctx.a.is_real(),
     }
 
@@ -189,24 +213,13 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params: dict = {}
+    params = dict(args.graph or {})
     if args.blocks is not None:
         params["blocks"] = args.blocks
     if args.target_sigma is not None:
         params["target_sigma"] = args.target_sigma
     if args.which is not None:
         params["which"] = args.which
-    if args.graph is not None:
-        name, _, sizes = args.graph.partition(":")
-        params["name"] = name
-        if sizes:
-            nums = [int(x) for x in sizes.split(",")]
-            if name == "complete_bipartite":
-                if len(nums) != 2:
-                    raise GeneratorError("complete_bipartite takes two sizes, a,b")
-                params["a"], params["b"] = nums
-            else:
-                params["n"] = nums[0]
     spec = GeneratorSpec(kind=args.kind, shape=args.shape, density=args.density,
                          seed=args.seed, params=params)
     matrix = generate(spec)
@@ -226,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out=True):
-        p.add_argument("--tol", type=float, default=1e-8,
+        p.add_argument("--tol", type=_parse_tol, default=1e-8,
                        help="relative comparison tolerance (default 1e-8)")
         p.add_argument("--json", action="store_true", help="emit JSON")
         if out:
@@ -280,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=_parse_blocks, metavar="AxB,CxD,...")
     p.add_argument("--target-sigma", type=float, dest="target_sigma")
     p.add_argument("--which", choices=("E1", "C2"), help="named built-in example")
-    p.add_argument("--graph", metavar="NAME[:N|:A,B]",
+    p.add_argument("--graph", type=_parse_graph, metavar="NAME[:N|:A,B]",
                    help="path:5, cycle:6, complete:4, star:5, complete_bipartite:2,3")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)

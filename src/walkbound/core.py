@@ -5,11 +5,15 @@ A ``DenseMatrix`` stores every entry in an ndarray; a ``SparseMatrix``
 stores the nonzero entries of a coordinate file in CSR form and never
 forms the m x n array unless ``to_dense`` is called.  Both expose
 ``data``, which ``@`` and ``.T`` work on (the ndarray or the
-``csr_array``), and ``values``, the stored entries that elementwise
-tests read (every entry of a dense matrix, the stored ones of a sparse
-matrix).  Every function here but ``support_mask`` takes either; a dense
-input keeps the arithmetic, and so the bits, of a dense-only
-implementation.
+``csr_array``), ``values``, the stored entries that elementwise tests
+read (every entry of a dense matrix, the stored ones of a sparse
+matrix), and ``pair_products(x, y)``, x_i * y_j at every stored entry,
+shaped like ``values``.  The support is one flag per stored entry, a
+boolean array over ``values`` from ``support_mask``, so a caller selects
+entries with it without knowing the storage.  Every function here takes
+either storage, and outside this module only the search of
+``structure.decompose`` chooses between them; a dense input keeps the
+arithmetic, and so the bits, of a dense-only implementation.
 
 Matrices are immutable; every operation returns a fresh value.  Row and
 column indices live in separate namespaces: a row index is never compared
@@ -22,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DimensionMismatchError, NonFiniteEntryError
 
@@ -105,6 +108,10 @@ class DenseMatrix:
         """A DenseMatrix of ``values``, an m x n array of entries."""
         return DenseMatrix(values)
 
+    def pair_products(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x[i] * y[j] at every entry (i, j): the m x n outer product."""
+        return np.outer(x, y)
+
     def to_dense(self) -> DenseMatrix:
         """This matrix: it is dense already."""
         return self
@@ -138,6 +145,8 @@ class SparseMatrix:
     __slots__ = ("values", "indices", "indptr", "shape", "_csr")
 
     def __init__(self, entries):
+        import scipy.sparse  # deferred: ``import walkbound`` loads no scipy
+
         csr = scipy.sparse.csr_array(entries, copy=True)
         if csr.shape[0] < 1 or csr.shape[1] < 1:
             raise DimensionMismatchError(
@@ -170,8 +179,10 @@ class SparseMatrix:
         return out
 
     @property
-    def data(self) -> scipy.sparse.csr_array:
+    def data(self):
         if self._csr is None:
+            import scipy.sparse
+
             csr = scipy.sparse.csr_array((self.values, self.indices, self.indptr),
                                          shape=self.shape)
             object.__setattr__(self, "_csr", csr)
@@ -209,6 +220,10 @@ class SparseMatrix:
         a fresh float64 or complex128 array; a zero stays stored."""
         return SparseMatrix._from_arrays(values, self.indices, self.indptr, self.shape)
 
+    def pair_products(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x[i] * y[j] at each stored entry (i, j), in the order of ``values``."""
+        return x[self.row_of_entries()] * y[self.indices]
+
     def to_dense(self) -> DenseMatrix:
         """The same matrix with every entry stored: m x n memory."""
         dense = np.zeros(self.shape, dtype=self.values.dtype)
@@ -231,11 +246,12 @@ def max_modulus(a: Matrix) -> float:
     return float(np.abs(a.values).max(initial=0.0))
 
 
-def support_mask(a: DenseMatrix) -> np.ndarray:
-    """Boolean m x n array marking entries above ZERO_TOL_FACTOR times
-    the largest modulus."""
-    mods = np.abs(a.data)
-    return mods > ZERO_TOL_FACTOR * mods.max()
+def support_mask(a: Matrix) -> np.ndarray:
+    """Boolean array over ``a.values`` marking the entries above
+    ZERO_TOL_FACTOR times the largest modulus: an m x n mask for a
+    DenseMatrix, one flag per stored entry for a SparseMatrix."""
+    mods = np.abs(a.values)
+    return mods > ZERO_TOL_FACTOR * mods.max(initial=0.0)
 
 
 def segment_positions(ptr: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -244,42 +260,6 @@ def segment_positions(ptr: np.ndarray, idx: np.ndarray) -> np.ndarray:
     starts = ptr[idx]
     counts = ptr[idx + 1] - starts
     return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-
-
-@dataclass(frozen=True, eq=False)
-class Support:
-    """The entries above ZERO_TOL_FACTOR times the largest modulus.
-
-    A DenseMatrix's support is its m x n boolean ``mask`` (``rows`` and
-    ``cols`` are None); a SparseMatrix's is the row and column indices
-    ``rows`` and ``cols`` of the support pairs, in row-major order
-    (``mask`` is None).
-    """
-
-    mask: np.ndarray | None = None
-    rows: np.ndarray | None = None
-    cols: np.ndarray | None = None
-
-    @property
-    def count(self) -> int:
-        """The number of support entries."""
-        return int(self.mask.sum()) if self.rows is None else self.rows.size
-
-    def products(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x[i] * y[j] for each support pair (i, j), in row-major order."""
-        if self.rows is None:
-            return np.outer(x, y)[self.mask]
-        return x[self.rows] * y[self.cols]
-
-
-def find_support(a: Matrix) -> Support:
-    """The support of ``a``: ``support_mask`` of a DenseMatrix, the stored
-    entries above the cutoff of a SparseMatrix."""
-    if isinstance(a, DenseMatrix):
-        return Support(mask=support_mask(a))
-    mods = np.abs(a.values)
-    keep = mods > ZERO_TOL_FACTOR * mods.max(initial=0.0)
-    return Support(rows=a.row_of_entries()[keep], cols=a.indices[keep])
 
 
 def submatrix(a: Matrix, rows, cols) -> Matrix:

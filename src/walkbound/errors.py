@@ -14,7 +14,8 @@ class NonFiniteEntryError(WalkboundError):
 
 
 class WalkScaleError(WalkboundError):
-    """Walk weights left the safe floating range; rescale the matrix first."""
+    """Walk weights of A / 2^e passed 1e300 at too high an order, or a
+    result does not fit in float64 in the input's units."""
 
 
 class ConvergenceError(WalkboundError):

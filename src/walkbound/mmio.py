@@ -2,21 +2,19 @@
 
 Two formats: Matrix Market (.mtx or .mm; array and coordinate layouts,
 real, integer, complex or pattern fields, symmetric storage expanded on
-read) and CSV (.csv) with complex literals written as a+bi.  Reading goes
-through scipy's parser.  The storage follows the file's layout: a
-coordinate file becomes a ``SparseMatrix`` with no m x n array formed,
-an array file or a CSV file a ``DenseMatrix``.  Writing is done here so the
-byte layout stays fixed: array layout, column major, one value per line,
-shortest lossless float representation.
+read) and CSV (.csv) with complex literals written as a+bi.  A Matrix
+Market file is read by scipy's parser, imported on first use.  The
+storage follows the file's layout: a coordinate file becomes a
+``SparseMatrix`` with no m x n array formed, an array file or a CSV file
+a ``DenseMatrix``.  Writing is done here so the byte layout stays fixed:
+array layout, column major, one value per line, shortest lossless float
+representation.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-
-import scipy.io
-import scipy.sparse
 
 from .core import DenseMatrix, Matrix, SparseMatrix
 from .errors import InputFormatError
@@ -50,6 +48,9 @@ def _read_csv(path: Path) -> DenseMatrix:
 
 
 def _read_matrix_market(path: Path) -> Matrix:
+    import scipy.io  # deferred: a CSV read and ``import walkbound`` load no scipy
+    import scipy.sparse
+
     try:
         loaded = scipy.io.mmread(str(path))
     except Exception as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix
+from .core import Matrix, col_sums
 from .errors import ConvergenceError, PreconditionError, WalkScaleError
 
 _START_PERTURBATION = 1e-6
@@ -102,13 +102,6 @@ def _adjoint_times(bt, x: np.ndarray) -> np.ndarray:
     return (bt @ x.conj()).conj()
 
 
-def _heaviest_column(b) -> int:
-    """Index of the column of B, an ndarray or a csr_array, of largest norm."""
-    if isinstance(b, np.ndarray):
-        return int(np.argmax(np.linalg.norm(b, axis=0)))
-    return int(np.argmax(np.bincount(b.indices, np.abs(b.data) ** 2, b.shape[1])))
-
-
 def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """x minus its projection on the orthonormal rows of ``basis``.
 
@@ -137,12 +130,12 @@ def _triple(b, exponent: int, sigma: float, left: np.ndarray,
                           _unscaled(residual, exponent))
 
 
-def _golub_kahan_lanczos(b, exponent: int, tol: float,
+def _golub_kahan_lanczos(scaled: Matrix, exponent: int, tol: float,
                          max_iter: int) -> SpectralResult:
     """Lanczos bidiagonalization B V_k = U_k B_k with B_k upper bidiagonal.
 
-    ``b`` is an ndarray or a csr_array; it is only multiplied by vectors,
-    and its transpose is taken once.
+    B is ``scaled.data``; it is only multiplied by vectors, and its
+    transpose is taken once.
 
     The top singular triple (s, p, q) of B_k gives sigma = s, left U_k p
     and right V_k q; its residual is beta_k |p_k|, read off the next
@@ -150,6 +143,7 @@ def _golub_kahan_lanczos(b, exponent: int, tol: float,
     residual computed on B decides whether to accept.  A zero alpha or
     beta means the Krylov space is exhausted and the triple is exact.
     """
+    b = scaled.data
     m, n = b.shape
     bt = b.T
     cap = min(max_iter, m, n)
@@ -159,9 +153,10 @@ def _golub_kahan_lanczos(b, exponent: int, tol: float,
     p = b @ vs[0]
     if not p.any():
         # The start vector lies in the nullspace; restart from the unit
-        # vector of the heaviest column, which is nonzero.
+        # vector of the column of largest norm, which is nonzero.
+        norms2 = col_sums(scaled.with_values(np.abs(scaled.values) ** 2))
         vs[0] = 0.0
-        vs[0, _heaviest_column(b)] = 1.0
+        vs[0, int(np.argmax(norms2))] = 1.0
         p = b @ vs[0]
     alphas = [float(np.linalg.norm(p))]
     betas: list[float] = []
@@ -219,7 +214,7 @@ def largest_singular(a: Matrix, tol: float = 1e-12,
         left[0] = right[0] = 1.0
         return _triple(b, 0, 0.0, left, right, 0)
     if not dense:
-        return _golub_kahan_lanczos(b, exponent, tol, max_iter)
+        return _golub_kahan_lanczos(scaled, exponent, tol, max_iter)
     u, s, vh = _svd(b)
     result = _triple(b, exponent, float(s[0]), u[:, 0], vh[0].conj(), 0)
     if result.residual > tol * max(1.0, result.sigma):

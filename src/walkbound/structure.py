@@ -4,10 +4,13 @@ The support of an m x n matrix is read as a bipartite graph on m row
 vertices and n column vertices, with an edge (i, j) whenever |a_ij| is
 above the zero threshold.  Components never mix indices from different
 blocks of a block-diagonal arrangement, and isolated vertices (zero rows
-or columns) belong to no component.  ``decompose`` reads only the support
-pairs, so a SparseMatrix is searched in time linear in its stored
-entries, and its components are CSR slices.  ``connectivity_via_powers``
-and ``singular_multiset_check`` need every entry and densify it.
+or columns) belong to no component.  ``decompose`` reads the support,
+one flag per stored entry, and its search is the one place outside
+``core`` that selects by storage: a dense matrix is searched on its m x n
+mask, a SparseMatrix on adjacency lists of its support pairs, in time
+linear in its stored entries, and its components are CSR slices.
+``connectivity_via_powers`` and ``singular_multiset_check`` need every
+entry and densify it.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import numpy as np
 from .analysis import Analysis
 from .core import (
     DEFAULT_TOL,
+    DenseMatrix,
     Matrix,
     detect_scalar,
-    find_support,
     segment_positions,
     submatrix,
+    support_mask,
 )
 from .errors import NotScalarError, PreconditionError
 from .spectral import singular_values
@@ -75,21 +79,23 @@ def decompose(a: Matrix | Analysis) -> ComponentDecomposition:
     isolated (all-zero) rows and columns moved to the end.  A context
     gives its own matrix A / 2^e and its support.
     """
-    support = a.support if isinstance(a, Analysis) else find_support(a)
+    support = a.support if isinstance(a, Analysis) else support_mask(a)
     a = a.a if isinstance(a, Analysis) else a
-    if support.mask is not None:
-        mask = support.mask
-        live_rows = mask.any(axis=1)
-        live_cols = mask.any(axis=0)
+    # A dense input keeps the mask search: on a full 400 x 400 matrix it took
+    # 0.6 ms, the pair-adjacency search 10.5 ms (numpy 2.4, one Xeon core).
+    if isinstance(a, DenseMatrix):
+        live_rows = support.any(axis=1)
+        live_cols = support.any(axis=0)
 
         def cols_touched(frontier):  # row indices -> boolean over columns
-            return mask[frontier].any(axis=0)
+            return support[frontier].any(axis=0)
 
         def rows_touched(new_cols):  # boolean over columns -> over rows
-            return mask[:, new_cols].any(axis=1)
+            return support[:, new_cols].any(axis=1)
     else:
-        row_ptr, row_nbrs = _adjacency(support.rows, support.cols, a.m)
-        col_ptr, col_nbrs = _adjacency(support.cols, support.rows, a.n)
+        pair_rows, pair_cols = a.row_of_entries()[support], a.indices[support]
+        row_ptr, row_nbrs = _adjacency(pair_rows, pair_cols, a.m)
+        col_ptr, col_nbrs = _adjacency(pair_cols, pair_rows, a.n)
         live_rows = np.diff(row_ptr) > 0
         live_cols = np.diff(col_ptr) > 0
 

@@ -71,6 +71,20 @@ def test_components_subcommand(tmp_path, capsys):
     assert body["count"] == 2
 
 
+def test_components_text_lists_isolated_rows_and_cols(tmp_path, capsys):
+    a = DenseMatrix([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    path = tmp_path / "iso.mtx"
+    write_matrix(path, a)
+    assert main(["components", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "components: 2\n"
+        "  0: rows [0] cols [0]\n"
+        "  1: rows [2] cols [2]\n"
+        "isolated rows: [1]\n"
+        "isolated cols: [1]\n"
+    )
+
+
 def _json_out(argv, capsys):
     assert main(argv + ["--json"]) == 0
     return json.loads(capsys.readouterr().out)
@@ -124,6 +138,51 @@ def test_gen_graph_shorthand(tmp_path):
     from walkbound import read_matrix
 
     assert read_matrix(out).shape == (3, 3)
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["--kind", "almost_regular", "--blocks", "2x2,1x3", "--target-sigma", "3"],
+     {"kind": "almost_regular", "params": {"blocks": [(2, 2), (1, 3)], "target_sigma": 3.0}}),
+    (["--kind", "paper_example", "--which", "C2"],
+     {"kind": "paper_example", "params": {"which": "C2"}}),
+    (["--kind", "graph", "--graph", "complete_bipartite:2,3"],
+     {"kind": "graph", "params": {"name": "complete_bipartite", "a": 2, "b": 3}}),
+])
+def test_gen_options_reach_the_generator(tmp_path, capsys, argv, spec):
+    from walkbound import GeneratorSpec, generate, read_matrix
+
+    out = tmp_path / "g.mtx"
+    assert main(["gen", *argv, "--out", str(out)]) == 0
+    assert "certified ok" in capsys.readouterr().out
+    assert read_matrix(out) == generate(GeneratorSpec(**spec))
+
+
+def _assert_usage_error(argv, capsys, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: walkbound ") and err.count("usage:") == 1
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(message)
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_must_be_finite_and_positive(e1_file, capsys, command, tol):
+    _assert_usage_error([command, e1_file, "--tol", tol], capsys,
+                        f"error: argument --tol: tolerance must be finite and positive, got {tol!r}")
+
+
+@pytest.mark.parametrize("graph, message", [
+    ("path:x", "expected NAME[:N|:A,B], got 'path:x'"),
+    ("complete_bipartite:2,x", "expected NAME[:N|:A,B], got 'complete_bipartite:2,x'"),
+    ("complete_bipartite:2", "complete_bipartite takes two sizes, a,b"),
+])
+def test_malformed_graph_is_a_usage_error(tmp_path, capsys, graph, message):
+    _assert_usage_error(["gen", "--kind", "graph", "--graph", graph,
+                         "--out", str(tmp_path / "g.mtx")], capsys,
+                        f"error: argument --graph: {message}")
 
 
 def test_missing_file_exits_2(capsys):

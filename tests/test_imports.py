@@ -39,10 +39,37 @@ print(",".join(heavy))
 """
 
 
-def test_sigma_and_components_import_no_sparse_solvers():
+# scipy.io alone costs about 0.2 s; only a Matrix Market read imports it,
+# and a SparseMatrix imports scipy.sparse, so ``import walkbound`` and a
+# CSV analysis load no scipy module at all.
+_CSV_SCRIPT = """
+import os
+import sys
+import tempfile
+import walkbound
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+from walkbound import cli
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "e1.csv")
+    with open(path, "w") as fh:
+        fh.write("1,1,0,0\\n1,0,1,0\\n1,0,0,1\\n")
+    assert cli.main(["analyze", path, "--json", "--out", os.path.join(tmp, "r.json")]) == 0
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _run(script: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    return proc.stdout.strip()
+
+
+def test_sigma_and_components_import_no_sparse_solvers():
+    assert _run(_SCRIPT) == ""
+
+
+def test_import_and_csv_analysis_load_no_scipy():
+    assert _run(_CSV_SCRIPT) == ""

@@ -8,7 +8,10 @@ present the same bits to every test, and ``ctx.unscaled`` takes numbers
 back to the input's units.  Each shared quantity is computed once, on
 first use: the scalarity test and the certificates' basis, one singular
 triple and one walk table per distinct matrix, the support and its
-decomposition, the classification and the degree-product report.
+decomposition, one cut of the input and of the basis on the components,
+the classification and the degree-product report.  A single component
+that holds every nonzero entry takes its matrix's singular triple
+instead of a second solve.
 Every layer function takes a matrix or a context: ``full_analysis`` reads
 everything from one context, and a call on a bare matrix builds its own.
 The context keeps the input's storage: a ``SparseMatrix`` input has a
@@ -20,20 +23,36 @@ that rebinds them (a tracer, a test counting calls) sees every call.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .core import (
     DEFAULT_TOL,
     Matrix,
     ScalarityResult,
     detect_scalar,
+    diagonal_blocks,
     entrywise_abs,
     max_modulus,
-    submatrix,
     support_mask,
 )
 from .spectral import SpectralResult, _scaled, _unscaled, largest_singular
 from .walks import WalkTable, walk_table
+
+if TYPE_CHECKING:
+    from .structure import Blocks
+
+
+def _restricted(result: SpectralResult, rows, cols) -> SpectralResult:
+    """``result``'s triple on the rows ``rows`` and columns ``cols``."""
+    left = result.left[rows]
+    right = result.right[cols]
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return replace(result, left=left, right=right)
 
 
 class Analysis:
@@ -56,6 +75,10 @@ class Analysis:
         # from being reused while the context lives.
         self._solves: dict[int, tuple[Matrix, SpectralResult]] = {}
         self._tables: dict[int, tuple[Matrix, WalkTable]] = {}
+        self._cuts: dict[int, tuple[Matrix, Blocks]] = {}
+        # id(submatrix) -> (matrix, rows, cols) where the submatrix holds
+        # every nonzero entry of the matrix.
+        self._restrictions: dict[int, tuple[Matrix, object, object]] = {}
 
     @classmethod
     def of(cls, a: Matrix | Analysis, tol: float = DEFAULT_TOL,
@@ -94,7 +117,11 @@ class Analysis:
         """The largest singular triple of ``matrix``."""
         hit = self._solves.get(id(matrix))
         if hit is None:
-            result = largest_singular(matrix, max_iter=self.max_iter)
+            whole = self._restrictions.get(id(matrix))
+            if whole is None:
+                result = largest_singular(matrix, max_iter=self.max_iter)
+            else:
+                result = _restricted(self.singular(whole[0]), whole[1], whole[2])
             hit = self._solves[id(matrix)] = (matrix, result)
         return hit[1]
 
@@ -121,26 +148,43 @@ class Analysis:
         """The ComponentDecomposition of the input's support."""
         from .structure import decompose  # structure imports this module
 
-        return decompose(self)
+        dec = decompose(self)
+        self._keep(self.a, dec.blocks)
+        return dec
 
-    def submatrices(self, matrix: Matrix) -> list[Matrix]:
-        """``matrix`` (the input or the basis) on each support component.
+    def blocks(self, matrix: Matrix) -> Blocks:
+        """``matrix`` (the input or the basis) cut on the support
+        components, as a ``structure.Blocks``; each matrix is cut once.
 
-        The decomposition gives a component that covers the whole input
-        the input itself as its submatrix; ``matrix`` then stands for
-        itself, so its sigma is the one already solved for ``matrix``.
-        Other submatrices of a matrix other than the input are built
-        anew on each call.
+        A component that covers the whole input is ``matrix`` itself, so
+        its sigma is the one already solved for ``matrix``.  A single
+        component that holds every nonzero entry of ``matrix`` takes
+        ``matrix``'s singular triple restricted to its rows and columns:
+        the rest of ``matrix`` is zero, so the sigma is the same.
         """
-        if matrix is self.a:
-            return [comp.submatrix for comp in self.decomposition.components]
-        subs = []
-        for comp in self.decomposition.components:
-            if comp.submatrix is self.a:
-                subs.append(matrix)
+        plan = self.decomposition.blocks
+        hit = self._cuts.get(id(matrix))
+        if hit is None:
+            if plan.inside is self.a:
+                cut = replace(plan, inside=matrix, subs=(matrix,))
+            elif not plan.subs:
+                cut = plan
             else:
-                subs.append(submatrix(matrix, comp.row_indices, comp.col_indices))
-        return subs
+                inside, subs = diagonal_blocks(matrix, plan.rows, plan.row_ptr,
+                                               plan.cols, plan.col_ptr)
+                cut = replace(plan, inside=inside, subs=tuple(subs))
+            return self._keep(matrix, cut)
+        return hit[1]
+
+    def _keep(self, matrix: Matrix, cut: Blocks) -> Blocks:
+        """Caches ``cut`` for ``matrix``, and notes a single component that
+        holds every nonzero entry of ``matrix``."""
+        self._cuts[id(matrix)] = (matrix, cut)
+        if len(cut.subs) == 1 and cut.subs[0] is not matrix:
+            sub = cut.subs[0]
+            if np.count_nonzero(sub.values) == np.count_nonzero(matrix.values):
+                self._restrictions[id(sub)] = (matrix, cut.rows, cut.cols)
+        return cut
 
     @cached_property
     def classification(self):

@@ -77,14 +77,20 @@ class PseudoRegularCharacterization:
     offending_eigenvalues: tuple
 
 
-def _sums_regular(mat: Matrix, tol: float) -> bool:
-    r = row_sums(mat).real
-    c = col_sums(mat).real
-    r_spread = float(r.max() - r.min())
-    c_spread = float(c.max() - c.min())
-    return r_spread <= tol * max(float(r.max()), 1e-300) and c_spread <= tol * max(
-        float(c.max()), 1e-300
-    )
+def _level_runs(x: np.ndarray, ptr: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each run x[ptr[k]:ptr[k+1]] spreads by at most tol times
+    its largest value."""
+    hi = np.maximum.reduceat(x, ptr[:-1])
+    return hi - np.minimum.reduceat(x, ptr[:-1]) <= tol * np.maximum(hi, 1e-300)
+
+
+def _blocks_regular(mat: Matrix, row_ptr: np.ndarray, col_ptr: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """Whether each diagonal block of ``mat``, rows row_ptr[k]..row_ptr[k+1]-1
+    by columns col_ptr[k]..col_ptr[k+1]-1, has equal row sums and equal
+    column sums; ``mat`` holds nothing outside its blocks."""
+    return (_level_runs(row_sums(mat).real, row_ptr, tol)
+            & _level_runs(col_sums(mat).real, col_ptr, tol))
 
 
 def _require_scalar_nonzero(ctx: Analysis) -> Matrix:
@@ -117,13 +123,19 @@ def classify(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> ClassificationRe
     ctx = Analysis.of(a, tol)
     tol = ctx.tol
     nonneg = _require_scalar_nonzero(ctx)
-    regular = _sums_regular(nonneg, tol)
+    regular = bool(_blocks_regular(nonneg, np.array([0, nonneg.m]),
+                                   np.array([0, nonneg.n]), tol)[0])
     lam = _proportionality(ctx.table(nonneg, 5), 5, 3, tol)
 
     sigma = ctx.singular(nonneg).sigma
+    blocks = ctx.blocks(nonneg)
+    if blocks.inside is nonneg:  # one component covers the matrix
+        each = [regular]
+    else:
+        each = _blocks_regular(blocks.inside, blocks.row_ptr, blocks.col_ptr, tol).tolist()
     summaries = [
-        ComponentSummary(regular=_sums_regular(sub, tol), sigma=ctx.singular(sub).sigma)
-        for sub in ctx.submatrices(nonneg)
+        ComponentSummary(regular=ok, sigma=ctx.singular(sub).sigma)
+        for ok, sub in zip(each, blocks.subs)
     ]
     almost = bool(summaries) and all(
         s.regular and abs(s.sigma - sigma) <= tol * max(1.0, sigma) for s in summaries

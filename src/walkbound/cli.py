@@ -86,6 +86,9 @@ def _parse_graph(text: str) -> dict:
         if len(nums) != 2:
             raise argparse.ArgumentTypeError("complete_bipartite takes two sizes, a,b")
         return {"name": name, "a": nums[0], "b": nums[1]}
+    if len(nums) > 1:
+        raise argparse.ArgumentTypeError(
+            f"{name} takes one size, n; only complete_bipartite takes two")
     return {"name": name, "n": nums[0]} if nums else {"name": name}
 
 

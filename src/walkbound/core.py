@@ -95,14 +95,20 @@ class DenseMatrix:
         """True when the matrix is real with no negative entry."""
         return self.is_real() and self._data.min() >= 0.0
 
+    @classmethod
+    def _from_array(cls, data: np.ndarray) -> DenseMatrix:
+        """Adopts ``data``, a finite C-ordered float64 or complex128 array
+        that no one else writes."""
+        data.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "_data", data)
+        return out
+
     def times_pow2(self, exponent: int) -> DenseMatrix:
         """This matrix times 2^exponent, exact while the entries stay normal."""
         with np.errstate(over="raise"):
             data = np.ldexp(self._data.view(np.float64), exponent).view(self._data.dtype)
-        data.setflags(write=False)
-        out = object.__new__(DenseMatrix)  # adopts ``data``: finite, and no one else's
-        object.__setattr__(out, "_data", data)
-        return out
+        return DenseMatrix._from_array(data)
 
     def with_values(self, values: np.ndarray) -> DenseMatrix:
         """A DenseMatrix of ``values``, an m x n array of entries."""
@@ -262,23 +268,51 @@ def segment_positions(ptr: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
-def submatrix(a: Matrix, rows, cols) -> Matrix:
-    """The rows ``rows`` and columns ``cols`` of ``a``, in that order."""
+def diagonal_blocks(a: Matrix, rows: np.ndarray, row_ptr: np.ndarray,
+                    cols: np.ndarray, col_ptr: np.ndarray) -> tuple[Matrix, list[Matrix]]:
+    """``a`` cut into blocks: block k is rows ``rows[row_ptr[k]:row_ptr[k+1]]``
+    by columns ``cols[col_ptr[k]:col_ptr[k+1]]``, in those orders.
+
+    Returns ``inside``, the len(rows) x len(cols) matrix that holds the
+    blocks along its diagonal (the rows ``rows`` and columns ``cols`` of
+    ``a`` with every entry outside a block dropped, or zero for a
+    DenseMatrix), and the list of blocks.  A SparseMatrix is cut in one
+    pass over the stored entries of ``rows``, and each block is a slice
+    of ``inside``'s arrays.
+    """
+    bounds = list(zip(row_ptr[:-1].tolist(), row_ptr[1:].tolist(),
+                      col_ptr[:-1].tolist(), col_ptr[1:].tolist()))
     if isinstance(a, DenseMatrix):
-        return DenseMatrix(a.data[np.ix_(rows, cols)])
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    local = np.full(a.n, -1)  # column index -> its place in ``cols``
-    local[cols] = np.arange(cols.size)
-    pos = segment_positions(a.indptr, rows)
-    new_cols = local[a.indices[pos]]
-    keep = new_cols >= 0
+        inside = np.zeros((rows.size, cols.size), dtype=a.data.dtype)
+        blocks = []
+        for r0, r1, c0, c1 in bounds:
+            blocks.append(DenseMatrix(a.data[np.ix_(rows[r0:r1], cols[c0:c1])]))
+            inside[r0:r1, c0:c1] = blocks[-1].data
+        return DenseMatrix._from_array(inside), blocks
+    count = row_ptr.size - 1
+    row_block = np.repeat(np.arange(count), np.diff(row_ptr))
+    col_block = np.repeat(np.arange(count), np.diff(col_ptr))
+    place = np.full(a.n, -1)  # column index -> its place in ``cols``
+    place[cols] = np.arange(cols.size)
     counts = np.diff(a.indptr)[rows]
-    row_of = np.repeat(np.arange(rows.size), counts)[keep]
+    pos = segment_positions(a.indptr, rows)
+    new_cols = place[a.indices[pos]]
+    entry_block = np.repeat(row_block, counts)
+    # A stored entry below the zero cutoff may reach another block's column.
+    keep = (new_cols >= 0) & (col_block[new_cols] == entry_block)
+    values = a.values[pos[keep]]
+    new_cols = new_cols[keep]
+    local = new_cols - col_ptr[entry_block[keep]]  # place within the block
     indptr = np.zeros(rows.size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(row_of, minlength=rows.size), out=indptr[1:])
-    return SparseMatrix._from_arrays(a.values[pos[keep]], new_cols[keep], indptr,
-                                     (rows.size, cols.size))
+    np.cumsum(np.bincount(np.repeat(np.arange(rows.size), counts)[keep], minlength=rows.size),
+              out=indptr[1:])
+    inside = SparseMatrix._from_arrays(values, new_cols, indptr, (rows.size, cols.size))
+    blocks = []
+    for r0, r1, c0, c1 in bounds:
+        e0, e1 = int(indptr[r0]), int(indptr[r1])
+        blocks.append(SparseMatrix._from_arrays(values[e0:e1], local[e0:e1],
+                                                indptr[r0:r1 + 1] - e0, (r1 - r0, c1 - c0)))
+    return inside, blocks
 
 
 def entrywise_abs(a: Matrix) -> Matrix:

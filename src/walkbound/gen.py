@@ -134,8 +134,8 @@ def _almost_regular(spec: GeneratorSpec) -> DenseMatrix:
     shapes = [tuple(s) for s in spec.params.get("blocks", [(2, 2), (1, 2)])]
     target = float(spec.params.get("target_sigma", 2.0))
     style = spec.params.get("style", "ones")
-    if target <= 0.0:
-        raise GeneratorError("target_sigma must be positive")
+    if not 0.0 < target < np.inf:  # also false for nan
+        raise GeneratorError("target_sigma must be finite and positive")
     if not shapes:
         raise GeneratorError("almost_regular needs at least one block")
     rng = _rng(spec)
@@ -169,6 +169,11 @@ def _block_diag(spec: GeneratorSpec) -> DenseMatrix:
 def _graph(spec: GeneratorSpec) -> DenseMatrix:
     name = spec.params.get("name", "path")
     n = int(spec.params.get("n", 3))
+    sizes = ("a", "b") if name == "complete_bipartite" else ("n",)
+    stray = sorted({"n", "a", "b"}.intersection(spec.params).difference(sizes))
+    if stray:
+        raise GeneratorError(f"graph {name!r} takes the size {' and '.join(sizes)}, "
+                             f"not {', '.join(stray)}")
     if name == "complete_bipartite":
         left = int(spec.params.get("a", 2))
         right = int(spec.params.get("b", 3))

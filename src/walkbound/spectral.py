@@ -42,6 +42,9 @@ _START_PERTURBATION = 1e-6
 # 128.
 _DENSE_MAX_DIM = 48
 
+# Rows of each Lanczos basis allocated before the first doubling.
+_BASIS_START = 32
+
 # A settled ratio sequence farther than this, relative, from sigma^(2s)
 # has converged to a lower singular value: the all-ones vector misses
 # the top singular space, or nearly so.
@@ -130,6 +133,14 @@ def _triple(b, exponent: int, sigma: float, left: np.ndarray,
                           _unscaled(residual, exponent))
 
 
+def _grown(basis: np.ndarray, k: int, cap: int) -> np.ndarray:
+    """A basis with room for twice as many rows, at most ``cap``, holding
+    the first ``k`` rows of ``basis``."""
+    out = np.empty((min(2 * len(basis), cap), basis.shape[1]), dtype=basis.dtype)
+    out[:k] = basis[:k]
+    return out
+
+
 def _golub_kahan_lanczos(scaled: Matrix, exponent: int, tol: float,
                          max_iter: int) -> SpectralResult:
     """Lanczos bidiagonalization B V_k = U_k B_k with B_k upper bidiagonal.
@@ -147,8 +158,10 @@ def _golub_kahan_lanczos(scaled: Matrix, exponent: int, tol: float,
     m, n = b.shape
     bt = b.T
     cap = min(max_iter, m, n)
-    us = np.empty((cap, m), dtype=b.dtype)
-    vs = np.empty((cap, n), dtype=b.dtype)
+    # The bases start small and double when full: a solve touches only
+    # the rows it reaches, and at 10^5 x 10^5 cap rows would reserve 16 GB.
+    us = np.empty((min(cap, _BASIS_START), m), dtype=b.dtype)
+    vs = np.empty((min(cap, _BASIS_START), n), dtype=b.dtype)
     vs[0] = _start_vector(n)
     p = b @ vs[0]
     if not p.any():
@@ -174,6 +187,8 @@ def _golub_kahan_lanczos(scaled: Matrix, exponent: int, tol: float,
             if beta == 0.0 or k == cap:
                 break
         betas.append(beta)
+        if k == len(vs):
+            us, vs = _grown(us, k, cap), _grown(vs, k, cap)
         vs[k] = r / beta
         p = _orthogonalize(b @ vs[k] - beta * us[k - 1], us[:k])
         alphas.append(float(np.linalg.norm(p)))

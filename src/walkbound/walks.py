@@ -81,22 +81,22 @@ def walk_table(a: Matrix, order: int) -> WalkTable:
     cols = np.empty((order, n), dtype=data.dtype)
     rows[0] = 1.0
     cols[0] = 1.0
-    for s in range(1, order):
-        # The guard below handles overflow, so the matmul may run hot.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # The check below handles overflow, so the products may run hot; it
+    # reads the finished table once.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, order):
             rows[s] = data @ cols[s - 1]
             cols[s] = data_t @ rows[s - 1]
-        peak = max(
-            float(np.abs(rows[s]).max(initial=0.0)),
-            float(np.abs(cols[s]).max(initial=0.0)),
+        peaks = np.maximum(np.abs(rows).max(axis=1, initial=0.0),
+                           np.abs(cols).max(axis=1, initial=0.0))
+    # "not <=" so that a NaN peak (inf * 0 downstream) also trips.
+    over = np.flatnonzero(~(peaks <= WEIGHT_LIMIT))
+    if over.size:
+        raise WalkScaleError(
+            f"walk weights exceeded {WEIGHT_LIMIT:g} at order {over[0] + 1}: that "
+            "order is beyond float64 for this matrix (for "
+            "sigma_ratio_estimate, lower r_max)"
         )
-        # "not <=" so that a NaN peak (inf * 0 downstream) also trips.
-        if not peak <= WEIGHT_LIMIT:
-            raise WalkScaleError(
-                f"walk weights exceeded {WEIGHT_LIMIT:g} at order {s + 1}: that "
-                "order is beyond float64 for this matrix (for "
-                "sigma_ratio_estimate, lower r_max)"
-            )
     for arr in (rows, cols):
         arr.setflags(write=False)
     row_totals = rows.sum(axis=1)

@@ -178,11 +178,21 @@ def test_tol_must_be_finite_and_positive(e1_file, capsys, command, tol):
     ("path:x", "expected NAME[:N|:A,B], got 'path:x'"),
     ("complete_bipartite:2,x", "expected NAME[:N|:A,B], got 'complete_bipartite:2,x'"),
     ("complete_bipartite:2", "complete_bipartite takes two sizes, a,b"),
+    ("path:3,4", "path takes one size, n; only complete_bipartite takes two"),
 ])
 def test_malformed_graph_is_a_usage_error(tmp_path, capsys, graph, message):
     _assert_usage_error(["gen", "--kind", "graph", "--graph", graph,
                          "--out", str(tmp_path / "g.mtx")], capsys,
                         f"error: argument --graph: {message}")
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "-2"])
+def test_bad_target_sigma_exits_4(tmp_path, capsys, target):
+    out = tmp_path / "g.mtx"
+    assert main(["gen", "--kind", "almost_regular", "--target-sigma", target,
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: target_sigma must be finite and positive\n"
+    assert not out.exists()
 
 
 def test_missing_file_exits_2(capsys):

@@ -111,6 +111,22 @@ def test_graph_kinds():
     assert complete.data.real.sum() == 12.0
 
 
+@pytest.mark.parametrize("params", [
+    {"name": "path", "n": 3, "a": 3, "b": 4},
+    {"name": "cycle", "b": 4},
+    {"name": "complete_bipartite", "n": 5},
+])
+def test_graph_sizes_must_fit_the_name(params):
+    with pytest.raises(GeneratorError, match="takes the size"):
+        generate(GeneratorSpec(kind="graph", params=params))
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -2.0])
+def test_target_sigma_must_be_finite_and_positive(target):
+    with pytest.raises(GeneratorError, match="^target_sigma must be finite and positive$"):
+        generate(GeneratorSpec(kind="almost_regular", params={"target_sigma": target}))
+
+
 def test_paper_examples_exact(e1, c2):
     assert generate(GeneratorSpec(kind="paper_example", params={"which": "E1"})) == e1
     assert generate(GeneratorSpec(kind="paper_example", params={"which": "C2"})) == c2

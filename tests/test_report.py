@@ -4,10 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from walkbound import (
     DenseMatrix,
     PreconditionError,
+    SparseMatrix,
     certify_theorem2,
     certify_theorem2_1,
     certify_theorem3,
@@ -137,24 +139,35 @@ def _block_with_isolated_row():
     return DenseMatrix([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
 
 
+def _one_block_with_isolated():
+    return SparseMatrix(scipy.sparse.coo_array(
+        np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 1.0, 0.0]])))
+
+
 def _fixtures(e1, c2):
     return {
         "E1": e1,
         "C2": c2,
         "iE1": DenseMatrix(1j * e1.data),
         "blocks": _block_with_isolated_row(),
+        "one_block": _one_block_with_isolated(),
+        "-one_block": SparseMatrix(-_one_block_with_isolated().data),
     }
 
 
 # Solves per fixture: the input, the basis when it is not the input, and
-# each component that does not cover the whole matrix.
-_EXPECTED_SOLVES = {"E1": 1, "C2": 1, "iE1": 2, "blocks": 3}
+# each component that does not cover the whole matrix, unless it is the
+# only one and holds every nonzero entry: it then takes the whole triple.
+_EXPECTED_SOLVES = {"E1": 1, "C2": 1, "iE1": 2, "blocks": 3, "one_block": 1,
+                    "-one_block": 2}
 # Tables per fixture: the basis (or input), and the entrywise modulus
 # unless the input is nonnegative and so its own modulus.
-_EXPECTED_TABLES = {"E1": 1, "C2": 2, "iE1": 2, "blocks": 1}
+_EXPECTED_TABLES = {"E1": 1, "C2": 2, "iE1": 2, "blocks": 1, "one_block": 1,
+                    "-one_block": 2}
 # Support masks per fixture: the input's, and the basis's for the T3
 # certificate when the basis is not the input.
-_EXPECTED_MASKS = {"E1": 1, "C2": 1, "iE1": 2, "blocks": 1}
+_EXPECTED_MASKS = {"E1": 1, "C2": 1, "iE1": 2, "blocks": 1, "one_block": 1,
+                   "-one_block": 2}
 
 
 @pytest.mark.parametrize("name", sorted(_EXPECTED_SOLVES))

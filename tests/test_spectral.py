@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from walkbound import (
     ConvergenceError,
     DenseMatrix,
     PreconditionError,
+    SparseMatrix,
     WalkScaleError,
     hermitian_eigen,
     largest_singular,
@@ -33,6 +36,24 @@ def test_singular_pair_maps_both_ways(e1):
     a = e1.data
     assert np.linalg.norm(a @ res.right - res.sigma * res.left) < 1e-10
     assert np.linalg.norm(a.conj().T @ res.left - res.sigma * res.right) < 1e-10
+
+
+def test_lanczos_bases_grow_with_the_steps():
+    # Bases of cap = min(max_iter, m, n) rows would take cap * (m + n) * 8
+    # bytes, 400 MB here, for a solve of a few dozen steps.
+    m = n = 5000
+    rng = np.random.default_rng(0)
+    rows, cols = rng.integers(0, m, 25_000), rng.integers(0, n, 25_000)
+    a = SparseMatrix(scipy.sparse.coo_array((rng.uniform(size=rows.size), (rows, cols)),
+                                            shape=(m, n)))
+    tracemalloc.start()
+    try:
+        res = largest_singular(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations > 32  # past the first doubling
+    assert peak < min(10_000, m, n) * (m + n) * 8 / 20
 
 
 def test_zero_matrix():

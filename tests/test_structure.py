@@ -3,12 +3,14 @@ from collections import deque
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+import scipy.sparse
 from hypothesis import strategies as st
 
 from walkbound import (
     DenseMatrix,
     NotScalarError,
     PreconditionError,
+    SparseMatrix,
     connectivity_via_powers,
     decompose,
     singular_multiset_check,
@@ -206,3 +208,103 @@ def test_level_search_matches_vertex_search(seed):
     assert [(c.row_indices, c.col_indices) for c in dec.components] == _decompose_by_vertex(a)
     assert all(type(i) is int for i in dec.row_perm + dec.col_perm)
     assert dec.isolated_rows == tuple(int(i) for i in np.flatnonzero(~support_mask(a).any(axis=1)))
+
+
+def _stored_cut(a, rows, cols):
+    """CSR arrays of the stored entries of ``a`` in rows ``rows`` and
+    columns ``cols``, row by row in those orders: a reference cut."""
+    place = {j: k for k, j in enumerate(cols)}
+    values, indices, indptr = [], [], [0]
+    for i in rows:
+        for p in range(a.indptr[i], a.indptr[i + 1]):
+            if int(a.indices[p]) in place:
+                values.append(a.values[p])
+                indices.append(place[int(a.indices[p])])
+        indptr.append(len(values))
+    return np.array(values, dtype=a.values.dtype), np.array(indices), np.array(indptr)
+
+
+def _shuffled_sparse_blocks(seed):
+    """Shuffled random blocks with isolated rows and columns, and stored
+    entries below the zero cutoff: one bridges the first two blocks, the
+    others sit in an isolated row and an isolated column."""
+    rng = np.random.default_rng(seed)
+    shapes = [tuple(rng.integers(1, 7, size=2)) for _ in range(rng.integers(2, 8))]
+    base = _block_diag_matrix(seed, shapes).data.real
+    base = base * (rng.uniform(size=base.shape) < 0.5)
+    base = np.pad(base, ((0, 2), (0, 3)))
+    m, n = base.shape
+    tiny = 1e-14 * base.max()
+    base[0, shapes[0][1]] = tiny  # row of block 0, column of block 1
+    base[m - 1, 0] = tiny  # an isolated row
+    base[0, n - 1] = tiny  # an isolated column
+    rp, cp = rng.permutation(m), rng.permutation(n)
+    return SparseMatrix(scipy.sparse.coo_array(base[np.ix_(rp, cp)]))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_pair_labelling_matches_vertex_search(seed):
+    a = _shuffled_sparse_blocks(seed)
+    dec = decompose(a)
+    expected = _decompose_by_vertex(a.to_dense())
+    assert [(c.row_indices, c.col_indices) for c in dec.components] == expected
+    dense = decompose(a.to_dense())
+    assert [(c.row_indices, c.col_indices) for c in dense.components] == expected
+    assert (dec.row_perm, dec.col_perm) == (dense.row_perm, dense.col_perm)
+    live = support_mask(a.to_dense())
+    assert dec.isolated_rows == tuple(np.flatnonzero(~live.any(axis=1)).tolist())
+    assert dec.isolated_cols == tuple(np.flatnonzero(~live.any(axis=0)).tolist())
+    assert dec.row_perm == sum((c.row_indices for c in dec.components), ()) + dec.isolated_rows
+    assert dec.col_perm == sum((c.col_indices for c in dec.components), ()) + dec.isolated_cols
+    assert sorted(dec.row_perm) == list(range(a.m))
+    assert sorted(dec.col_perm) == list(range(a.n))
+    for comp in dec.components:
+        sub = comp.submatrix
+        values, indices, indptr = _stored_cut(a, comp.row_indices, comp.col_indices)
+        assert sub.shape == (len(comp.row_indices), len(comp.col_indices))
+        assert sub.values.dtype == values.dtype and np.array_equal(sub.values, values)
+        assert sub.indices.dtype == np.intp and np.array_equal(sub.indices, indices)
+        assert sub.indptr.dtype == np.intp and np.array_equal(sub.indptr, indptr)
+
+
+def test_below_cutoff_entries_bridge_nothing():
+    a = SparseMatrix(scipy.sparse.coo_array(
+        np.array([[2.0, 1e-13, 0.0], [0.0, 3.0, 0.0], [2e-12, 0.0, 1.0]])))
+    dec = decompose(a)
+    assert [(c.row_indices, c.col_indices) for c in dec.components] == [
+        ((0,), (0,)), ((1,), (1,)), ((2,), (2,))]
+    assert [c.submatrix.values.tolist() for c in dec.components] == [[2.0], [3.0], [1.0]]
+
+
+def test_ten_thousand_blocks():
+    rng = np.random.default_rng(0)
+    count, size = 10_000, 10
+    block = np.repeat(np.arange(count), size * size)
+    rows = block * size + np.tile(np.repeat(np.arange(size), size), count)
+    cols = block * size + np.tile(np.arange(size), size * count)
+    rp, cp = rng.permutation(count * size), rng.permutation(count * size)
+    a = SparseMatrix(scipy.sparse.coo_array(
+        (rng.uniform(0.1, 1.0, rows.size), (rp[rows], cp[cols])), shape=(count * size,) * 2))
+    dec = decompose(a)
+    assert len(dec.components) == count
+    assert not dec.isolated_rows and not dec.isolated_cols
+    assert {c.submatrix.shape for c in dec.components} == {(size, size)}
+    assert np.array_equal(np.sort(dec.row_perm), np.arange(a.m))
+    assert np.array_equal(np.sort(dec.col_perm), np.arange(a.n))
+
+
+def test_shuffled_long_path():
+    # A path of 10^5 rows and columns, alternating row and column: a search
+    # level by level would take 2 * 10^5 levels.
+    rng = np.random.default_rng(1)
+    n = 100_000
+    rows = np.r_[np.arange(n), np.arange(n - 1)]
+    cols = np.r_[np.arange(n), np.arange(1, n)]
+    rp, cp = rng.permutation(n), rng.permutation(n)
+    a = SparseMatrix(scipy.sparse.coo_array((np.ones(rows.size), (rp[rows], cp[cols])),
+                                            shape=(n, n)))
+    dec = decompose(a)
+    assert len(dec.components) == 1
+    assert dec.components[0].submatrix is a
+    assert np.array_equal(np.sort(dec.row_perm), np.arange(n))
+    assert np.array_equal(np.sort(dec.col_perm), np.arange(n))

@@ -133,8 +133,10 @@ def test_graph_walk_counts_reject_weighted():
 
 
 def test_overflow_raises_scale_error():
+    # Level s holds (4e80)^(s-1), which first passes 1e300 at order 5;
+    # the levels after it, inf and then NaN, must not move the report.
     a = DenseMatrix(np.full((4, 4), 1e80))
-    with pytest.raises(WalkScaleError):
+    with pytest.raises(WalkScaleError, match=r"exceeded 1e\+300 at order 5:"):
         walk_table(a, 9)
 
 

@@ -7,11 +7,12 @@ its largest real or imaginary part into [0.5, 1); ``ctx.singular(...)``,
 present the same bits to every test, and ``ctx.unscaled`` takes numbers
 back to the input's units.  Each shared quantity is computed once, on
 first use: the scalarity test and the certificates' basis, one singular
-triple and one walk table per distinct matrix, the support and its
-decomposition, one cut of the input and of the basis on the components,
-the classification and the degree-product report.  A single component
-that holds every nonzero entry takes its matrix's singular triple
-instead of a second solve.
+triple and one walk table per distinct matrix, the support, one search
+of it for its components, one cut of the input and of the basis along
+that search, the decomposition, the classification and the
+degree-product report.  ``component_sigmas`` is the one rule for the
+sigma of each component: a single component that holds every nonzero
+entry of its matrix has that matrix's sigma, and any other is solved.
 Every layer function takes a matrix or a context: ``full_analysis`` reads
 everything from one context, and a call on a bare matrix builds its own.
 The context keeps the input's storage: a ``SparseMatrix`` input has a
@@ -23,7 +24,6 @@ that rebinds them (a tracer, a test counting calls) sees every call.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -34,7 +34,6 @@ from .core import (
     Matrix,
     ScalarityResult,
     detect_scalar,
-    diagonal_blocks,
     entrywise_abs,
     max_modulus,
     support_mask,
@@ -44,15 +43,6 @@ from .walks import WalkTable, walk_table
 
 if TYPE_CHECKING:
     from .structure import Blocks
-
-
-def _restricted(result: SpectralResult, rows, cols) -> SpectralResult:
-    """``result``'s triple on the rows ``rows`` and columns ``cols``."""
-    left = result.left[rows]
-    right = result.right[cols]
-    left.setflags(write=False)
-    right.setflags(write=False)
-    return replace(result, left=left, right=right)
 
 
 class Analysis:
@@ -76,9 +66,6 @@ class Analysis:
         self._solves: dict[int, tuple[Matrix, SpectralResult]] = {}
         self._tables: dict[int, tuple[Matrix, WalkTable]] = {}
         self._cuts: dict[int, tuple[Matrix, Blocks]] = {}
-        # id(submatrix) -> (matrix, rows, cols) where the submatrix holds
-        # every nonzero entry of the matrix.
-        self._restrictions: dict[int, tuple[Matrix, object, object]] = {}
 
     @classmethod
     def of(cls, a: Matrix | Analysis, tol: float = DEFAULT_TOL,
@@ -117,12 +104,8 @@ class Analysis:
         """The largest singular triple of ``matrix``."""
         hit = self._solves.get(id(matrix))
         if hit is None:
-            whole = self._restrictions.get(id(matrix))
-            if whole is None:
-                result = largest_singular(matrix, max_iter=self.max_iter)
-            else:
-                result = _restricted(self.singular(whole[0]), whole[1], whole[2])
-            hit = self._solves[id(matrix)] = (matrix, result)
+            hit = self._solves[id(matrix)] = (
+                matrix, largest_singular(matrix, max_iter=self.max_iter))
         return hit[1]
 
     def table(self, matrix: Matrix, order: int) -> WalkTable:
@@ -144,47 +127,40 @@ class Analysis:
         return support_mask(self.a)
 
     @cached_property
+    def _plan(self) -> tuple[np.ndarray, ...]:
+        """The components of the input's support, as ``structure._search``
+        returns them."""
+        from .structure import _search  # structure imports this module
+
+        return _search(self.a, self.support)
+
+    @cached_property
     def decomposition(self):
         """The ComponentDecomposition of the input's support."""
-        from .structure import decompose  # structure imports this module
+        from .structure import decompose
 
-        dec = decompose(self)
-        self._keep(self.a, dec.blocks)
-        return dec
+        return decompose(self)
 
     def blocks(self, matrix: Matrix) -> Blocks:
         """``matrix`` (the input or the basis) cut on the support
-        components, as a ``structure.Blocks``; each matrix is cut once.
-
-        A component that covers the whole input is ``matrix`` itself, so
-        its sigma is the one already solved for ``matrix``.  A single
-        component that holds every nonzero entry of ``matrix`` takes
-        ``matrix``'s singular triple restricted to its rows and columns:
-        the rest of ``matrix`` is zero, so the sigma is the same.
-        """
-        plan = self.decomposition.blocks
+        components, as a ``structure.Blocks``; each matrix is cut once."""
         hit = self._cuts.get(id(matrix))
         if hit is None:
-            if plan.inside is self.a:
-                cut = replace(plan, inside=matrix, subs=(matrix,))
-            elif not plan.subs:
-                cut = plan
-            else:
-                inside, subs = diagonal_blocks(matrix, plan.rows, plan.row_ptr,
-                                               plan.cols, plan.col_ptr)
-                cut = replace(plan, inside=inside, subs=tuple(subs))
-            return self._keep(matrix, cut)
+            from .structure import _cut
+
+            hit = self._cuts[id(matrix)] = (matrix, _cut(matrix, *self._plan))
         return hit[1]
 
-    def _keep(self, matrix: Matrix, cut: Blocks) -> Blocks:
-        """Caches ``cut`` for ``matrix``, and notes a single component that
-        holds every nonzero entry of ``matrix``."""
-        self._cuts[id(matrix)] = (matrix, cut)
-        if len(cut.subs) == 1 and cut.subs[0] is not matrix:
-            sub = cut.subs[0]
-            if np.count_nonzero(sub.values) == np.count_nonzero(matrix.values):
-                self._restrictions[id(sub)] = (matrix, cut.rows, cut.cols)
-        return cut
+    def component_sigmas(self, matrix: Matrix) -> list[float]:
+        """The sigma of each component of ``matrix`` (the input or the
+        basis).  A single component that holds every nonzero entry of
+        ``matrix``, as one that covers it does, has ``matrix``'s sigma,
+        since the rest is zero; any other is solved once."""
+        subs = self.blocks(matrix).subs
+        if len(subs) == 1 and (
+                np.count_nonzero(subs[0].values) == np.count_nonzero(matrix.values)):
+            return [self.singular(matrix).sigma]
+        return [self.singular(sub).sigma for sub in subs]
 
     @cached_property
     def classification(self):

@@ -133,10 +133,8 @@ def classify(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> ClassificationRe
         each = [regular]
     else:
         each = _blocks_regular(blocks.inside, blocks.row_ptr, blocks.col_ptr, tol).tolist()
-    summaries = [
-        ComponentSummary(regular=ok, sigma=ctx.singular(sub).sigma)
-        for ok, sub in zip(each, blocks.subs)
-    ]
+    summaries = [ComponentSummary(regular=ok, sigma=s)
+                 for ok, s in zip(each, ctx.component_sigmas(nonneg))]
     almost = bool(summaries) and all(
         s.regular and abs(s.sigma - sigma) <= tol * max(1.0, sigma) for s in summaries
     )

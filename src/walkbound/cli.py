@@ -75,6 +75,19 @@ def _parse_tol(text: str) -> float:
     return tol
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _parse_graph(text: str) -> dict:
     """The generator params of NAME, NAME:N or complete_bipartite:A,B."""
     name, _, sizes = text.partition(":")
@@ -250,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for one matrix file")
     p.add_argument("path")
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=10_000)
     p.add_argument("--literal-t3ii", action="store_true",
                    help="also report the literal product-form support gap")
     common(p)
@@ -292,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "almost_regular", "block_diag", "graph", "paper_example"))
     p.add_argument("--shape", type=_parse_shape, default=(4, 4), metavar="MxN")
     p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--blocks", type=_parse_blocks, metavar="AxB,CxD,...")
     p.add_argument("--target-sigma", type=float, dest="target_sigma")
     p.add_argument("--which", choices=("E1", "C2"), help="named built-in example")

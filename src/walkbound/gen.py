@@ -241,6 +241,8 @@ def generate(spec: GeneratorSpec) -> DenseMatrix:
         )
     if not 0.0 <= spec.density <= 1.0:
         raise GeneratorError(f"density must sit in [0, 1], got {spec.density}")
+    if spec.seed < 0:
+        raise GeneratorError(f"seed must be non-negative, got {spec.seed}")
     return maker(spec)
 
 

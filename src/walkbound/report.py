@@ -95,9 +95,9 @@ def _components_dict(ctx: Analysis) -> dict:
                 "rows": list(comp.row_indices),
                 "cols": list(comp.col_indices),
                 "shape": [len(comp.row_indices), len(comp.col_indices)],
-                "sigma": ctx.unscaled(ctx.singular(comp.submatrix).sigma),
+                "sigma": ctx.unscaled(sigma),
             }
-            for comp in dec.components
+            for comp, sigma in zip(dec.components, ctx.component_sigmas(ctx.a))
         ],
     }
 

@@ -4,23 +4,24 @@ The support of an m x n matrix is read as a bipartite graph on m row
 vertices and n column vertices, with an edge (i, j) whenever |a_ij| is
 above the zero threshold.  Components never mix indices from different
 blocks of a block-diagonal arrangement, and isolated vertices (zero rows
-or columns) belong to no component.  ``decompose`` reads the support,
-one flag per stored entry, and its search is the one place outside
-``core`` that selects by storage.  A dense matrix is searched on its
-m x n mask, level by level, one search per component.  A SparseMatrix is
-labelled in one pass of hooking and shortcutting over its support pairs:
-each round is a few whole-array operations over the pairs, and the
-rounds are few (2 on an 8000 x 8000 identity, 3 on 10^4 disjoint 10 x 10
-blocks, 21 on a shuffled path of 10^5 rows and columns), so the cost
-grows with the stored entries and not with the number of components.
-Its components are then cut from one permutation of the CSR arrays
-(``core.diagonal_blocks``).  ``connectivity_via_powers`` and
+or columns) belong to no component.  ``_search`` reads the support,
+one flag per stored entry, and is the one place outside ``core`` that
+selects by storage.  A dense matrix is searched on its m x n mask, level
+by level, one search per component.  A SparseMatrix is labelled in one
+pass of hooking and shortcutting over its support pairs: each round is a
+few whole-array operations over the pairs, and the rounds are few (2 on
+an 8000 x 8000 identity, 3 on 10^4 disjoint 10 x 10 blocks, 21 on a
+shuffled path of 10^5 rows and columns), so the cost grows with the
+stored entries and not with the number of components.  ``_cut`` cuts a
+matrix on those components (``core.diagonal_blocks``).  ``decompose``
+runs both; an ``Analysis`` searches once and cuts its input and its
+basis along that search.  ``connectivity_via_powers`` and
 ``singular_multiset_check`` need every entry and densify it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,9 +52,7 @@ class Blocks:
 
     Component k holds rows ``rows[row_ptr[k]:row_ptr[k+1]]`` and columns
     ``cols[col_ptr[k]:col_ptr[k+1]]``.  ``inside`` holds the components
-    along its diagonal and ``subs`` lists them (``core.diagonal_blocks``);
-    a component that covers the whole matrix is the matrix itself, as
-    both, and a zero matrix has no ``inside``.
+    along its diagonal and ``subs`` lists them, as ``_cut`` makes them.
     """
 
     rows: np.ndarray
@@ -66,15 +65,11 @@ class Blocks:
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    """The support components, with ``blocks``, the same cut as arrays,
-    which ``decompose`` fills in."""
-
     components: tuple
     row_perm: tuple
     col_perm: tuple
     isolated_rows: tuple
     isolated_cols: tuple
-    blocks: Blocks | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _runs(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -179,6 +174,29 @@ def _left_out(idx: np.ndarray, size: int) -> list:
     return np.flatnonzero(mask).tolist()
 
 
+def _search(a: Matrix, support: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The components of ``a``'s support: rows, then columns, in component
+    order, each with the boundaries of each component."""
+    # A dense input keeps the mask search: on a full 400 x 400 matrix it took
+    # 0.2 ms, labelling its pairs 15 ms (numpy 2.4, one Xeon core).
+    if isinstance(a, DenseMatrix):
+        return _mask_search(support)
+    return _pair_search(a, support)
+
+
+def _cut(matrix: Matrix, rows: np.ndarray, row_ptr: np.ndarray,
+         cols: np.ndarray, col_ptr: np.ndarray) -> Blocks:
+    """``matrix`` cut on the components that ``_search`` returned."""
+    count = row_ptr.size - 1
+    if count == 1 and rows.size == matrix.m and cols.size == matrix.n:
+        inside, subs = matrix, [matrix]
+    elif count:
+        inside, subs = diagonal_blocks(matrix, rows, row_ptr, cols, col_ptr)
+    else:  # the zero matrix
+        inside, subs = None, []
+    return Blocks(rows, row_ptr, cols, col_ptr, inside, tuple(subs))
+
+
 def decompose(a: Matrix | Analysis) -> ComponentDecomposition:
     """Connected components of the support graph.
 
@@ -191,38 +209,27 @@ def decompose(a: Matrix | Analysis) -> ComponentDecomposition:
     permutation of its arrays.  The returned permutations list original
     row and column indices in an order that makes the matrix block
     diagonal, with isolated (all-zero) rows and columns moved to the end.
-    A context gives its own matrix A / 2^e and its support.
+    A context gives its own matrix A / 2^e and its cut of it.
     """
-    support = a.support if isinstance(a, Analysis) else support_mask(a)
-    a = a.a if isinstance(a, Analysis) else a
-    # A dense input keeps the mask search: on a full 400 x 400 matrix it took
-    # 0.2 ms, labelling its pairs 15 ms (numpy 2.4, one Xeon core).
-    if isinstance(a, DenseMatrix):
-        rows, row_ptr, cols, col_ptr = _mask_search(support)
+    if isinstance(a, Analysis):
+        a, blocks = a.a, a.blocks(a.a)
     else:
-        rows, row_ptr, cols, col_ptr = _pair_search(a, support)
-    count = row_ptr.size - 1
-    if count == 1 and rows.size == a.m and cols.size == a.n:
-        inside, subs = a, [a]
-    elif count:
-        inside, subs = diagonal_blocks(a, rows, row_ptr, cols, col_ptr)
-    else:  # the zero matrix
-        inside, subs = None, []
-    row_list = rows.tolist()
-    col_list = cols.tolist()
+        blocks = _cut(a, *_search(a, support_mask(a)))
+    row_list = blocks.rows.tolist()
+    col_list = blocks.cols.tolist()
+    row_ptr, col_ptr = blocks.row_ptr, blocks.col_ptr
     components = tuple(
         Component(tuple(row_list[r0:r1]), tuple(col_list[c0:c1]), sub)
         for r0, r1, c0, c1, sub in zip(row_ptr[:-1].tolist(), row_ptr[1:].tolist(),
-                                       col_ptr[:-1].tolist(), col_ptr[1:].tolist(), subs)
+                                       col_ptr[:-1].tolist(), col_ptr[1:].tolist(),
+                                       blocks.subs)
     )
-    isolated_rows = _left_out(rows, a.m)
-    isolated_cols = _left_out(cols, a.n)
-    dec = ComponentDecomposition(
+    isolated_rows = _left_out(blocks.rows, a.m)
+    isolated_cols = _left_out(blocks.cols, a.n)
+    return ComponentDecomposition(
         components, tuple(row_list + isolated_rows), tuple(col_list + isolated_cols),
         tuple(isolated_rows), tuple(isolated_cols),
     )
-    object.__setattr__(dec, "blocks", Blocks(rows, row_ptr, cols, col_ptr, inside, tuple(subs)))
-    return dec
 
 
 def connectivity_via_powers(a: Matrix, i: int, j: int,
@@ -230,11 +237,12 @@ def connectivity_via_powers(a: Matrix, i: int, j: int,
     """Reachability of column j from row i through support products.
 
     Row i and column j communicate exactly when some matrix in the family
-    (A A*)^r A has a nonzero (i, j) entry.  Works on the nonnegative part
-    of a scalar matrix, where products cannot cancel, and stops early once
-    the accumulated support stops growing.  Returns (reachable, r) with
-    the first power r that exhibits the entry, or (False, None).  A
-    SparseMatrix is densified.
+    (A A*)^r A has a nonzero (i, j) entry.  Works on the 0/1 support
+    pattern of the nonnegative part of a scalar matrix, where products
+    cannot cancel or fade, and stops once the reached pairs stop growing:
+    they only grow, since a walk can step back along its last edge.
+    Returns (reachable, r) with the first power r that exhibits the
+    entry, or (False, None).  A SparseMatrix is densified.
     """
     a = a.to_dense()
     if not (0 <= i < a.m and 0 <= j < a.n):
@@ -242,29 +250,20 @@ def connectivity_via_powers(a: Matrix, i: int, j: int,
     sc = detect_scalar(a)
     if not sc.is_scalar:
         raise NotScalarError("power connectivity is defined for scalar matrices")
-    nonneg = sc.nonneg_part.data.real
-    if r_cap is None:
-        r_cap = a.m + a.n
-    current = nonneg.copy()
-    peak = current.max()
-    reach = current > 1e-12 * max(peak, 1e-300)
+    reach = support_mask(sc.nonneg_part)
     if reach[i, j]:
         return True, 0
-    accumulated = reach.copy()
-    gram = nonneg @ nonneg.T
+    pattern = reach.astype(float)
+    gram = pattern @ pattern.T
+    if r_cap is None:
+        r_cap = a.m + a.n
     for r in range(1, r_cap + 1):
-        current = gram @ current
-        peak = current.max()
-        if peak > 1e280:
-            current = current / peak
-            peak = 1.0
-        reach = current > 1e-12 * max(peak, 1e-300)
-        if reach[i, j]:
+        grown = (gram @ reach) > 0
+        if grown[i, j]:
             return True, r
-        new = reach & ~accumulated
-        if not new.any():
+        if np.array_equal(grown, reach):
             return False, None
-        accumulated |= reach
+        reach = grown
     return False, None
 
 

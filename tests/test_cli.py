@@ -186,6 +186,27 @@ def test_malformed_graph_is_a_usage_error(tmp_path, capsys, graph, message):
                         f"error: argument --graph: {message}")
 
 
+@pytest.mark.parametrize("seed, message", [
+    ("-1", "must be at least 0, got '-1'"),
+    ("1.5", "expected an integer, got '1.5'"),
+])
+def test_bad_seed_is_a_usage_error(tmp_path, capsys, seed, message):
+    out = tmp_path / "g.mtx"
+    _assert_usage_error(["gen", "--kind", "random_nonneg", "--seed", seed, "--out", str(out)],
+                        capsys, f"error: argument --seed: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_iter, message", [
+    ("0", "must be at least 1, got '0'"),
+    ("-3", "must be at least 1, got '-3'"),
+    ("x", "expected an integer, got 'x'"),
+])
+def test_bad_max_iter_is_a_usage_error(e1_file, capsys, max_iter, message):
+    _assert_usage_error(["analyze", e1_file, "--max-iter", max_iter], capsys,
+                        f"error: argument --max-iter: {message}")
+
+
 @pytest.mark.parametrize("target", ["nan", "inf", "-2"])
 def test_bad_target_sigma_exits_4(tmp_path, capsys, target):
     out = tmp_path / "g.mtx"

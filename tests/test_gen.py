@@ -142,6 +142,11 @@ def test_bad_density_rejected():
         generate(GeneratorSpec(kind="random_nonneg", shape=(2, 2), density=1.5))
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(GeneratorError, match="^seed must be non-negative, got -1$"):
+        generate(GeneratorSpec(kind="random_nonneg", shape=(2, 2), seed=-1))
+
+
 def test_density_thins():
     dense = generate(GeneratorSpec(kind="random_nonneg", shape=(20, 20), density=1.0, seed=3))
     sparse = generate(GeneratorSpec(kind="random_nonneg", shape=(20, 20), density=0.2, seed=3))

@@ -144,6 +144,12 @@ def _one_block_with_isolated():
         np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 1.0, 0.0]])))
 
 
+def _one_block_with_faint_entry():
+    # Row 1 and column 2 hold only a stored entry below the zero cutoff.
+    return SparseMatrix(scipy.sparse.coo_array(
+        np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1e-14], [3.0, 1.0, 0.0]])))
+
+
 def _fixtures(e1, c2):
     return {
         "E1": e1,
@@ -152,22 +158,25 @@ def _fixtures(e1, c2):
         "blocks": _block_with_isolated_row(),
         "one_block": _one_block_with_isolated(),
         "-one_block": SparseMatrix(-_one_block_with_isolated().data),
+        "faint": _one_block_with_faint_entry(),
     }
 
 
 # Solves per fixture: the input, the basis when it is not the input, and
 # each component that does not cover the whole matrix, unless it is the
-# only one and holds every nonzero entry: it then takes the whole triple.
+# only one and holds every nonzero entry: it then has its matrix's sigma.
+# The faint fixture's one component leaves out a stored entry, so it is
+# solved.
 _EXPECTED_SOLVES = {"E1": 1, "C2": 1, "iE1": 2, "blocks": 3, "one_block": 1,
-                    "-one_block": 2}
+                    "-one_block": 2, "faint": 2}
 # Tables per fixture: the basis (or input), and the entrywise modulus
 # unless the input is nonnegative and so its own modulus.
 _EXPECTED_TABLES = {"E1": 1, "C2": 2, "iE1": 2, "blocks": 1, "one_block": 1,
-                    "-one_block": 2}
+                    "-one_block": 2, "faint": 1}
 # Support masks per fixture: the input's, and the basis's for the T3
 # certificate when the basis is not the input.
 _EXPECTED_MASKS = {"E1": 1, "C2": 1, "iE1": 2, "blocks": 1, "one_block": 1,
-                   "-one_block": 2}
+                   "-one_block": 2, "faint": 1}
 
 
 @pytest.mark.parametrize("name", sorted(_EXPECTED_SOLVES))

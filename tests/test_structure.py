@@ -118,6 +118,14 @@ def test_connectivity_via_powers_split():
     assert reachable
 
 
+def test_connectivity_via_powers_follows_weak_links():
+    # Products of small entries along a path fade below any cutoff on the
+    # powers; the support pattern does not.
+    a = DenseMatrix([[1.0, 0.0], [1e-7, 1e-7]])
+    assert len(decompose(a).components) == 1
+    assert connectivity_via_powers(a, 0, 1) == (True, 1)
+
+
 def test_connectivity_via_powers_scalar_phase(e1):
     rotated = DenseMatrix(e1.data * np.exp(0.5j))
     assert connectivity_via_powers(rotated, 0, 3)[0]

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     WalkScaleError,
 )
-from .gen import GeneratorSpec, certify, generate
+from .gen import EXAMPLE_LABELS, KINDS, GeneratorSpec, certify, generate
 from .mmio import read_matrix, write_matrix
 from .report import (
     _bound_dict,
@@ -182,7 +182,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    ctx = Analysis(read_matrix(args.path), args.tol)
+    ctx = Analysis(read_matrix(args.path))
     if args.json:
         _emit(to_json(_components_dict(ctx)), args.out)
         return 0
@@ -254,12 +254,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        p.add_argument("--tol", type=_parse_tol, default=1e-8,
-                       help="relative comparison tolerance (default 1e-8)")
+    def common(p, tol=True):
+        if tol:
+            p.add_argument("--tol", type=_parse_tol, default=1e-8,
+                           help="relative comparison tolerance (default 1e-8)")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        if out:
-            p.add_argument("--out", help="write output to this file instead of stdout")
+        p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("analyze", help="full report for one matrix file")
     p.add_argument("path")
@@ -285,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("components", help="connected components of the support")
     p.add_argument("path")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=_cmd_components)
 
     p = sub.add_parser("certify", help="equality certificate for one theorem")
@@ -300,15 +300,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("gen", help="generate a test matrix and write it to a file")
-    p.add_argument("--kind", required=True,
-                   choices=("random_nonneg", "random_complex", "regular",
-                            "almost_regular", "block_diag", "graph", "paper_example"))
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--shape", type=_parse_shape, default=(4, 4), metavar="MxN")
     p.add_argument("--density", type=float, default=1.0)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--blocks", type=_parse_blocks, metavar="AxB,CxD,...")
     p.add_argument("--target-sigma", type=float, dest="target_sigma")
-    p.add_argument("--which", choices=("E1", "C2"), help="named built-in example")
+    p.add_argument("--which", choices=EXAMPLE_LABELS, help="named built-in example")
     p.add_argument("--graph", type=_parse_graph, metavar="NAME[:N|:A,B]",
                    help="path:5, cycle:6, complete:4, star:5, complete_bipartite:2,3")
     p.add_argument("--out", required=True)

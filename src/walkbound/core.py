@@ -15,7 +15,10 @@ either storage, and outside this module only the search of
 ``structure.decompose`` chooses between them; a dense input keeps the
 arithmetic, and so the bits, of a dense-only implementation.
 
-Matrices are immutable; every operation returns a fresh value.  Row and
+Matrices are immutable; every operation returns a fresh value.  The two
+constructors are the one check of outside input (extents, dtype,
+finiteness); a matrix derived from a checked one adopts its arrays
+unchecked.  Row and
 column indices live in separate namespaces: a row index is never compared
 with a column index, and functions that take both always take the row
 index first.
@@ -36,83 +39,102 @@ ZERO_TOL_FACTOR = 1e-12
 DEFAULT_TOL = 1e-8
 
 
-class DenseMatrix:
-    """Immutable m x n matrix with float64 or complex128 entries.
+def _entries(array: np.ndarray) -> np.ndarray:
+    """A fresh C-ordered copy of ``array`` in the storage dtype: float64
+    when no entry has a nonzero imaginary part (so integers, booleans and
+    ``1+0j`` are real), complex128 otherwise.  Entries must be finite."""
+    if array.dtype.kind not in "biuf":  # complex, or entries numpy must parse
+        array = array.astype(np.complex128, copy=False)
+        if not array.imag.any():
+            array = array.real
+    dtype = np.complex128 if array.dtype.kind == "c" else np.float64
+    array = np.array(array, dtype=dtype, order="C")
+    if not np.isfinite(array).all():
+        raise NonFiniteEntryError("matrix entries must be finite")
+    return array
 
-    Accepts anything ``np.array`` does (nested lists, ndarrays, another
-    DenseMatrix's data).  A real input, including a complex one whose
-    imaginary parts are all zero, is stored as float64; any other as
-    complex128.  Entries must be finite; the stored array is marked
-    read-only.
-    """
 
-    __slots__ = ("_data",)
+class _Storage:
+    """What both storages share: ``values``, the stored entries, and
+    ``shape``.  A matrix is immutable and its arrays are read-only."""
 
-    def __init__(self, entries):
-        data = np.asarray(entries)
-        if data.dtype.kind not in "biuf":  # complex, or entries numpy must parse
-            data = data.astype(np.complex128, copy=False)
-            if not data.imag.any():
-                data = data.real
-        dtype = np.complex128 if data.dtype.kind == "c" else np.float64
-        data = np.array(data, dtype=dtype, order="C")
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise DimensionMismatchError(
-                f"expected a 2-D matrix with positive extents, got shape {data.shape}"
-            )
-        if not np.isfinite(data).all():
-            raise NonFiniteEntryError("matrix entries must be finite")
-        data.setflags(write=False)
-        object.__setattr__(self, "_data", data)
+    __slots__ = ()
 
-    @property
-    def data(self) -> np.ndarray:
-        return self._data
+    def _hold(self, **fields):
+        """Sets ``fields`` on this matrix, each array made read-only, and
+        returns it."""
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        return self
 
-    @property
-    def values(self) -> np.ndarray:
-        """Every entry: the same array as ``data``."""
-        return self._data
+    @classmethod
+    def _adopt(cls, **fields):
+        """A new matrix holding ``fields`` unchecked: arrays derived from
+        a validated matrix, which no one else writes."""
+        return object.__new__(cls)._hold(**fields)
 
     @property
     def m(self) -> int:
-        return self._data.shape[0]
+        return self.shape[0]
 
     @property
     def n(self) -> int:
-        return self._data.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._data.shape
+        return self.shape[1]
 
     def is_real(self) -> bool:
         """True when every entry has exactly zero imaginary part, which is
         when the entries are stored as float64."""
-        return self._data.dtype == np.float64
+        return self.values.dtype == np.float64
 
     def is_nonneg(self) -> bool:
         """True when the matrix is real with no negative entry."""
-        return self.is_real() and self._data.min() >= 0.0
+        return self.is_real() and self.values.min(initial=0.0) >= 0.0
 
-    @classmethod
-    def _from_array(cls, data: np.ndarray) -> DenseMatrix:
-        """Adopts ``data``, a finite C-ordered float64 or complex128 array
-        that no one else writes."""
-        data.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "_data", data)
-        return out
-
-    def times_pow2(self, exponent: int) -> DenseMatrix:
+    def times_pow2(self, exponent: int):
         """This matrix times 2^exponent, exact while the entries stay normal."""
+        values = self.values
         with np.errstate(over="raise"):
-            data = np.ldexp(self._data.view(np.float64), exponent).view(self._data.dtype)
-        return DenseMatrix._from_array(data)
+            values = np.ldexp(values.view(np.float64), exponent).view(values.dtype)
+        return self.with_values(values)
+
+    __hash__ = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class DenseMatrix(_Storage):
+    """Immutable m x n matrix with float64 or complex128 entries.
+
+    Accepts anything ``np.array`` does (nested lists, ndarrays, another
+    DenseMatrix's data) and stores a copy by the rule of ``_entries``.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, entries):
+        data = np.asarray(entries)
+        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
+            raise DimensionMismatchError(
+                f"expected a 2-D matrix with positive extents, got shape {data.shape}"
+            )
+        self._hold(values=_entries(data))
+
+    @property
+    def data(self) -> np.ndarray:
+        """Every entry: the same array as ``values``."""
+        return self.values
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
 
     def with_values(self, values: np.ndarray) -> DenseMatrix:
-        """A DenseMatrix of ``values``, an m x n array of entries."""
-        return DenseMatrix(values)
+        """The DenseMatrix of ``values``, a fresh m x n C-ordered array of
+        finite float64 or complex128 entries."""
+        return DenseMatrix._adopt(values=values)
 
     def pair_products(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x[i] * y[j] at every entry (i, j): the m x n outer product."""
@@ -125,27 +147,22 @@ class DenseMatrix:
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
-        return np.array_equal(self._data, other._data)
-
-    __hash__ = None
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseMatrix is immutable")
+        return np.array_equal(self.values, other.values)
 
     def __repr__(self):
         return f"DenseMatrix({self.m}x{self.n})"
 
 
-class SparseMatrix:
+class SparseMatrix(_Storage):
     """Immutable m x n matrix stored in CSR form, float64 or complex128.
 
     Built from any scipy sparse matrix or array: duplicates are summed,
     explicit zeros dropped and column indices sorted, so the stored
     entries ``values`` run in row-major order, row i's at positions
     ``indptr[i]`` to ``indptr[i + 1]`` with column indices ``indices``.
-    The dtype rule is DenseMatrix's, and the arrays are read-only.
-    ``data`` is the same matrix as a scipy ``csr_array``, built on first
-    use; ``to_dense`` is the one way to the m x n array.
+    ``values`` follow the rule of ``_entries``.  ``data`` is the same
+    matrix as a scipy ``csr_array``, built on first use; ``to_dense`` is
+    the one way to the m x n array.
     """
 
     __slots__ = ("values", "indices", "indptr", "shape", "_csr")
@@ -160,71 +177,30 @@ class SparseMatrix:
             )
         csr.sum_duplicates()
         csr.eliminate_zeros()
-        values = csr.data
-        if values.dtype.kind == "c" and not values.imag.any():
-            values = values.real
-        values = np.array(values, dtype=np.complex128 if values.dtype.kind == "c" else np.float64)
-        if not np.isfinite(values).all():
-            raise NonFiniteEntryError("matrix entries must be finite")
-        self._adopt(values, csr.indices, csr.indptr, csr.shape)
-
-    def _adopt(self, values, indices, indptr, shape) -> None:
-        for name, value in (("values", values), ("indices", indices),
-                            ("indptr", indptr)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "shape", (int(shape[0]), int(shape[1])))
-        object.__setattr__(self, "_csr", None)
-
-    @classmethod
-    def _from_arrays(cls, values, indices, indptr, shape) -> SparseMatrix:
-        """Adopts finite ``values`` of a float64 or complex128 dtype, with
-        sorted column indices; the arrays must be no one else's to write."""
-        out = object.__new__(cls)
-        out._adopt(values, indices, indptr, shape)
-        return out
+        self._hold(values=_entries(csr.data), indices=csr.indices, indptr=csr.indptr,
+                   shape=csr.shape)
 
     @property
     def data(self):
-        if self._csr is None:
+        csr = getattr(self, "_csr", None)
+        if csr is None:
             import scipy.sparse
 
             csr = scipy.sparse.csr_array((self.values, self.indices, self.indptr),
                                          shape=self.shape)
             object.__setattr__(self, "_csr", csr)
-        return self._csr
-
-    @property
-    def m(self) -> int:
-        return self.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.shape[1]
+        return csr
 
     def row_of_entries(self) -> np.ndarray:
         """The row index of each stored entry."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
-    def is_real(self) -> bool:
-        """True when the entries are stored as float64."""
-        return self.values.dtype == np.float64
-
-    def is_nonneg(self) -> bool:
-        """True when the matrix is real with no negative entry."""
-        return self.is_real() and self.values.min(initial=0.0) >= 0.0
-
-    def times_pow2(self, exponent: int) -> SparseMatrix:
-        """This matrix times 2^exponent, exact while the entries stay normal."""
-        values = self.values
-        with np.errstate(over="raise"):
-            values = np.ldexp(values.view(np.float64), exponent).view(values.dtype)
-        return self.with_values(values)
-
     def with_values(self, values: np.ndarray) -> SparseMatrix:
         """The matrix with this one's pattern and stored entries ``values``,
-        a fresh float64 or complex128 array; a zero stays stored."""
-        return SparseMatrix._from_arrays(values, self.indices, self.indptr, self.shape)
+        a fresh array of finite float64 or complex128 entries; a zero stays
+        stored."""
+        return SparseMatrix._adopt(values=values, indices=self.indices,
+                                   indptr=self.indptr, shape=self.shape)
 
     def pair_products(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x[i] * y[j] at each stored entry (i, j), in the order of ``values``."""
@@ -234,12 +210,7 @@ class SparseMatrix:
         """The same matrix with every entry stored: m x n memory."""
         dense = np.zeros(self.shape, dtype=self.values.dtype)
         dense[self.row_of_entries(), self.indices] = self.values
-        return DenseMatrix(dense)
-
-    __hash__ = None
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseMatrix is immutable")
+        return DenseMatrix._adopt(values=dense)
 
     def __repr__(self):
         return f"SparseMatrix({self.m}x{self.n}, {self.values.size} stored)"
@@ -286,9 +257,10 @@ def diagonal_blocks(a: Matrix, rows: np.ndarray, row_ptr: np.ndarray,
         inside = np.zeros((rows.size, cols.size), dtype=a.data.dtype)
         blocks = []
         for r0, r1, c0, c1 in bounds:
-            blocks.append(DenseMatrix(a.data[np.ix_(rows[r0:r1], cols[c0:c1])]))
-            inside[r0:r1, c0:c1] = blocks[-1].data
-        return DenseMatrix._from_array(inside), blocks
+            block = a.data[np.ix_(rows[r0:r1], cols[c0:c1])]
+            inside[r0:r1, c0:c1] = block
+            blocks.append(DenseMatrix._adopt(values=block))
+        return DenseMatrix._adopt(values=inside), blocks
     count = row_ptr.size - 1
     row_block = np.repeat(np.arange(count), np.diff(row_ptr))
     col_block = np.repeat(np.arange(count), np.diff(col_ptr))
@@ -306,12 +278,14 @@ def diagonal_blocks(a: Matrix, rows: np.ndarray, row_ptr: np.ndarray,
     indptr = np.zeros(rows.size + 1, dtype=np.intp)
     np.cumsum(np.bincount(np.repeat(np.arange(rows.size), counts)[keep], minlength=rows.size),
               out=indptr[1:])
-    inside = SparseMatrix._from_arrays(values, new_cols, indptr, (rows.size, cols.size))
+    inside = SparseMatrix._adopt(values=values, indices=new_cols, indptr=indptr,
+                                 shape=(rows.size, cols.size))
     blocks = []
     for r0, r1, c0, c1 in bounds:
         e0, e1 = int(indptr[r0]), int(indptr[r1])
-        blocks.append(SparseMatrix._from_arrays(values[e0:e1], local[e0:e1],
-                                                indptr[r0:r1 + 1] - e0, (r1 - r0, c1 - c0)))
+        blocks.append(SparseMatrix._adopt(values=values[e0:e1], indices=local[e0:e1],
+                                          indptr=indptr[r0:r1 + 1] - e0,
+                                          shape=(r1 - r0, c1 - c0)))
     return inside, blocks
 
 
@@ -325,25 +299,18 @@ def total_sum(a: Matrix) -> complex:
     return complex(a.values.sum())
 
 
-def _binned_sums(a: SparseMatrix, bins: np.ndarray, size: int) -> np.ndarray:
-    """Sums of the stored entries that share a bin, in the matrix's dtype."""
-    values = a.values
-    sums = np.bincount(bins, values.real, size)
-    return sums if a.is_real() else sums + 1j * np.bincount(bins, values.imag, size)
-
-
 def row_sums(a: Matrix) -> np.ndarray:
     """Length-m vector of row sums, in the matrix's dtype."""
     if isinstance(a, DenseMatrix):
         return a.data.sum(axis=1)
-    return _binned_sums(a, a.row_of_entries(), a.m)
+    return a.data @ np.ones(a.n)
 
 
 def col_sums(a: Matrix) -> np.ndarray:
     """Length-n vector of column sums, in the matrix's dtype."""
     if isinstance(a, DenseMatrix):
         return a.data.sum(axis=0)
-    return _binned_sums(a, a.indices, a.n)
+    return a.data.T @ np.ones(a.m)
 
 
 @dataclass(frozen=True)

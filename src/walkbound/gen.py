@@ -9,6 +9,7 @@ holds by construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,17 +18,7 @@ from .core import DenseMatrix
 from .classify import classify
 from .errors import GeneratorError, WalkboundError
 
-KINDS = (
-    "random_nonneg",
-    "random_complex",
-    "regular",
-    "almost_regular",
-    "block_diag",
-    "graph",
-    "paper_example",
-)
-
-_EXAMPLE_LABELS = ("E1", "C2")
+EXAMPLE_LABELS = ("E1", "C2")
 
 
 @dataclass(frozen=True)
@@ -217,7 +208,7 @@ def _paper_example(spec: GeneratorSpec) -> DenseMatrix:
             [1.0 - 1.0j, 1.0 + 1.0j],
         ])
     raise GeneratorError(
-        f"unknown example {which!r}; available: {', '.join(_EXAMPLE_LABELS)}"
+        f"unknown example {which!r}; available: {', '.join(EXAMPLE_LABELS)}"
     )
 
 
@@ -231,6 +222,12 @@ _DISPATCH = {
     "paper_example": _paper_example,
 }
 
+KINDS = tuple(_DISPATCH)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
 
 def generate(spec: GeneratorSpec) -> DenseMatrix:
     """Materialize a spec; identical specs give bit-identical matrices."""
@@ -239,8 +236,14 @@ def generate(spec: GeneratorSpec) -> DenseMatrix:
         raise GeneratorError(
             f"unknown generator kind {spec.kind!r}; available: {', '.join(KINDS)}"
         )
-    if not 0.0 <= spec.density <= 1.0:
-        raise GeneratorError(f"density must sit in [0, 1], got {spec.density}")
+    shape = spec.shape
+    if not (isinstance(shape, (tuple, list)) and len(shape) == 2
+            and all(_is_int(k) and k >= 1 for k in shape)):
+        raise GeneratorError(f"shape must be two positive integers, got {shape!r}")
+    if not (isinstance(spec.density, numbers.Real) and 0.0 <= spec.density <= 1.0):
+        raise GeneratorError(f"density must sit in [0, 1], got {spec.density!r}")
+    if not _is_int(spec.seed):
+        raise GeneratorError(f"seed must be an integer, got {spec.seed!r}")
     if spec.seed < 0:
         raise GeneratorError(f"seed must be non-negative, got {spec.seed}")
     return maker(spec)

@@ -93,20 +93,11 @@ def _fmt_complex_csv(z: complex) -> str:
 
 
 def _write_matrix_market(path: Path, a: DenseMatrix) -> None:
-    data = a.data
     real = a.is_real()
-    lines = [
-        f"%%MatrixMarket matrix array {'real' if real else 'complex'} general",
-        f"{a.m} {a.n}",
-    ]
-    for j in range(a.n):
-        for i in range(a.m):
-            z = data[i, j]
-            if real:
-                lines.append(_fmt_float(z.real))
-            else:
-                lines.append(f"{_fmt_float(z.real)} {_fmt_float(z.imag)}")
-    path.write_text("\n".join(lines) + "\n")
+    entries = a.data.T.ravel().tolist()  # column major, as Python floats or complexes
+    body = map(repr, entries) if real else (f"{z.real!r} {z.imag!r}" for z in entries)
+    head = f"%%MatrixMarket matrix array {'real' if real else 'complex'} general\n{a.m} {a.n}\n"
+    path.write_text(head + "\n".join(body) + "\n")
 
 
 def _write_csv(path: Path, a: DenseMatrix) -> None:

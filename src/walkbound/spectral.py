@@ -11,8 +11,8 @@ largest singular value; a larger A goes through Golub-Kahan-Lanczos
 bidiagonalization with full reorthogonalization, from the normalized
 all-ones vector plus a fixed alternating-sign perturbation of size 1e-6,
 so repeated runs are bit-identical.  The full spectrum comes from
-LAPACK's dense SVD without vectors; above ``_DENSE_MAX_DIM`` it
-cross-checks the Lanczos route.  ``hermitian_eigen`` is the one solver
+LAPACK's dense SVD without vectors at every size, the reference that
+tests hold the Lanczos route to.  ``hermitian_eigen`` is the one solver
 that takes a Hermitian matrix as given.
 
 Lanczos only multiplies by A and by its transpose, taken once per solve,

@@ -232,8 +232,7 @@ def decompose(a: Matrix | Analysis) -> ComponentDecomposition:
     )
 
 
-def connectivity_via_powers(a: Matrix, i: int, j: int,
-                            r_cap: int | None = None) -> tuple[bool, int | None]:
+def connectivity_via_powers(a: Matrix, i: int, j: int) -> tuple[bool, int | None]:
     """Reachability of column j from row i through support products.
 
     Row i and column j communicate exactly when some matrix in the family
@@ -255,9 +254,7 @@ def connectivity_via_powers(a: Matrix, i: int, j: int,
         return True, 0
     pattern = reach.astype(float)
     gram = pattern @ pattern.T
-    if r_cap is None:
-        r_cap = a.m + a.n
-    for r in range(1, r_cap + 1):
+    for r in range(1, a.m + a.n + 1):
         grown = (gram @ reach) > 0
         if grown[i, j]:
             return True, r

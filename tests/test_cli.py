@@ -207,6 +207,12 @@ def test_bad_max_iter_is_a_usage_error(e1_file, capsys, max_iter, message):
                         f"error: argument --max-iter: {message}")
 
 
+def test_components_takes_no_tol(e1_file, capsys):
+    # The support cutoff and the component solves use no tolerance.
+    _assert_usage_error(["components", e1_file, "--tol", "0.1"], capsys,
+                        "error: unrecognized arguments: --tol 0.1")
+
+
 @pytest.mark.parametrize("target", ["nan", "inf", "-2"])
 def test_bad_target_sigma_exits_4(tmp_path, capsys, target):
     out = tmp_path / "g.mtx"

@@ -147,6 +147,22 @@ def test_negative_seed_rejected():
         generate(GeneratorSpec(kind="random_nonneg", shape=(2, 2), seed=-1))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": "3"}, "seed must be an integer, got '3'"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"density": "0.5"}, "density must sit in [0, 1], got '0.5'"),
+    ({"density": None}, "density must sit in [0, 1], got None"),
+    ({"shape": (2,)}, "shape must be two positive integers, got (2,)"),
+    ({"shape": (2.5, 2)}, "shape must be two positive integers, got (2.5, 2)"),
+])
+def test_malformed_spec_fields_rejected(fields, message):
+    spec = GeneratorSpec(**{"kind": "random_nonneg", "shape": (2, 2), **fields})
+    with pytest.raises(GeneratorError) as exc:
+        generate(spec)
+    assert str(exc.value) == message
+
+
 def test_density_thins():
     dense = generate(GeneratorSpec(kind="random_nonneg", shape=(20, 20), density=1.0, seed=3))
     sparse = generate(GeneratorSpec(kind="random_nonneg", shape=(20, 20), density=0.2, seed=3))

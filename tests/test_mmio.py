@@ -51,6 +51,35 @@ def test_write_is_byte_stable(tmp_path, c2):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _per_entry_matrix_market(a: DenseMatrix) -> str:
+    """The writer as one loop over the entries: the reference layout."""
+    data, real = a.data, a.is_real()
+    lines = [f"%%MatrixMarket matrix array {'real' if real else 'complex'} general",
+             f"{a.m} {a.n}"]
+    for j in range(a.n):
+        for i in range(a.m):
+            z = data[i, j]
+            if real:
+                lines.append(repr(float(z.real)))
+            else:
+                lines.append(f"{float(z.real)!r} {float(z.imag)!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("entries", [
+    [[-0.0, 5e-324], [1e-310, 1e300], [1 / 3, -2.0 ** 60]],
+    [[1 + 2j, -0.0 - 0.0j], [5e-324j, 1e300 - 1e-310j]],
+    np.random.default_rng(7).random((6, 4)),
+    np.random.default_rng(8).standard_normal((3, 5)) * (1 - 2j),
+    [[3.0]],
+])
+def test_mtx_writer_matches_the_per_entry_layout(tmp_path, entries):
+    a = DenseMatrix(entries)
+    path = tmp_path / "m.mtx"
+    write_matrix(path, a)
+    assert path.read_text() == _per_entry_matrix_market(a)
+
+
 def test_mtx_header_layout(tmp_path, e1):
     path = tmp_path / "m.mtx"
     write_matrix(path, e1)

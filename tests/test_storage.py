@@ -25,6 +25,7 @@ from walkbound import (
     singular_values,
     write_matrix,
 )
+from walkbound.core import col_sums, row_sums
 
 RTOL = 1e-12
 
@@ -194,3 +195,22 @@ def test_commands_match(pair, tmp_path, command, capsys):
     assert capsys.readouterr().err == dense_err
     _assert_parity(dense, sparse, sigma)
 
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("complex_part", [False, True])
+def test_sparse_sums_add_in_storage_order(seed, complex_part):
+    # The sums of a SparseMatrix are products with ones; they must add
+    # the stored entries of a row, or of a column, in storage order, as
+    # np.bincount does, so the bits match for every seed and dtype.
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(1, 90, size=2)
+    a = SparseMatrix(scipy.sparse.coo_array(
+        _random_sparse(seed, (m, n), 0.3, complex_part) * 10.0 ** rng.integers(-8, 8, (m, n))))
+    rows = np.repeat(np.arange(m), np.diff(a.indptr))
+    for got, bins, size in ((row_sums(a), rows, m), (col_sums(a), a.indices, n)):
+        want = np.bincount(bins, a.values.real, size)
+        if complex_part:
+            want = want + 1j * np.bincount(bins, a.values.imag, size)
+        assert got.dtype == a.values.dtype
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))

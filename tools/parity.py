@@ -8,9 +8,11 @@ The ``analyze_small`` and ``analyze_large`` inputs are built once, at seed
 Each tree then runs in one subprocess, with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, which calls ``walkbound.cli.main`` in-process
 for ``analyze --json``, ``components --json`` and ``classify --json`` on
-every input and records the exit code, stdout and stderr of each.  Every
-(file, command) pair whose three differ is printed, and the exit status is
-1 if any does, 0 otherwise.
+every input and records the exit code, stdout and stderr of each.  It also
+runs ``gen`` for every generator kind (``GEN``), writing a ``.mtx`` and a
+``.csv`` file, and records the bytes of the file with its output.  Every
+(file, command) pair whose records differ is printed, and the exit status
+is 1 if any does, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -25,12 +27,37 @@ from pathlib import Path
 SEED = 101
 WORKLOADS = ("analyze_small", "analyze_large")
 COMMANDS = ("analyze", "components", "classify")
+# One ``walkbound gen`` argument list per case; every kind appears.
+GEN = (
+    ("random_nonneg", "--shape", "7x5", "--density", "0.6", "--seed", "3"),
+    ("random_complex", "--shape", "4x6", "--seed", "4"),
+    ("regular", "--shape", "6x3", "--seed", "5"),
+    ("almost_regular", "--blocks", "2x3,2x2", "--target-sigma", "5"),
+    ("block_diag", "--blocks", "3x3,2x4", "--density", "0.7", "--seed", "6"),
+    ("graph", "--graph", "complete_bipartite:2,3"),
+    ("graph", "--graph", "cycle:6"),
+    ("paper_example", "--which", "E1"),
+    ("paper_example", "--which", "C2"),
+)
+SUFFIXES = (".mtx", ".csv")
 
 # Runs in each tree's subprocess: argv[1] lists the inputs, one per line,
-# and argv[2] receives [command, path, exit code, stdout, stderr] per run.
+# argv[2] receives [command, path, exit code, stdout, stderr] per run, and
+# argv[3] is an empty directory for the files ``gen`` writes.  A gen run's
+# path is its case number and suffix, and its stdout, with argv[3] written
+# as "OUT", is followed by the file's bytes.
 _RUNNER = """
-import contextlib, io, json, sys, warnings
+import contextlib, io, json, os, pathlib, sys, warnings
 from walkbound.cli import main
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 warnings.simplefilter("always")
 with open(sys.argv[1]) as fh:
@@ -38,16 +65,18 @@ with open(sys.argv[1]) as fh:
 runs = []
 for path in paths:
     for command in %r:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main([command, path, "--json"])
-            except SystemExit as exc:
-                code = exc.code
-        runs.append([command, path, code, out.getvalue(), err.getvalue()])
+        runs.append([command, path, *run([command, path, "--json"])])
+gen_dir = sys.argv[3]
+for k, args in enumerate(%r):
+    for suffix in %r:
+        target = os.path.join(gen_dir, f"{k}{suffix}")
+        code, out, err = run(["gen", "--kind", *args, "--out", target])
+        written = pathlib.Path(target).read_text() if os.path.exists(target) else None
+        runs.append(["gen", f"{k}{suffix}", code,
+                     [out.replace(gen_dir, "OUT"), written], err])
 with open(sys.argv[2], "w") as fh:
     json.dump(runs, fh)
-""" % (COMMANDS,)
+""" % (COMMANDS, GEN, SUFFIXES)
 
 
 def build_inputs(tree: Path, workdir: Path) -> list[str]:
@@ -67,7 +96,9 @@ def build_inputs(tree: Path, workdir: Path) -> list[str]:
 def run_tree(tree: Path, listing: Path, result: Path) -> dict:
     """(command, path) -> (exit code, stdout, stderr) under ``tree``'s package."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
-    subprocess.run([sys.executable, "-c", _RUNNER, str(listing), str(result)],
+    gen_dir = result.with_suffix("")
+    gen_dir.mkdir()
+    subprocess.run([sys.executable, "-c", _RUNNER, str(listing), str(result), str(gen_dir)],
                    env=env, check=True)
     runs = json.loads(result.read_text())
     return {(command, path): (code, out, err) for command, path, code, out, err in runs}
@@ -85,12 +116,14 @@ def main(argv: list[str]) -> int:
         before = run_tree(base, listing, Path(tmp, "base.json"))
         after = run_tree(head, listing, Path(tmp, "head.json"))
         keys = sorted(before.keys() | after.keys())
-        differ = [(command, os.path.relpath(path, tmp)) for command, path in keys
+        differ = [(command, path if command == "gen" else os.path.relpath(path, tmp))
+                  for command, path in keys
                   if before.get((command, path)) != after.get((command, path))]
     for command, name in differ:
-        print(f"differs: {command} --json {name}")
-    print(f"{len(differ)} of {len(keys)} runs differ "
-          f"({len(paths)} inputs x {len(COMMANDS)} commands)")
+        print(f"differs: {command} case {name}" if command == "gen"
+              else f"differs: {command} --json {name}")
+    print(f"{len(differ)} of {len(keys)} runs differ ({len(paths)} inputs x "
+          f"{len(COMMANDS)} commands, {len(GEN)} gen cases x {len(SUFFIXES)} formats)")
     return 1 if differ else 0
 
 

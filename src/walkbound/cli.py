@@ -122,7 +122,7 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w", encoding="ascii") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")

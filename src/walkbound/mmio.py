@@ -81,15 +81,11 @@ def read_matrix(path) -> Matrix:
     )
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _fmt_complex_csv(z: complex) -> str:
     if z.imag == 0.0:
-        return _fmt_float(z.real)
+        return repr(z.real)
     sign = "+" if z.imag >= 0.0 else "-"
-    return f"{_fmt_float(z.real)}{sign}{_fmt_float(abs(z.imag))}i"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
 def _write_matrix_market(path: Path, a: DenseMatrix) -> None:
@@ -101,11 +97,9 @@ def _write_matrix_market(path: Path, a: DenseMatrix) -> None:
 
 
 def _write_csv(path: Path, a: DenseMatrix) -> None:
-    data = a.data
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        for i in range(a.m):
-            writer.writerow([_fmt_complex_csv(complex(z)) for z in data[i]])
+    fmt = repr if a.is_real() else _fmt_complex_csv
+    rows = a.data.tolist()  # as Python floats or complexes
+    path.write_text("".join(",".join(map(fmt, row)) + "\n" for row in rows), newline="")
 
 
 def write_matrix(path, a: Matrix) -> None:

@@ -3,12 +3,17 @@
 The report is a plain dict of JSON types with a fixed key order, so
 serializing it twice for the same input gives identical bytes.  Floats
 are emitted in Python's shortest lossless form (at most 17 significant
-digits), which round-trips exactly.
+digits), which round-trips exactly.  ``to_json`` writes the bytes of
+``json.dumps(report, indent=2, allow_nan=False)`` with the scalar
+primitives of ``json``'s own encoder, and writes each list of plain ints
+in one join; CPython serves ``indent=2`` with its pure-Python encoder,
+which spends most of a large report on the component index lists.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 
 from . import __version__
 from .analysis import Analysis
@@ -181,7 +186,46 @@ def full_analysis(a: Matrix | Analysis, *, tol: float = 1e-8,
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, allow_nan=False)
+    """``json.dumps(report, indent=2, allow_nan=False)``, byte for byte.
+
+    Dict keys must be strings.  A nan or infinite float raises
+    ValueError; a value of no JSON type raises TypeError.
+    """
+    return _write(report, "\n")
+
+
+def _write(o, newline: str) -> str:
+    # json's type order: a bool is not written as an int, and int and
+    # float subclasses (np.float64) are written as their base type.
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if {*map(type, o)} == {int}:  # plain ints, no bool: one join
+            items = map(repr, o)
+        else:
+            items = (_write(x, inner) for x in o)
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = (f"{_quote(k)}: {_write(v, inner)}" for k, v in o.items())
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _fmt(x) -> str:

@@ -171,13 +171,15 @@ def _golub_kahan_lanczos(scaled: Matrix, exponent: int, tol: float,
         vs[0] = 0.0
         vs[0, int(np.argmax(norms2))] = 1.0
         p = b @ vs[0]
-    alphas = [float(np.linalg.norm(p))]
-    betas: list[float] = []
-    us[0] = p / alphas[0]
+    # B_k is the leading k x k block; it grows with the bases.
+    bidiag = np.zeros((len(us), len(us)))
+    alpha = float(np.linalg.norm(p))
+    bidiag[0, 0] = alpha
+    us[0] = p / alpha
     for k in range(1, cap + 1):
-        r = _orthogonalize(_adjoint_times(bt, us[k - 1]) - alphas[-1] * vs[k - 1], vs[:k])
+        r = _orthogonalize(_adjoint_times(bt, us[k - 1]) - alpha * vs[k - 1], vs[:k])
         beta = float(np.linalg.norm(r))
-        ritz_left, ritz, ritz_right_h = _svd(np.diag(alphas) + np.diag(betas, 1))
+        ritz_left, ritz, ritz_right_h = _svd(bidiag[:k, :k])
         sigma = float(ritz[0])
         if beta * abs(ritz_left[-1, 0]) <= tol * sigma or beta == 0.0 or k == cap:
             best = _triple(b, exponent, sigma, ritz_left[:, 0] @ us[:k],
@@ -186,14 +188,15 @@ def _golub_kahan_lanczos(scaled: Matrix, exponent: int, tol: float,
                 return best
             if beta == 0.0 or k == cap:
                 break
-        betas.append(beta)
         if k == len(vs):
             us, vs = _grown(us, k, cap), _grown(vs, k, cap)
+            bidiag = np.pad(bidiag, (0, len(vs) - k))
         vs[k] = r / beta
         p = _orthogonalize(b @ vs[k] - beta * us[k - 1], us[:k])
-        alphas.append(float(np.linalg.norm(p)))
+        alpha = float(np.linalg.norm(p))
+        bidiag[k - 1, k], bidiag[k, k] = beta, alpha
         # A zero alpha leaves a zero row, so the next beta is 0 as well.
-        us[k] = p / alphas[-1] if alphas[-1] > 0.0 else p
+        us[k] = p / alpha if alpha > 0.0 else p
     raise ConvergenceError(
         f"Lanczos bidiagonalization did not reach residual {tol:g} within "
         f"{best.iterations} steps (best sigma {best.sigma:.12g}, "

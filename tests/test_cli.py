@@ -42,6 +42,23 @@ def test_analyze_json_deterministic(e1_file, tmp_path):
     assert body["sigma"]["value"] == pytest.approx(2.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_non_ascii_path_reaches_stdout_and_out(tmp_path, e1, capsys, flags):
+    path = tmp_path / "\u00e9.csv"
+    write_matrix(path, e1)
+    assert main(["analyze", str(path), *flags]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "r.txt"
+    assert main(["analyze", str(path), *flags, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == printed.encode("utf-8")
+    if flags:  # JSON escapes every non-ASCII character
+        assert printed.isascii()
+        assert json.loads(printed)["input"]["path"] == str(path)
+    else:
+        assert printed.startswith(f"input: {path} (3x4, csv)\n")
+
+
 def test_bound_subcommand(e1_file, capsys):
     assert main(["bound", e1_file, "--method", "walk", "--p", "5", "--r", "3"]) == 0
     out = capsys.readouterr().out

@@ -80,6 +80,42 @@ def test_mtx_writer_matches_the_per_entry_layout(tmp_path, entries):
     assert path.read_text() == _per_entry_matrix_market(a)
 
 
+def _per_entry_csv(a: DenseMatrix) -> str:
+    """The CSV writer as one loop over the entries: the reference layout."""
+    lines = []
+    for row in a.data:
+        cells = []
+        for z in row:
+            z = complex(z)
+            if z.imag == 0.0:
+                cells.append(repr(float(z.real)))
+            else:
+                sign = "+" if z.imag >= 0.0 else "-"
+                cells.append(f"{float(z.real)!r}{sign}{abs(float(z.imag))!r}i")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("entries", [
+    [[-0.0, 5e-324], [1e-310, 1e300], [1 / 3, -2.0 ** 60]],
+    [[1 + 2j, -0.0 - 0.0j, 3 - 4j], [5e-324j, 1e300 - 1e-310j, -0.5 + 0.0j]],
+    np.random.default_rng(7).random((6, 4)),
+    np.random.default_rng(8).standard_normal((3, 5)) * (1 - 2j),
+    [[3.0]],
+])
+def test_csv_writer_matches_the_per_entry_layout(tmp_path, entries):
+    a = DenseMatrix(entries)
+    path = tmp_path / "m.csv"
+    write_matrix(path, a)
+    assert path.read_bytes() == _per_entry_csv(a).encode()
+
+
+def test_csv_layout(tmp_path):
+    path = tmp_path / "m.csv"
+    write_matrix(path, DenseMatrix([[1.5, -0.0], [2 - 3j, 0.25j]]))
+    assert path.read_bytes() == b"1.5,-0.0\n2.0-3.0i,0.0+0.25i\n"
+
+
 def test_mtx_header_layout(tmp_path, e1):
     path = tmp_path / "m.mtx"
     write_matrix(path, e1)

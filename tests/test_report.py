@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkbound import (
     DenseMatrix,
@@ -333,3 +335,107 @@ def test_shared_context_changes_no_number(name, e1, c2, path3):
     assert {k: got[k] for k in expected["classification"]} == expected["classification"]
     assert [{k: c[k] for k in ("rows", "cols", "sigma")}
             for c in rep["components"]["components"]] == expected["components"]
+
+
+# ``to_json`` writes the bytes of ``json.dumps(x, indent=2, allow_nan=False)``.
+def _dumps(x) -> str:
+    return json.dumps(x, indent=2, allow_nan=False)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.recursive(
+    _SCALARS | st.lists(st.integers(), min_size=1),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+))
+def test_to_json_is_json_dumps(value):
+    assert to_json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("text", [
+    "", "plain", "caf\u00e9", "\u65e5\u672c", "\U0001f600", "\u2028", '"quoted"',
+    "back\\slash", "\x00\x01\x1f\t\n\r\x7f", "a/b",
+])
+def test_to_json_strings(text):
+    assert to_json(text) == _dumps(text)
+    assert to_json({text: [text]}) == _dumps({text: [text]})
+    assert to_json(text).isascii()
+
+
+class _Renamed(int):
+    """An int subclass with its own text, which json does not use."""
+
+    def __repr__(self):
+        return "renamed"
+
+    __str__ = __repr__
+
+
+@pytest.mark.parametrize("number", [
+    True, False, None, 0, -1, 2 ** 70, -(10 ** 40), _Renamed(3), 0.0, -0.0, 0.1, 1e-7,
+    1e16, 5e-324, sys.float_info.max, -sys.float_info.max, np.float64(0.1),
+    np.float64(-0.0),
+])
+def test_to_json_numbers(number):
+    assert to_json(number) == _dumps(number)
+    assert to_json([number, {"x": number}]) == _dumps([number, {"x": number}])
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, (), [[]], [{}], {"a": [], "b": {}},
+    {"ints": [3, 1, 2], "mixed": [1, 2.5, "x", None], "nested": [[1, 2], (3,)]},
+    [1, True, 0, False], [True], [False, 1], (7, 8, 9), [2 ** 70, -1],
+])
+def test_to_json_containers(value):
+    assert to_json(value) == _dumps(value)
+
+
+def test_to_json_writes_a_bool_in_an_int_list_as_json():
+    assert to_json([1, True]) == "[\n  1,\n  true\n]"
+
+
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+    [1, float("inf")], {"a": {"b": [float("nan")]}},
+])
+def test_to_json_rejects_nan_and_inf(bad):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _dumps(bad)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        to_json(bad)
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), [np.int64(1), np.int64(2)], {"a": object()},
+                                 np.float32(1.0), {1, 2}])
+def test_to_json_rejects_what_json_rejects(bad):
+    with pytest.raises(TypeError) as expected:
+        _dumps(bad)
+    with pytest.raises(TypeError) as got:
+        to_json(bad)
+    assert str(got.value) == str(expected.value)
+
+
+def _isolated():
+    # Row 1 and column 2 are zero: one isolated row and one isolated column.
+    return DenseMatrix([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+
+
+def _multi_block():
+    blocks = scipy.sparse.block_diag([np.ones((2, 3)), np.full((3, 2), 0.5), [[2.0]]])
+    return SparseMatrix(blocks)
+
+
+@pytest.mark.parametrize("name", ["E1", "C2", "zero", "isolated", "blocks", "sparse_blocks"])
+def test_to_json_writes_full_reports_as_json_does(name, e1, c2):
+    a = {
+        "E1": e1, "C2": c2, "zero": DenseMatrix(np.zeros((2, 3))),
+        "isolated": _isolated(), "blocks": _multi_block().to_dense(),
+        "sparse_blocks": _multi_block(),
+    }[name]
+    rep = full_analysis(a)
+    assert to_json(rep) == _dumps(rep)

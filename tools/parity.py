@@ -7,12 +7,15 @@ The ``analyze_small`` and ``analyze_large`` inputs are built once, at seed
 101, full size and ``--tiny``, with ``bench/workloads.build`` of HEAD_TREE.
 Each tree then runs in one subprocess, with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, which calls ``walkbound.cli.main`` in-process
-for ``analyze --json``, ``components --json`` and ``classify --json`` on
-every input and records the exit code, stdout and stderr of each.  It also
-runs ``gen`` for every generator kind (``GEN``), writing a ``.mtx`` and a
-``.csv`` file, and records the bytes of the file with its output.  Every
-(file, command) pair whose records differ is printed, and the exit status
-is 1 if any does, 0 otherwise.
+for every argument list of ``COMMANDS`` on every input and records the
+exit code, stdout and stderr of each.  The lists cover every JSON
+command (``analyze``, ``bound``, ``classify``, ``components``,
+``certify``) and the text report of ``analyze``, so both report writers
+and the CLI's output path are held to the base.  It also runs ``gen``
+for every generator kind (``GEN``), writing a ``.mtx`` and a ``.csv``
+file, and records the bytes of the file with its output.  Every
+(file, command) pair whose records differ is printed, and the exit
+status is 1 if any does, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +29,16 @@ from pathlib import Path
 
 SEED = 101
 WORKLOADS = ("analyze_small", "analyze_large")
-COMMANDS = ("analyze", "components", "classify")
+# One argument list per command run on every input; the input path goes
+# after the subcommand.
+COMMANDS = (
+    ("analyze", "--json"),
+    ("analyze",),
+    ("components", "--json"),
+    ("classify", "--json"),
+    ("bound", "--method", "weighted", "--r", "2", "--json"),
+    ("certify", "--theorem", "T3", "--json"),
+)
 # One ``walkbound gen`` argument list per case; every kind appears.
 GEN = (
     ("random_nonneg", "--shape", "7x5", "--density", "0.6", "--seed", "3"),
@@ -42,10 +54,10 @@ GEN = (
 SUFFIXES = (".mtx", ".csv")
 
 # Runs in each tree's subprocess: argv[1] lists the inputs, one per line,
-# argv[2] receives [command, path, exit code, stdout, stderr] per run, and
-# argv[3] is an empty directory for the files ``gen`` writes.  A gen run's
-# path is its case number and suffix, and its stdout, with argv[3] written
-# as "OUT", is followed by the file's bytes.
+# argv[2] receives [command line, path, exit code, stdout, stderr] per
+# run, and argv[3] is an empty directory for the files ``gen`` writes.  A
+# gen run's path is its case number and suffix, and its stdout, with
+# argv[3] written as "OUT", is followed by the file's bytes.
 _RUNNER = """
 import contextlib, io, json, os, pathlib, sys, warnings
 from walkbound.cli import main
@@ -64,8 +76,8 @@ with open(sys.argv[1]) as fh:
     paths = fh.read().splitlines()
 runs = []
 for path in paths:
-    for command in %r:
-        runs.append([command, path, *run([command, path, "--json"])])
+    for command, *args in %r:
+        runs.append([" ".join([command, *args]), path, *run([command, path, *args])])
 gen_dir = sys.argv[3]
 for k, args in enumerate(%r):
     for suffix in %r:
@@ -121,7 +133,7 @@ def main(argv: list[str]) -> int:
                   if before.get((command, path)) != after.get((command, path))]
     for command, name in differ:
         print(f"differs: {command} case {name}" if command == "gen"
-              else f"differs: {command} --json {name}")
+              else f"differs: {command} {name}")
     print(f"{len(differ)} of {len(keys)} runs differ ({len(paths)} inputs x "
           f"{len(COMMANDS)} commands, {len(GEN)} gen cases x {len(SUFFIXES)} formats)")
     return 1 if differ else 0

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import (
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     Matrix,
     ScalarityResult,
@@ -56,7 +57,7 @@ class Analysis:
     """
 
     def __init__(self, a: Matrix, tol: float = DEFAULT_TOL,
-                 max_iter: int = 10_000):
+                 max_iter: int = DEFAULT_MAX_ITER):
         self.input = a
         self.a, self.exponent = _scaled(a)
         self.tol = tol
@@ -69,7 +70,7 @@ class Analysis:
 
     @classmethod
     def of(cls, a: Matrix | Analysis, tol: float = DEFAULT_TOL,
-           max_iter: int = 10_000) -> Analysis:
+           max_iter: int = DEFAULT_MAX_ITER) -> Analysis:
         """``a`` itself when it is a context, else a new context for the
         matrix ``a``; ``tol`` and ``max_iter`` apply only to a matrix."""
         return a if isinstance(a, cls) else cls(a, tol, max_iter)

@@ -22,7 +22,6 @@ import numpy as np
 from .analysis import Analysis
 from .core import DEFAULT_TOL, Matrix, col_sums, row_sums, total_sum
 from .errors import NotScalarError, PreconditionError
-from .walks import WalkTable
 
 
 @dataclass(frozen=True)
@@ -48,19 +47,6 @@ def _report(ctx: Analysis, method: str, value: float, params: dict,
                        ctx.unscaled(gap), tight, params, certificate)
 
 
-def _walk_ratio_value(table: WalkTable, p: int, r: int) -> float:
-    """(w^p(R) / w^r(R)) ** (1/(p-r)) with no parity validation.
-
-    Kept separate so tests can demonstrate that even orders break the
-    bound; walk_bound itself refuses them.
-    """
-    wr = table.row_total(r).real
-    wp = table.row_total(p).real
-    if wr <= 0.0:
-        return 0.0
-    return float((wp / wr) ** (1.0 / (p - r)))
-
-
 def walk_bound(a: Matrix | Analysis, p: int, r: int,
                tol: float = DEFAULT_TOL) -> BoundReport:
     """Walk-total ratio lower bound (w^p(R)/w^r(R))^(1/(p-r)).
@@ -80,7 +66,9 @@ def walk_bound(a: Matrix | Analysis, p: int, r: int,
         raise PreconditionError(f"orders must satisfy p > r >= 1, got p={p}, r={r}")
     if not ctx.scalarity.is_scalar:
         raise NotScalarError("walk bound is defined for scalar matrices")
-    value = _walk_ratio_value(ctx.table(ctx.basis, p), p, r)
+    table = ctx.table(ctx.basis, p)
+    wr = table.row_total(r).real
+    value = float((table.row_total(p).real / wr) ** (1.0 / (p - r))) if wr > 0.0 else 0.0
     return _report(ctx, "walk", value, {"p": p, "r": r})
 
 

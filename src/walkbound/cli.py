@@ -1,15 +1,21 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 unreadable or malformed input or a malformed
-argument (argparse prints the usage), 3 a computation failed to converge
-or left the float64 range, 4 the operation does not apply to the given
-matrix (wrong shape, parity, or class) or a generator request was
-infeasible.  A failed computation prints one ``error:`` line to stderr.
+Each command hands ``_emit`` its result with a JSON and a text renderer,
+and ``_emit`` alone picks one, ends it with a newline and writes it to
+stdout or ``--out``.  ``certify``'s orders and ``gen``'s params are
+passed on only when given, so the library's defaults apply.  Exit codes,
+from the one table ``_EXIT_CODES``: 0 success, 2 unreadable or malformed
+input or a malformed argument (argparse prints the usage), 3 a
+computation failed to converge or left the float64 range, 4 the
+operation does not apply to the given matrix (wrong shape, parity, or
+class) or a generator request was infeasible.  A failed command prints
+one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -24,6 +30,7 @@ from .classify import (
     classify,
     hwh_equality_certificate,
 )
+from .core import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -34,7 +41,7 @@ from .errors import (
     WalkScaleError,
 )
 from .gen import EXAMPLE_LABELS, KINDS, GeneratorSpec, certify, generate
-from .mmio import read_matrix, write_matrix
+from .mmio import _format, read_matrix, write_matrix
 from .report import (
     _bound_dict,
     _certificate_dict,
@@ -59,10 +66,7 @@ def _parse_shape(text: str) -> tuple[int, int]:
 
 
 def _parse_blocks(text: str) -> list[tuple[int, int]]:
-    blocks = []
-    for part in text.split(","):
-        blocks.append(_parse_shape(part.strip()))
-    return blocks
+    return [_parse_shape(part.strip()) for part in text.split(",")]
 
 
 def _parse_tol(text: str) -> float:
@@ -105,36 +109,33 @@ def _parse_graph(text: str) -> dict:
     return {"name": name, "n": nums[0]} if nums else {"name": name}
 
 
-def _input_meta(path: str, ctx: Analysis) -> dict:
-    suffix = path.rsplit(".", 1)[-1].lower() if "." in path else ""
-    return {
-        "path": path,
-        "format": suffix,
-        "shape": [ctx.a.m, ctx.a.n],
-        "nnz": int(ctx.support.sum()),
-        "real": ctx.a.is_real(),
-    }
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+def _emit(args, value, document, text) -> int:
+    """Write ``document(value)`` as JSON under ``--json``, else ``text(value)``,
+    to stdout or to ``--out`` as UTF-8.  Only that rendering is computed,
+    and the newline is written on its own so a large report is not copied."""
+    body = to_json(document(value)) if args.json else text(value)
+    with (contextlib.nullcontext(sys.stdout) if args.out is None
+          else open(args.out, "w", encoding="utf-8")) as fh:
+        fh.write(body)
+        if not body.endswith("\n"):
+            fh.write("\n")
+    return 0
 
 
 def _cmd_analyze(args) -> int:
     ctx = Analysis(read_matrix(args.path), args.tol, args.max_iter)
     body = full_analysis(ctx, literal_t3=args.literal_t3ii)
-    report = {"schema": body["schema"], "input": _input_meta(args.path, ctx)}
-    report.update((k, v) for k, v in body.items() if k != "schema")
-    _emit(to_json(report) if args.json else render_text(report), args.out)
-    return 0
+    meta = {"path": args.path, "format": _format(args.path), "shape": [ctx.a.m, ctx.a.n],
+            "nnz": int(ctx.support.sum()), "real": ctx.a.is_real()}
+    report = {"schema": body.pop("schema"), "input": meta, **body}
+    return _emit(args, report, lambda doc: doc, render_text)
+
+
+def _bound_text(rep) -> str:
+    params = " ".join(f"{k}={v}" for k, v in sorted(rep.params.items()))
+    extra = f" certificate {_fmt(rep.certificate)}" if rep.certificate is not None else ""
+    return (f"{rep.method}{' ' + params if params else ''}: value {rep.value:.12g} "
+            f"sigma {rep.sigma:.12g} gap {rep.gap:.3g} tight {_fmt(rep.tight)}{extra}")
 
 
 def _cmd_bound(args) -> int:
@@ -149,93 +150,75 @@ def _cmd_bound(args) -> int:
         rep = hwh_bound(a, tol=args.tol)
     else:
         rep = schur_upper_bound(a, tol=args.tol)
-    if args.json:
-        _emit(to_json(_bound_dict(rep)), args.out)
-        return 0
-    params = " ".join(f"{k}={v}" for k, v in sorted(rep.params.items()))
-    extra = f" certificate {_fmt(rep.certificate)}" if rep.certificate is not None else ""
-    _emit(
-        f"{rep.method}{' ' + params if params else ''}: value {rep.value:.12g} "
-        f"sigma {rep.sigma:.12g} gap {rep.gap:.3g} tight {_fmt(rep.tight)}{extra}",
-        args.out,
-    )
-    return 0
+    return _emit(args, rep, _bound_dict, _bound_text)
 
 
-def _cmd_classify(args) -> int:
-    a = read_matrix(args.path)
-    rep = classify(a, args.tol)
-    if args.json:
-        _emit(to_json(_classification_dict(rep)), args.out)
-        return 0
+def _classification_text(rep) -> str:
     lam = f" (lambda {_fmt(rep.pseudo_lambda)})" if rep.pseudo_lambda is not None else ""
     lines = [
-        f"scalar: yes",
+        "scalar: yes",
         f"regular: {_fmt(rep.is_regular)}",
         f"pseudo-regular: {_fmt(rep.is_pseudo_regular)}{lam}",
         f"almost-regular: {_fmt(rep.is_almost_regular)}",
     ]
     for k, s in enumerate(rep.per_component):
         lines.append(f"component {k}: regular {_fmt(s.regular)} sigma {s.sigma:.12g}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_components(args) -> int:
-    ctx = Analysis(read_matrix(args.path))
-    if args.json:
-        _emit(to_json(_components_dict(ctx)), args.out)
-        return 0
+def _cmd_classify(args) -> int:
+    rep = classify(read_matrix(args.path), args.tol)
+    return _emit(args, rep, _classification_dict, _classification_text)
+
+
+def _components_text(ctx: Analysis) -> str:
+    # The support's components only: no component is solved for its sigma.
     dec = ctx.decomposition
     lines = [f"components: {len(dec.components)}"]
     for k, comp in enumerate(dec.components):
-        lines.append(
-            f"  {k}: rows {list(comp.row_indices)} cols {list(comp.col_indices)}"
-        )
+        lines.append(f"  {k}: rows {list(comp.row_indices)} cols {list(comp.col_indices)}")
     if dec.isolated_rows:
         lines.append(f"isolated rows: {list(dec.isolated_rows)}")
     if dec.isolated_cols:
         lines.append(f"isolated cols: {list(dec.isolated_cols)}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
+
+
+def _cmd_components(args) -> int:
+    return _emit(args, Analysis(read_matrix(args.path)), _components_dict, _components_text)
+
+
+def _given(args, *names) -> dict:
+    """The named options that were set; the library applies its defaults to the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _certificate_text(cert) -> str:
+    lines = [f"{cert.theorem}: holds {_fmt(cert.holds)} gap {cert.gap:.3g} "
+             f"implied-class {_fmt(cert.implied_class_verified)}"]
+    for k, v in sorted(cert.details.items()):
+        lines.append(f"  {k}: {_fmt(v)}")
+    return "\n".join(lines)
 
 
 def _cmd_certify(args) -> int:
     a = read_matrix(args.path)
     if args.theorem == "T2":
-        cert = certify_theorem2(a, s=args.s, r=args.r if args.r is not None else 0,
-                                tol=args.tol)
+        cert = certify_theorem2(a, tol=args.tol, **_given(args, "r", "s"))
     elif args.theorem == "T2.1":
-        cert = certify_theorem2_1(a, r=args.r if args.r is not None else 1,
-                                  s=args.s, tol=args.tol)
+        cert = certify_theorem2_1(a, tol=args.tol, **_given(args, "r", "s"))
     elif args.theorem == "T3":
-        cert = certify_theorem3(a, r=args.r if args.r is not None else 2,
-                                tol=args.tol, include_literal=args.literal_t3ii)
+        cert = certify_theorem3(a, tol=args.tol, include_literal=args.literal_t3ii,
+                                **_given(args, "r"))
     elif args.theorem == "T4":
         cert = certify_theorem4(a, tol=args.tol)
     else:
         cert = hwh_equality_certificate(a, tol=args.tol)
-    if args.json:
-        _emit(to_json(_certificate_dict(cert)), args.out)
-        return 0
-    lines = [
-        f"{cert.theorem}: holds {_fmt(cert.holds)} gap {cert.gap:.3g} "
-        f"implied-class {_fmt(cert.implied_class_verified)}"
-    ]
-    for k, v in sorted(cert.details.items()):
-        lines.append(f"  {k}: {_fmt(v)}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return _emit(args, cert, _certificate_dict, _certificate_text)
 
 
 def _cmd_gen(args) -> int:
-    params = dict(args.graph or {})
-    if args.blocks is not None:
-        params["blocks"] = args.blocks
-    if args.target_sigma is not None:
-        params["target_sigma"] = args.target_sigma
-    if args.which is not None:
-        params["which"] = args.which
+    params = {**(args.graph or {}), **_given(args, "blocks", "target_sigma", "which")}
     spec = GeneratorSpec(kind=args.kind, shape=args.shape, density=args.density,
                          seed=args.seed, params=params)
     matrix = generate(spec)
@@ -256,14 +239,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, tol=True):
         if tol:
-            p.add_argument("--tol", type=_parse_tol, default=1e-8,
+            p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
                            help="relative comparison tolerance (default 1e-8)")
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("analyze", help="full report for one matrix file")
     p.add_argument("path")
-    p.add_argument("--max-iter", type=_int_at_least(1), default=10_000)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=DEFAULT_MAX_ITER)
     p.add_argument("--literal-t3ii", action="store_true",
                    help="also report the literal product-form support gap")
     common(p)
@@ -292,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--theorem", required=True,
                    choices=("T2", "T2.1", "T3", "T4", "HWH"))
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--s", type=int, default=None)
     p.add_argument("--r", type=int, default=None,
                    help="order parameter; defaults to 0 for T2, 1 for T2.1, 2 for T3")
     p.add_argument("--literal-t3ii", action="store_true")
@@ -315,25 +298,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Looked up in order; a subclass takes its base's code (NotScalarError is a
+# PreconditionError, FileNotFoundError an OSError).
+_EXIT_CODES = {
+    InputFormatError: 2, DimensionMismatchError: 2, NonFiniteEntryError: 2, OSError: 2,
+    ConvergenceError: 3, WalkScaleError: 3, FloatingPointError: 3, OverflowError: 3,
+    PreconditionError: 4, GeneratorError: 4,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         # An overflow fails the command rather than print inf or nan.
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
-    except (InputFormatError, DimensionMismatchError, NonFiniteEntryError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, WalkScaleError, FloatingPointError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (PreconditionError, GeneratorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -37,6 +37,8 @@ from .errors import DimensionMismatchError, NonFiniteEntryError
 ZERO_TOL_FACTOR = 1e-12
 
 DEFAULT_TOL = 1e-8
+# Cap on the Lanczos steps of one largest-singular-value solve.
+DEFAULT_MAX_ITER = 10_000
 
 
 def _entries(array: np.ndarray) -> np.ndarray:

@@ -159,22 +159,25 @@ def _block_diag(spec: GeneratorSpec) -> DenseMatrix:
 
 def _graph(spec: GeneratorSpec) -> DenseMatrix:
     name = spec.params.get("name", "path")
-    n = int(spec.params.get("n", 3))
-    sizes = ("a", "b") if name == "complete_bipartite" else ("n",)
-    stray = sorted({"n", "a", "b"}.intersection(spec.params).difference(sizes))
+    defaults = {"a": 2, "b": 3} if name == "complete_bipartite" else {"n": 3}
+    stray = sorted({"n", "a", "b"}.intersection(spec.params).difference(defaults))
     if stray:
-        raise GeneratorError(f"graph {name!r} takes the size {' and '.join(sizes)}, "
+        raise GeneratorError(f"graph {name!r} takes the size {' and '.join(defaults)}, "
                              f"not {', '.join(stray)}")
+    sizes = {key: spec.params.get(key, value) for key, value in defaults.items()}
+    for key, value in sizes.items():
+        if not _is_int(value) or value < 0:
+            raise GeneratorError(f"graph size {key} must be a non-negative integer, "
+                                 f"got {value!r}")
+    if sum(sizes.values()) < 1:
+        raise GeneratorError("graph needs at least one vertex")
     if name == "complete_bipartite":
-        left = int(spec.params.get("a", 2))
-        right = int(spec.params.get("b", 3))
-        size = left + right
-        adj = np.zeros((size, size))
+        left, right = sizes["a"], sizes["b"]
+        adj = np.zeros((left + right, left + right))
         adj[:left, left:] = 1.0
         adj[left:, :left] = 1.0
         return DenseMatrix(adj)
-    if n < 1:
-        raise GeneratorError("graph needs at least one vertex")
+    n = sizes["n"]
     adj = np.zeros((n, n))
     if name == "path":
         for i in range(n - 1):

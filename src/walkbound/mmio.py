@@ -2,7 +2,10 @@
 
 Two formats: Matrix Market (.mtx or .mm; array and coordinate layouts,
 real, integer, complex or pattern fields, symmetric storage expanded on
-read) and CSV (.csv) with complex literals written as a+bi.  A Matrix
+read) and CSV (.csv) with complex literals written as a+bi.  One table,
+``_FORMATS``, maps each suffix to its reader and its writer, and
+``_format`` names a path's format ("mtx", "mm" or "csv", as a report's
+``input.format`` shows it) or refuses its suffix.  A Matrix
 Market file is read by scipy's parser, imported on first use.  The
 storage follows the file's layout: a coordinate file becomes a
 ``SparseMatrix`` with no m x n array formed, an array file or a CSV file
@@ -62,25 +65,6 @@ def _read_matrix_market(path: Path) -> Matrix:
     return DenseMatrix(loaded)
 
 
-def read_matrix(path) -> Matrix:
-    """Load a matrix, picking the format from the file extension.
-
-    A coordinate Matrix Market file gives a SparseMatrix; an array file
-    or a CSV file gives a DenseMatrix.
-    """
-    p = Path(path)
-    if not p.exists():
-        raise InputFormatError(f"no such file: {p}")
-    suffix = p.suffix.lower()
-    if suffix in (".mtx", ".mm"):
-        return _read_matrix_market(p)
-    if suffix == ".csv":
-        return _read_csv(p)
-    raise InputFormatError(
-        f"unsupported extension {suffix!r}; expected .mtx, .mm, or .csv"
-    )
-
-
 def _fmt_complex_csv(z: complex) -> str:
     if z.imag == 0.0:
         return repr(z.real)
@@ -102,18 +86,42 @@ def _write_csv(path: Path, a: DenseMatrix) -> None:
     path.write_text("".join(",".join(map(fmt, row)) + "\n" for row in rows), newline="")
 
 
+# Each supported suffix, lowercase and without its dot, with its reader
+# and its writer.
+_FORMATS = {
+    "mtx": (_read_matrix_market, _write_matrix_market),
+    "mm": (_read_matrix_market, _write_matrix_market),
+    "csv": (_read_csv, _write_csv),
+}
+
+
+def _format(path) -> str:
+    """The format of ``path`` by its suffix: "mtx", "mm" or "csv"."""
+    suffix = Path(path).suffix.lower()
+    if suffix[1:] not in _FORMATS:
+        raise InputFormatError(
+            f"unsupported extension {suffix!r}; expected .mtx, .mm, or .csv"
+        )
+    return suffix[1:]
+
+
+def read_matrix(path) -> Matrix:
+    """Load a matrix, picking the format from the file extension.
+
+    A coordinate Matrix Market file gives a SparseMatrix; an array file
+    or a CSV file gives a DenseMatrix.
+    """
+    p = Path(path)
+    if not p.exists():
+        raise InputFormatError(f"no such file: {p}")
+    read, _ = _FORMATS[_format(p)]
+    return read(p)
+
+
 def write_matrix(path, a: Matrix) -> None:
     """Write a matrix; same matrix and path suffix give identical bytes.
 
     Both formats list every entry, so a SparseMatrix is densified."""
-    a = a.to_dense()
     p = Path(path)
-    suffix = p.suffix.lower()
-    if suffix in (".mtx", ".mm"):
-        _write_matrix_market(p, a)
-    elif suffix == ".csv":
-        _write_csv(p, a)
-    else:
-        raise InputFormatError(
-            f"unsupported extension {suffix!r}; expected .mtx, .mm, or .csv"
-        )
+    _, write = _FORMATS[_format(p)]
+    write(p, a.to_dense())

@@ -25,7 +25,7 @@ from .classify import (
     certify_theorem4,
     hwh_equality_certificate,
 )
-from .core import Matrix
+from .core import DEFAULT_MAX_ITER, DEFAULT_TOL, Matrix
 from .errors import PreconditionError
 from .spectral import sigma_method
 
@@ -107,8 +107,8 @@ def _components_dict(ctx: Analysis) -> dict:
     }
 
 
-def full_analysis(a: Matrix | Analysis, *, tol: float = 1e-8,
-                  max_iter: int = 10_000, literal_t3: bool = False) -> dict:
+def full_analysis(a: Matrix | Analysis, *, tol: float = DEFAULT_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER, literal_t3: bool = False) -> dict:
     """Run the whole pipeline on one matrix and return the report body.
 
     Every quantity comes from one ``Analysis`` context, so each is

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, col_sums
+from .core import DEFAULT_MAX_ITER, Matrix, col_sums
 from .errors import ConvergenceError, PreconditionError, WalkScaleError
 
 _START_PERTURBATION = 1e-6
@@ -211,7 +211,7 @@ def sigma_method(shape: tuple[int, int]) -> str:
 
 
 def largest_singular(a: Matrix, tol: float = 1e-12,
-                     max_iter: int = 10_000) -> SpectralResult:
+                     max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
     """The largest singular triple, by dense SVD or Lanczos bidiagonalization.
 
     Convergence is declared when the combined defect residual drops below

@@ -5,7 +5,19 @@ import sys
 import numpy as np
 import pytest
 
-from walkbound import DenseMatrix, write_matrix
+from walkbound import (
+    ConvergenceError,
+    DenseMatrix,
+    DimensionMismatchError,
+    GeneratorError,
+    InputFormatError,
+    NonFiniteEntryError,
+    NotScalarError,
+    PreconditionError,
+    WalkScaleError,
+    cli,
+    write_matrix,
+)
 from walkbound.cli import main
 
 
@@ -137,6 +149,21 @@ def test_certify_t3_default_even_order(e1_file, capsys):
     assert body["details"]["r"] == 2
 
 
+# An order left unset takes the library's default; T3 takes no s.
+@pytest.mark.parametrize("theorem, flags, orders", [
+    ("T2", [], {"r": 0, "s": 1}),
+    ("T2.1", [], {"r": 1, "s": 1}),
+    ("T2", ["--r", "2", "--s", "3"], {"r": 2, "s": 3}),
+    ("T2.1", ["--s", "2"], {"r": 1, "s": 2}),
+    ("T3", ["--r", "4", "--s", "5"], {"r": 4}),
+])
+def test_certify_orders_default_to_the_library(e1_file, capsys, theorem, flags, orders):
+    assert main(["certify", e1_file, "--theorem", theorem, *flags, "--json"]) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    assert {k: details[k] for k in orders} == orders
+    assert ("s" in details) == ("s" in orders)
+
+
 def test_gen_subcommand(tmp_path, capsys):
     out = tmp_path / "g.mtx"
     rc = main([
@@ -191,6 +218,41 @@ def test_tol_must_be_finite_and_positive(e1_file, capsys, command, tol):
                         f"error: argument --tol: tolerance must be finite and positive, got {tol!r}")
 
 
+@pytest.fixture
+def near_regular_file(tmp_path):
+    # Row sums 2 and 2.0000001: not regular at the default 1e-8, regular at 1e-6.
+    path = tmp_path / "near.csv"
+    path.write_text("1,1\n1,1.0000001\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("flags, verdict", [([], "no"), (["--tol", "1e-6"], "yes")])
+def test_tol_reaches_classify(near_regular_file, capsys, flags, verdict):
+    assert main(["classify", near_regular_file, *flags]) == 0
+    assert f"\nregular: {verdict}\n" in capsys.readouterr().out
+
+
+def test_tol_reaches_the_report(near_regular_file, capsys):
+    body = _json_out(["analyze", near_regular_file, "--tol", "1e-6"], capsys)
+    assert body["tolerances"] == {"tol": 1e-06, "max_iter": 10_000}
+
+
+def test_tol_must_be_a_number(near_regular_file, capsys):
+    _assert_usage_error(["classify", near_regular_file, "--tol", "abc"], capsys,
+                        "error: argument --tol: expected a number, got 'abc'")
+
+
+@pytest.mark.parametrize("shape, message", [
+    ("3x", "expected MxN, got '3x'"),
+    ("0x3", "shape must be positive"),
+])
+def test_bad_shape_is_a_usage_error(tmp_path, capsys, shape, message):
+    out = tmp_path / "g.mtx"
+    _assert_usage_error(["gen", "--kind", "random_nonneg", "--shape", shape, "--out", str(out)],
+                        capsys, f"error: argument --shape: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("graph, message", [
     ("path:x", "expected NAME[:N|:A,B], got 'path:x'"),
     ("complete_bipartite:2,x", "expected NAME[:N|:A,B], got 'complete_bipartite:2,x'"),
@@ -237,6 +299,52 @@ def test_bad_target_sigma_exits_4(tmp_path, capsys, target):
                  "--out", str(out)]) == 4
     assert capsys.readouterr().err == "error: target_sigma must be finite and positive\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("graph, message", [
+    ("complete_bipartite:-1,3", "graph size a must be a non-negative integer, got -1"),
+    ("complete_bipartite:2,-1", "graph size b must be a non-negative integer, got -1"),
+    ("complete_bipartite:0,0", "graph needs at least one vertex"),
+    ("path:-2", "graph size n must be a non-negative integer, got -2"),
+])
+def test_impossible_graph_sizes_exit_4(tmp_path, capsys, graph, message):
+    out = tmp_path / "g.csv"
+    assert main(["gen", "--kind", "graph", "--graph", graph, "--out", str(out)]) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+# Every class of the exit-code table with its documented code, subclasses
+# included.
+@pytest.mark.parametrize("error, code", [
+    (InputFormatError("bad file"), 2),
+    (DimensionMismatchError("bad shape"), 2),
+    (NonFiniteEntryError("bad entry"), 2),
+    (OSError("no disk"), 2),
+    (FileNotFoundError("no file"), 2),
+    (ConvergenceError("no convergence"), 3),
+    (WalkScaleError("too large"), 3),
+    (FloatingPointError("overflow"), 3),
+    (OverflowError("too long"), 3),
+    (PreconditionError("does not apply"), 4),
+    (NotScalarError("not scalar"), 4),
+    (GeneratorError("infeasible"), 4),
+])
+def test_each_error_class_has_its_exit_code(e1_file, capsys, monkeypatch, error, code):
+    def refuse(path):
+        raise error
+
+    monkeypatch.setattr(cli, "read_matrix", refuse)
+    assert main(["classify", e1_file]) == code
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_out_into_a_missing_directory_exits_2(e1_file, tmp_path, capsys, flags):
+    out = tmp_path / "missing" / "r.txt"
+    assert main(["analyze", e1_file, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: {str(out)!r}\n")
 
 
 def test_missing_file_exits_2(capsys):

@@ -1,0 +1,109 @@
+"""Each documented refusal of the library raises its type with its message."""
+
+import pytest
+import scipy.sparse
+
+from walkbound import (
+    DenseMatrix,
+    DimensionMismatchError,
+    GeneratorError,
+    GeneratorSpec,
+    InputFormatError,
+    PreconditionError,
+    certify_theorem2,
+    certify_theorem2_1,
+    certify_theorem3,
+    generate,
+    hwh_bound,
+    largest_singular,
+    read_matrix,
+    schur_upper_bound,
+    weighted_bound,
+    write_matrix,
+)
+from walkbound.core import SparseMatrix
+from walkbound.spectral import sigma_ratio_estimate
+from walkbound.walks import graph_walk_count_equivalence, walk_identity_residual
+
+E1 = DenseMatrix([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
+PATH3 = DenseMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+
+def _csv(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    return path
+
+
+def _gen(kind, **params):
+    return generate(GeneratorSpec(kind=kind, params=params))
+
+
+# (call on a scratch directory, error type, message; "{tmp}" is that directory)
+_DOCUMENTED = {
+    "weighted_bound r=0": (lambda tmp: weighted_bound(E1, r=0),
+                           PreconditionError, "order r must be at least 1"),
+    "hwh_bound zero row sum": (lambda tmp: hwh_bound(DenseMatrix([[1.0, 0.0], [0.0, 0.0]])),
+                               PreconditionError, "degree-product bound needs positive row sums"),
+    "schur_upper_bound complex": (lambda tmp: schur_upper_bound(DenseMatrix([[1j, 1.0]])),
+                                  PreconditionError, "the upper bound needs real entries"),
+    "certify_theorem2 s=0": (lambda tmp: certify_theorem2(E1, s=0),
+                             PreconditionError, "need s >= 1 and r >= 0, got s=0, r=0"),
+    "certify_theorem2_1 r=0": (lambda tmp: certify_theorem2_1(E1, r=0),
+                               PreconditionError, "need r >= 1 and s >= 1, got r=0, s=1"),
+    "certify_theorem3 r=0": (lambda tmp: certify_theorem3(E1, r=0),
+                             PreconditionError, "order r must be at least 1, got 0"),
+    "largest_singular max_iter=0": (lambda tmp: largest_singular(E1, max_iter=0),
+                                    PreconditionError, "max_iter must be positive"),
+    "sigma_ratio_estimate s=0": (lambda tmp: sigma_ratio_estimate(E1, s=0),
+                                 PreconditionError, "s must be at least 1"),
+    "sigma_ratio_estimate r_max=0": (lambda tmp: sigma_ratio_estimate(E1, r_max=0),
+                                     PreconditionError, "r_max must be at least 1"),
+    "graph_walk_count_equivalence s=0": (lambda tmp: graph_walk_count_equivalence(PATH3, 0),
+                                         PreconditionError, "walk order must be at least 1"),
+    "graph_walk_count_equivalence non-square": (
+        lambda tmp: graph_walk_count_equivalence(E1, 1),
+        PreconditionError, "graph adjacency must be square"),
+    "walk_identity_residual r=-1": (lambda tmp: walk_identity_residual(E1, -1, 1),
+                                    PreconditionError, "orders r and s must be nonnegative"),
+    "almost_regular no blocks": (lambda tmp: _gen("almost_regular", blocks=[]),
+                                 GeneratorError, "almost_regular needs at least one block"),
+    "almost_regular unknown style": (lambda tmp: _gen("almost_regular", style="zebra"),
+                                     GeneratorError, "unknown almost_regular style 'zebra'"),
+    "block_diag no blocks": (lambda tmp: _gen("block_diag", blocks=[]),
+                             GeneratorError, "block_diag needs at least one block"),
+    "graph n=0": (lambda tmp: _gen("graph", name="path", n=0),
+                  GeneratorError, "graph needs at least one vertex"),
+    "cycle:2": (lambda tmp: _gen("graph", name="cycle", n=2),
+                GeneratorError, "cycle needs at least three vertices"),
+    "unknown paper_example": (lambda tmp: _gen("paper_example", which="E9"),
+                              GeneratorError, "unknown example 'E9'; available: E1, C2"),
+    "empty CSV cell": (lambda tmp: read_matrix(_csv(tmp, "1,2\n3, \n")),
+                       InputFormatError, "empty cell at m.csv:2"),
+    "CSV with no rows": (lambda tmp: read_matrix(_csv(tmp, "\n\n")),
+                         InputFormatError, "{tmp}/m.csv: no matrix rows found"),
+    "write_matrix .txt": (lambda tmp: write_matrix(tmp / "m.txt", E1), InputFormatError,
+                          "unsupported extension '.txt'; expected .mtx, .mm, or .csv"),
+    "SparseMatrix (0, 3)": (lambda tmp: SparseMatrix(scipy.sparse.csr_array((0, 3))),
+                            DimensionMismatchError,
+                            "expected a 2-D matrix with positive extents, got shape (0, 3)"),
+}
+
+
+@pytest.mark.parametrize("name", list(_DOCUMENTED))
+def test_documented_error(tmp_path, name):
+    call, error, message = _DOCUMENTED[name]
+    with pytest.raises(error) as exc:
+        call(tmp_path)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(tmp=tmp_path)
+
+
+def test_write_matrix_refuses_the_suffix_before_densifying(tmp_path):
+    class Undensifiable:
+        def to_dense(self):
+            raise AssertionError("densified before the suffix was checked")
+
+    with pytest.raises(InputFormatError, match="unsupported extension '.npy'"):
+        write_matrix(tmp_path / "m.npy", Undensifiable())
+    assert not list(tmp_path.iterdir())

@@ -121,6 +121,33 @@ def test_graph_sizes_must_fit_the_name(params):
         generate(GeneratorSpec(kind="graph", params=params))
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"name": "complete_bipartite", "a": -1, "b": 3},
+     "graph size a must be a non-negative integer, got -1"),
+    ({"name": "complete_bipartite", "a": 2, "b": -1},
+     "graph size b must be a non-negative integer, got -1"),
+    ({"name": "complete_bipartite", "a": 0, "b": 0}, "graph needs at least one vertex"),
+    ({"name": "complete_bipartite", "a": 2.5, "b": 3},
+     "graph size a must be a non-negative integer, got 2.5"),
+    ({"name": "complete_bipartite", "a": 2, "b": True},
+     "graph size b must be a non-negative integer, got True"),
+    ({"name": "path", "n": 3.7}, "graph size n must be a non-negative integer, got 3.7"),
+    ({"name": "star", "n": "4"}, "graph size n must be a non-negative integer, got '4'"),
+    ({"name": "path", "n": -2}, "graph size n must be a non-negative integer, got -2"),
+])
+def test_graph_sizes_must_be_non_negative_integers(params, message):
+    with pytest.raises(GeneratorError) as exc:
+        generate(GeneratorSpec(kind="graph", params=params))
+    assert str(exc.value) == message
+
+
+def test_complete_bipartite_with_an_empty_side_is_edgeless():
+    for a, b in ((0, 3), (np.int64(3), np.int64(0))):
+        g = generate(GeneratorSpec(kind="graph", params={"name": "complete_bipartite",
+                                                         "a": a, "b": b}))
+        assert g == DenseMatrix(np.zeros((3, 3)))
+
+
 @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -2.0])
 def test_target_sigma_must_be_finite_and_positive(target):
     with pytest.raises(GeneratorError, match="^target_sigma must be finite and positive$"):

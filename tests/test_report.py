@@ -105,6 +105,19 @@ def test_text_rendering_mentions_the_essentials(e1):
     assert text.endswith("\n")
 
 
+@pytest.mark.parametrize("name, lines", [
+    ("C2", ["classification: unavailable (classification is defined for scalar matrices; "
+            "entries do not share a common phase)",
+            "note: walk ratio bounds skipped: matrix is not scalar"]),
+    ("zero", ["classification: unavailable (classification is undefined for the zero matrix)",
+              "note: certificates skipped: zero matrix"]),
+])
+def test_text_rendering_says_what_is_unavailable(c2, name, lines):
+    a = c2 if name == "C2" else DenseMatrix(np.zeros((2, 3)))
+    text = render_text(full_analysis(a)).splitlines()
+    assert [line for line in text if "unavailable" in line or line.startswith("note:")] == lines
+
+
 # One analysis: the layer functions below run once per distinct matrix.
 _COUNTED = (
     ("spectral", "largest_singular"),

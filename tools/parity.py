@@ -10,12 +10,15 @@ Each tree then runs in one subprocess, with ``PYTHONPATH=<tree>/src`` and
 for every argument list of ``COMMANDS`` on every input and records the
 exit code, stdout and stderr of each.  The lists cover every JSON
 command (``analyze``, ``bound``, ``classify``, ``components``,
-``certify``) and the text report of ``analyze``, so both report writers
-and the CLI's output path are held to the base.  It also runs ``gen``
-for every generator kind (``GEN``), writing a ``.mtx`` and a ``.csv``
-file, and records the bytes of the file with its output.  Every
-(file, command) pair whose records differ is printed, and the exit
-status is 1 if any does, 0 otherwise.
+``certify``) and the text output of each of them, ``certify`` also at
+its library's default orders (``T2`` and ``T2.1`` with no ``--r`` or
+``--s``); on the inputs that are not scalar, ``bound --method walk``
+and ``classify`` exit 4 with one ``error:`` line.  So both report
+writers, the CLI's output path and its refusals are held to the base.
+It also runs ``gen`` for every generator kind (``GEN``), writing a
+``.mtx`` and a ``.csv`` file, and records the bytes of the file with
+its output.  Every (file, command) pair whose records differ is
+printed, and the exit status is 1 if any does, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ COMMANDS = (
     ("classify", "--json"),
     ("bound", "--method", "weighted", "--r", "2", "--json"),
     ("certify", "--theorem", "T3", "--json"),
+    ("bound", "--method", "walk", "--p", "5", "--r", "3"),
+    ("classify",),
+    ("components",),
+    ("certify", "--theorem", "T2.1"),
+    ("certify", "--theorem", "T2", "--json"),
 )
 # One ``walkbound gen`` argument list per case; every kind appears.
 GEN = (

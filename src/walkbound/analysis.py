@@ -9,10 +9,13 @@ back to the input's units.  Each shared quantity is computed once, on
 first use: the scalarity test and the certificates' basis, one singular
 triple and one walk table per distinct matrix, the support, one search
 of it for its components, one cut of the input and of the basis along
-that search, the decomposition, the classification and the
-degree-product report.  ``component_sigmas`` is the one rule for the
-sigma of each component: a single component that holds every nonzero
-entry of its matrix has that matrix's sigma, and any other is solved.
+that search, the decomposition, the three readings of the classification
+(``regular``, ``pseudo_lambda`` and ``per_component``), the
+classification built from them and the degree-product report.  A
+certificate reads only the reading it checks.  ``component_sigmas`` is
+the one rule for the sigma of each component: a single component that
+holds every nonzero entry of its matrix has that matrix's sigma, and
+any other is solved.
 Every layer function takes a matrix or a context: ``full_analysis`` reads
 everything from one context, and a call on a bare matrix builds its own.
 The context keeps the input's storage: a ``SparseMatrix`` input has a
@@ -158,15 +161,46 @@ class Analysis:
         ``matrix``, as one that covers it does, has ``matrix``'s sigma,
         since the rest is zero; any other is solved once."""
         subs = self.blocks(matrix).subs
-        if len(subs) == 1 and (
-                np.count_nonzero(subs[0].values) == np.count_nonzero(matrix.values)):
+        if len(subs) == 1 and (subs[0] is matrix or np.count_nonzero(subs[0].values)
+                               == np.count_nonzero(matrix.values)):
             return [self.singular(matrix).sigma]
         return [self.singular(sub).sigma for sub in subs]
 
+    # The classification in three readings, each computed on its own, so
+    # a certificate reads only the class it checks: regular, the pseudo
+    # regular lambda, and the per-component summaries that almost
+    # regularity is read off.  Each raises PreconditionError where the
+    # classification is undefined.
+
+    @cached_property
+    def regular(self) -> bool:
+        """Whether the basis has equal row sums and equal column sums."""
+        from .classify import _regular  # classify imports this module
+
+        return _regular(self)
+
+    @cached_property
+    def pseudo_lambda(self) -> float | None:
+        """lambda with w^5(i) = lambda * w^3(i) on the basis's rows, in
+        ``a``'s units; None when the basis is not pseudo regular."""
+        from .classify import _pseudo_lambda
+
+        return _pseudo_lambda(self)
+
+    @cached_property
+    def per_component(self) -> tuple:
+        """A ComponentSummary per support component of the basis, sigma in
+        ``a``'s units: the cut and the component sigmas, which almost
+        regularity is read off."""
+        from .classify import _per_component
+
+        return _per_component(self)
+
     @cached_property
     def classification(self):
-        """The ClassificationReport; raises PreconditionError where undefined."""
-        from .classify import classify  # classify imports this module
+        """The ClassificationReport, built by ``classify`` from the readings
+        above; raises PreconditionError where undefined."""
+        from .classify import classify
 
         return classify(self)
 

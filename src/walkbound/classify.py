@@ -11,7 +11,10 @@ A scalar matrix is classified on its nonnegative part:
 The classes nest: regular implies almost regular implies pseudo regular.
 The certificates tie specific walk-total equalities to these classes; a
 certificate evaluated on a non-scalar matrix still reports its gaps, but
-claims nothing about classification, which is undefined there.
+claims nothing about classification, which is undefined there.  Each
+class is a reading of its own on the ``Analysis`` context, and each
+certificate computes only the class it checks: T4 regularity, T2 the
+pseudo-regular lambda, T2.1 and T3 almost regularity.
 
 Each function takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
 one.  ``tol`` applies only to a matrix: a context brings its own
@@ -118,26 +121,48 @@ def _proportionality(table: WalkTable, hi: int, lo: int, tol: float) -> float | 
     return lam if deviation <= tol * max(1.0, float(np.abs(w_hi).max())) else None
 
 
-def classify(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> ClassificationReport:
-    """Full regularity classification of a nonzero scalar matrix."""
-    ctx = Analysis.of(a, tol)
-    tol = ctx.tol
-    nonneg = _require_scalar_nonzero(ctx)
-    regular = bool(_blocks_regular(nonneg, np.array([0, nonneg.m]),
-                                   np.array([0, nonneg.n]), tol)[0])
-    lam = _proportionality(ctx.table(nonneg, 5), 5, 3, tol)
+def _regular(ctx: Analysis) -> bool:
+    basis = _require_scalar_nonzero(ctx)
+    return bool(_blocks_regular(basis, np.array([0, basis.m]), np.array([0, basis.n]),
+                                ctx.tol)[0])
 
-    sigma = ctx.singular(nonneg).sigma
-    blocks = ctx.blocks(nonneg)
-    if blocks.inside is nonneg:  # one component covers the matrix
-        each = [regular]
+
+def _pseudo_lambda(ctx: Analysis) -> float | None:
+    return _proportionality(ctx.table(_require_scalar_nonzero(ctx), 5), 5, 3, ctx.tol)
+
+
+def _per_component(ctx: Analysis) -> tuple:
+    basis = _require_scalar_nonzero(ctx)
+    blocks = ctx.blocks(basis)
+    if blocks.inside is basis:  # one component covers the matrix
+        each = [ctx.regular]
     else:
-        each = _blocks_regular(blocks.inside, blocks.row_ptr, blocks.col_ptr, tol).tolist()
-    summaries = [ComponentSummary(regular=ok, sigma=s)
-                 for ok, s in zip(each, ctx.component_sigmas(nonneg))]
-    almost = bool(summaries) and all(
-        s.regular and abs(s.sigma - sigma) <= tol * max(1.0, sigma) for s in summaries
+        each = _blocks_regular(blocks.inside, blocks.row_ptr, blocks.col_ptr, ctx.tol).tolist()
+    return tuple(ComponentSummary(regular=ok, sigma=s)
+                 for ok, s in zip(each, ctx.component_sigmas(basis)))
+
+
+def _almost_regular(ctx: Analysis) -> bool:
+    """Whether every component of the basis is regular and attains its
+    sigma, read off ``ctx.per_component``."""
+    sigma = ctx.singular(_require_scalar_nonzero(ctx)).sigma
+    tol = ctx.tol
+    return bool(ctx.per_component) and all(
+        s.regular and abs(s.sigma - sigma) <= tol * max(1.0, sigma) for s in ctx.per_component
     )
+
+
+def classify(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> ClassificationReport:
+    """Full regularity classification of a nonzero scalar matrix.
+
+    The report puts together the context's three class readings,
+    ``regular``, ``pseudo_lambda`` and ``per_component``, which almost
+    regularity is read off.  Each is computed once per context, and each
+    certificate reads only the one it checks.
+    """
+    ctx = Analysis.of(a, tol)
+    nonneg = _require_scalar_nonzero(ctx)
+    regular, lam, almost = ctx.regular, ctx.pseudo_lambda, _almost_regular(ctx)
     scalarity = ctx.scalarity
     if ctx.exponent:  # a nonnegative input is its own nonnegative part
         unscaled = ctx.input if nonneg is ctx.a else nonneg.times_pow2(ctx.exponent)
@@ -148,8 +173,8 @@ def classify(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> ClassificationRe
         is_pseudo_regular=lam is not None,
         pseudo_lambda=None if lam is None else ctx.unscaled(lam, 2),
         is_almost_regular=almost,
-        per_component=tuple(replace(s, sigma=ctx.unscaled(s.sigma)) for s in summaries),
-        tol=tol,
+        per_component=tuple(replace(s, sigma=ctx.unscaled(s.sigma)) for s in ctx.per_component),
+        tol=ctx.tol,
     )
 
 
@@ -256,7 +281,7 @@ def certify_theorem2(a: Matrix | Analysis, s: int = 1, r: int = 0,
     elif not holds:
         implied = True
     else:
-        implied = ctx.classification.is_pseudo_regular
+        implied = ctx.pseudo_lambda is not None
     return EqualityCertificate(
         "T2", holds, gap, implied,
         {"s": s, "r": r, "equality_gap": gap, "scalar": scalar},
@@ -287,7 +312,7 @@ def certify_theorem2_1(a: Matrix | Analysis, r: int = 1, s: int = 1,
     elif not holds:
         implied = True
     else:
-        implied = ctx.classification.is_almost_regular
+        implied = _almost_regular(ctx)
     return EqualityCertificate(
         "T2.1", holds, gap, implied,
         {"r": r, "s": s, "row_gap": row_gap, "col_gap": col_gap, "scalar": scalar},
@@ -326,12 +351,25 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
     # The basis's own support: an entry of a scalar input can pass the
     # phase test yet have a nonnegative part at or below the zero cutoff.
     support = ctx.support if basis is ctx.a else support_mask(basis)
-    pair_abs = np.abs(basis.pair_products(wr, wc))
-    pair_mods = pair_abs[support]
-    weighted_sum = (basis.values * np.sqrt(pair_abs)).sum()
+    # The products and their moduli on the support are the only arrays the
+    # size of the stored entries, with a copy for include_literal and, for
+    # a complex basis, the complex weighted terms.  A scalar basis has
+    # nonnegative weights, so its products are their own moduli; the rest
+    # runs in place.
+    pairs = basis.pair_products(wr, wc)
+    if not scalar:
+        pairs = np.abs(pairs)
+    pair_mods = pairs[support]
+    literal_mods = pair_mods.copy() if include_literal else None
+    np.sqrt(pairs, out=pairs)
+    if basis.is_real():
+        weighted_sum = np.multiply(basis.values, pairs, out=pairs).sum()
+    else:
+        weighted_sum = (basis.values * pairs).sum()
 
     target = sigma ** (2 * (r - 1))
-    support_gap = float(np.abs(pair_mods - target).max()) / max(1.0, target)
+    pair_mods -= target
+    support_gap = float(np.abs(pair_mods, out=pair_mods).max()) / max(1.0, target)
     cond_ii = support_gap <= tol
 
     rhs = abs(complex(weighted_sum))
@@ -349,12 +387,13 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
     }
     if include_literal:
         literal_target = sigma * sigma * abs(total_r * total_c)
+        literal_mods -= literal_target
         details["literal_gap"] = float(
-            np.abs(pair_mods - literal_target).max()
+            np.abs(literal_mods, out=literal_mods).max()
         ) / max(1.0, literal_target)
 
     if scalar:
-        cond_i = ctx.classification.is_almost_regular
+        cond_i = _almost_regular(ctx)
         details["almost_regular"] = cond_i
         holds = cond_i == cond_ii == cond_iii
         implied = holds
@@ -379,7 +418,7 @@ def certify_theorem4(a: Matrix | Analysis,
     gap = abs(sigma - mean_value) / max(1.0, sigma)
     holds = gap <= ctx.tol
     if scalar:
-        implied = ctx.classification.is_regular == holds
+        implied = ctx.regular == holds
     else:
         implied = None
     return EqualityCertificate(

@@ -3,9 +3,11 @@
 Each command hands ``_emit`` its result with a JSON and a text renderer,
 and ``_emit`` alone picks one, ends it with a newline and writes it to
 stdout or ``--out``.  ``certify``'s orders and ``gen``'s params are
-passed on only when given, so the library's defaults apply.  Exit codes,
-from the one table ``_EXIT_CODES``: 0 success, 2 unreadable or malformed
-input or a malformed argument (argparse prints the usage), 3 a
+passed on only when given, so the library's defaults apply; an option
+that the chosen method of ``bound`` or theorem of ``certify`` does not
+take (the table ``_TAKES``) is refused.  Exit codes, from the one table
+``_EXIT_CODES``: 0 success, 2 unreadable or malformed input, a malformed
+argument or a refused option (argparse prints the usage), 3 a
 computation failed to converge or left the float64 range, 4 the
 operation does not apply to the given matrix (wrong shape, parity, or
 class) or a generator request was infeasible.  A failed command prints
@@ -139,11 +141,13 @@ def _bound_text(rep) -> str:
 
 
 def _cmd_bound(args) -> int:
+    _refuse_unused(args, "method")
     a = read_matrix(args.path)
     if args.method == "walk":
-        rep = walk_bound(a, args.p, args.r, tol=args.tol)
+        rep = walk_bound(a, 3 if args.p is None else args.p, 1 if args.r is None else args.r,
+                         tol=args.tol)
     elif args.method == "weighted":
-        rep = weighted_bound(a, args.r, tol=args.tol)
+        rep = weighted_bound(a, tol=args.tol, **_given(args, "r"))
     elif args.method == "mean":
         rep = mean_bound(a, tol=args.tol)
     elif args.method == "hwh":
@@ -193,6 +197,24 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
+# The options of ``bound`` and ``certify`` that each method and theorem
+# takes.  Any other of them, given, is a usage error rather than ignored.
+_TAKES = {
+    "walk": ("p", "r"), "weighted": ("r",), "mean": (), "hwh": (), "schur": (),
+    "T2": ("r", "s"), "T2.1": ("r", "s"), "T3": ("r", "literal_t3ii"), "T4": (), "HWH": (),
+}
+
+
+def _refuse_unused(args, by: str) -> None:
+    """Exit 2 with the usage line when an option was given that the choice
+    of option ``by`` (``method`` or ``theorem``) does not take."""
+    choice = getattr(args, by)
+    for name in ("p", "r", "s", "literal_t3ii"):
+        if name not in _TAKES[choice] and getattr(args, name, None) is not None:
+            args.parser.error(f"argument --{name.replace('_', '-')}: "
+                              f"not allowed with --{by} {choice}")
+
+
 def _certificate_text(cert) -> str:
     lines = [f"{cert.theorem}: holds {_fmt(cert.holds)} gap {cert.gap:.3g} "
              f"implied-class {_fmt(cert.implied_class_verified)}"]
@@ -202,13 +224,14 @@ def _certificate_text(cert) -> str:
 
 
 def _cmd_certify(args) -> int:
+    _refuse_unused(args, "theorem")
     a = read_matrix(args.path)
     if args.theorem == "T2":
         cert = certify_theorem2(a, tol=args.tol, **_given(args, "r", "s"))
     elif args.theorem == "T2.1":
         cert = certify_theorem2_1(a, tol=args.tol, **_given(args, "r", "s"))
     elif args.theorem == "T3":
-        cert = certify_theorem3(a, tol=args.tol, include_literal=args.literal_t3ii,
+        cert = certify_theorem3(a, tol=args.tol, include_literal=bool(args.literal_t3ii),
                                 **_given(args, "r"))
     elif args.theorem == "T4":
         cert = certify_theorem4(a, tol=args.tol)
@@ -256,10 +279,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--method", required=True,
                    choices=("walk", "weighted", "mean", "hwh", "schur"))
-    p.add_argument("--p", type=int, default=3, help="walk bound: higher order")
-    p.add_argument("--r", type=int, default=1, help="walk/weighted order")
+    p.add_argument("--p", type=int, help="walk bound: higher order")
+    p.add_argument("--r", type=int, help="walk/weighted order")
     common(p)
-    p.set_defaults(func=_cmd_bound)
+    p.set_defaults(func=_cmd_bound, parser=p)
 
     p = sub.add_parser("classify", help="scalar / regular / pseudo-regular / almost-regular")
     p.add_argument("path")
@@ -278,9 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--r", type=int, default=None,
                    help="order parameter; defaults to 0 for T2, 1 for T2.1, 2 for T3")
-    p.add_argument("--literal-t3ii", action="store_true")
+    p.add_argument("--literal-t3ii", action="store_true", default=None)
     common(p)
-    p.set_defaults(func=_cmd_certify)
+    p.set_defaults(func=_cmd_certify, parser=p)
 
     p = sub.add_parser("gen", help="generate a test matrix and write it to a file")
     p.add_argument("--kind", required=True, choices=KINDS)

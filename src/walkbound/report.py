@@ -161,8 +161,8 @@ def full_analysis(a: Matrix | Analysis, *, tol: float = DEFAULT_TOL,
     if ctx.max_modulus == 0.0:
         notes.append("certificates skipped: zero matrix")
     else:
-        certificates = [certify_theorem2(ctx, s=1, r=0), certify_theorem2_1(ctx, r=1, s=1),
-                        certify_theorem3(ctx, r=2, include_literal=literal_t3),
+        certificates = [certify_theorem2(ctx), certify_theorem2_1(ctx),
+                        certify_theorem3(ctx, include_literal=literal_t3),
                         certify_theorem4(ctx)]
         if hwh is not None:
             certificates.append(hwh_equality_certificate(ctx))

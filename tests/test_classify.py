@@ -1,12 +1,17 @@
+import importlib
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from walkbound import (
     DenseMatrix,
     NotScalarError,
     PreconditionError,
+    SparseMatrix,
     certify_theorem2,
     certify_theorem2_1,
     certify_theorem3,
@@ -17,6 +22,7 @@ from walkbound import (
     hwh_equality_certificate,
     relaxed_pseudo_regular,
 )
+from walkbound.analysis import Analysis
 
 
 def _block_diag(*blocks):
@@ -261,3 +267,108 @@ def test_hwh_certificate_path4(path4):
     assert not cert.holds
     assert cert.details["support_condition"] is False
     assert cert.implied_class_verified is True
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Rebind the solve, the walk table and the component cut at every
+    module binding that holds them, as tests/test_report.py does, and
+    return the positional arguments of each call by name."""
+    seen = {"largest_singular": [], "walk_table": [], "_cut": []}
+    modules = [mod for key, mod in sys.modules.items()
+               if key == "walkbound" or key.startswith("walkbound.")]
+    for home, name in (("spectral", "largest_singular"), ("walks", "walk_table"),
+                       ("structure", "_cut")):
+        original = getattr(importlib.import_module(f"walkbound.{home}"), name)
+
+        def recorded(*args, _name=name, _fn=original, **kwargs):
+            seen[_name].append(args)
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, recorded)
+    return seen
+
+
+def _two_regular_blocks():
+    # Regular as a whole: every row sum and every column sum is 3.
+    return _block_diag(np.ones((3, 3)), np.full((4, 4), 0.75))
+
+
+def test_theorem4_reads_only_regularity(calls):
+    cert = certify_theorem4(_two_regular_blocks())
+    assert cert.holds and cert.implied_class_verified is True
+    assert {k: len(v) for k, v in calls.items()} == {
+        "largest_singular": 1, "walk_table": 0, "_cut": 0}
+
+
+def test_theorem2_reads_only_pseudo_regularity(w_star, calls):
+    cert = certify_theorem2(w_star)
+    assert cert.holds and cert.implied_class_verified is True
+    assert calls["_cut"] == []
+    assert len(calls["largest_singular"]) == 1
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_theorem3_tabulates_only_its_order(w_star, calls, r):
+    certify_theorem3(w_star, r=r)
+    assert [order for _, order in calls["walk_table"]] == [r]
+
+
+def _order_inputs(e1, w_star):
+    return {
+        "E1": e1,
+        "w_star": w_star,
+        "two_blocks": _two_regular_blocks(),
+        "unequal": _block_diag(np.ones((2, 2)), np.array([[1.0]])),
+        "rotated_w_star": DenseMatrix(w_star.data * np.exp(0.4j)),
+        "sparse_w_star": SparseMatrix(scipy.sparse.coo_array(w_star.data)),
+    }
+
+
+_CERTIFICATES = {
+    "T2": certify_theorem2,
+    "T2_s2": lambda ctx: certify_theorem2(ctx, s=2, r=1),
+    "T2.1": certify_theorem2_1,
+    "T3": lambda ctx: certify_theorem3(ctx, include_literal=True),
+    "T3_r3": lambda ctx: certify_theorem3(ctx, r=3),
+    "T4": certify_theorem4,
+}
+
+
+@pytest.mark.parametrize("name", ["E1", "w_star", "two_blocks", "unequal", "rotated_w_star",
+                                  "sparse_w_star"])
+def test_certificates_and_classification_in_any_order(e1, w_star, name):
+    a = _order_inputs(e1, w_star)[name]
+    alone = {label: cert(Analysis(a)) for label, cert in _CERTIFICATES.items()}
+    classified = Analysis(a)
+    report = classified.classification
+    after = {label: cert(classified) for label, cert in _CERTIFICATES.items()}
+    assert after == alone
+    certified = Analysis(a)
+    for cert in _CERTIFICATES.values():
+        cert(certified)
+    assert classify(certified) == classify(a) == report
+
+
+@pytest.mark.parametrize("label", sorted(_CERTIFICATES))
+def test_no_certificate_builds_the_classification(w_star, label):
+    ctx = Analysis(w_star)
+    _CERTIFICATES[label](ctx)
+    assert "classification" not in vars(ctx)
+
+
+def test_theorem3_runs_in_two_matrix_sized_arrays():
+    m = n = 400
+    a = DenseMatrix(np.random.default_rng(8).uniform(size=(m, n)))
+    ctx = Analysis(a)
+    certify_theorem3(ctx)  # every shared quantity is computed now
+    tracemalloc.start()
+    try:
+        certify_theorem3(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * m * n * 8

@@ -149,13 +149,13 @@ def test_certify_t3_default_even_order(e1_file, capsys):
     assert body["details"]["r"] == 2
 
 
-# An order left unset takes the library's default; T3 takes no s.
+# An order left unset takes the library's default; T3 has no s.
 @pytest.mark.parametrize("theorem, flags, orders", [
     ("T2", [], {"r": 0, "s": 1}),
     ("T2.1", [], {"r": 1, "s": 1}),
     ("T2", ["--r", "2", "--s", "3"], {"r": 2, "s": 3}),
     ("T2.1", ["--s", "2"], {"r": 1, "s": 2}),
-    ("T3", ["--r", "4", "--s", "5"], {"r": 4}),
+    ("T3", ["--r", "4"], {"r": 4}),
 ])
 def test_certify_orders_default_to_the_library(e1_file, capsys, theorem, flags, orders):
     assert main(["certify", e1_file, "--theorem", theorem, *flags, "--json"]) == 0
@@ -290,6 +290,37 @@ def test_components_takes_no_tol(e1_file, capsys):
     # The support cutoff and the component solves use no tolerance.
     _assert_usage_error(["components", e1_file, "--tol", "0.1"], capsys,
                         "error: unrecognized arguments: --tol 0.1")
+
+
+# An option that the chosen theorem or method does not take is refused,
+# not ignored.
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--theorem", "T3", "--s", "5"], "argument --s: not allowed with --theorem T3"),
+    (["certify", "--theorem", "T4", "--r", "7", "--s", "3"],
+     "argument --r: not allowed with --theorem T4"),
+    (["certify", "--theorem", "T2", "--literal-t3ii"],
+     "argument --literal-t3ii: not allowed with --theorem T2"),
+    (["certify", "--theorem", "HWH", "--s", "1"], "argument --s: not allowed with --theorem HWH"),
+    (["bound", "--method", "mean", "--p", "9", "--r", "4"],
+     "argument --p: not allowed with --method mean"),
+    (["bound", "--method", "weighted", "--p", "5"],
+     "argument --p: not allowed with --method weighted"),
+    (["bound", "--method", "schur", "--r", "1"], "argument --r: not allowed with --method schur"),
+    (["bound", "--method", "hwh", "--r", "0"], "argument --r: not allowed with --method hwh"),
+])
+def test_an_option_the_choice_does_not_take_is_a_usage_error(e1_file, capsys, argv, message):
+    _assert_usage_error([argv[0], e1_file, *argv[1:]], capsys, f"error: {message}")
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["--method", "walk"], {"p": 3, "r": 1}),
+    (["--method", "walk", "--p", "5"], {"p": 5, "r": 1}),
+    (["--method", "walk", "--r", "3", "--p", "7"], {"p": 7, "r": 3}),
+    (["--method", "weighted"], {"r": 1}),
+    (["--method", "weighted", "--r", "2"], {"r": 2}),
+])
+def test_bound_orders_default_to_walk_3_1(e1_file, capsys, argv, params):
+    assert _json_out(["bound", e1_file, *argv], capsys)["params"] == params
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "-2"])

@@ -12,9 +12,11 @@ exit code, stdout and stderr of each.  The lists cover every JSON
 command (``analyze``, ``bound``, ``classify``, ``components``,
 ``certify``) and the text output of each of them, ``certify`` also at
 its library's default orders (``T2`` and ``T2.1`` with no ``--r`` or
-``--s``); on the inputs that are not scalar, ``bound --method walk``
-and ``classify`` exit 4 with one ``error:`` line.  So both report
-writers, the CLI's output path and its refusals are held to the base.
+``--s``), T3's literal support gap (``analyze --literal-t3ii``) and
+T4's class check (``certify --theorem T4``); on the inputs that are not
+scalar, ``bound --method walk`` and ``classify`` exit 4 with one
+``error:`` line.  So both report writers, the CLI's output path and its
+refusals are held to the base.
 It also runs ``gen`` for every generator kind (``GEN``), writing a
 ``.mtx`` and a ``.csv`` file, and records the bytes of the file with
 its output.  Every (file, command) pair whose records differ is
@@ -46,6 +48,8 @@ COMMANDS = (
     ("components",),
     ("certify", "--theorem", "T2.1"),
     ("certify", "--theorem", "T2", "--json"),
+    ("analyze", "--json", "--literal-t3ii"),
+    ("certify", "--theorem", "T4", "--json"),
 )
 # One ``walkbound gen`` argument list per case; every kind appears.
 GEN = (

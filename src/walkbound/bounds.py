@@ -47,7 +47,7 @@ def _report(ctx: Analysis, method: str, value: float, params: dict,
                        ctx.unscaled(gap), tight, params, certificate)
 
 
-def walk_bound(a: Matrix | Analysis, p: int, r: int,
+def walk_bound(a: Matrix | Analysis, p: int = 3, r: int = 1,
                tol: float = DEFAULT_TOL) -> BoundReport:
     """Walk-total ratio lower bound (w^p(R)/w^r(R))^(1/(p-r)).
 

@@ -271,7 +271,9 @@ def certify_theorem2(a: Matrix | Analysis, s: int = 1, r: int = 0,
         raise PreconditionError(f"need s >= 1 and r >= 0, got s={s}, r={r}")
     scalar, basis = _certificate_basis(ctx)
     sigma = ctx.singular(basis).sigma
-    table = ctx.table(basis, 2 * r + 2 * s + 1)
+    # Where the equality holds on scalar input, pseudo_lambda reads order
+    # 5 of this table: ask for it up front so one table serves both.
+    table = ctx.table(basis, max(2 * r + 2 * s + 1, 5) if scalar else 2 * r + 2 * s + 1)
     lhs = sigma ** (2 * s) * table.row_total(2 * r + 1)
     rhs = table.row_total(2 * r + 2 * s + 1)
     gap = abs(lhs - rhs) / max(1.0, abs(rhs))

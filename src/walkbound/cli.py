@@ -1,17 +1,18 @@
-"""Command line front end.
+"""Command line front end: arguments, dispatch and exit codes only.
 
-Each command hands ``_emit`` its result with a JSON and a text renderer,
-and ``_emit`` alone picks one, ends it with a newline and writes it to
-stdout or ``--out``.  ``certify``'s orders and ``gen``'s params are
-passed on only when given, so the library's defaults apply; an option
-that the chosen method of ``bound`` or theorem of ``certify`` does not
-take (the table ``_TAKES``) is refused.  Exit codes, from the one table
-``_EXIT_CODES``: 0 success, 2 unreadable or malformed input, a malformed
-argument or a refused option (argparse prints the usage), 3 a
-computation failed to converge or left the float64 range, 4 the
-operation does not apply to the given matrix (wrong shape, parity, or
-class) or a generator request was infeasible.  A failed command prints
-one ``error:`` line to stderr.
+Each command hands ``_emit`` its result, and ``_emit`` alone has
+``report.render`` write it as JSON or text, ends it with a newline and
+writes it to stdout or ``--out``.  One table, ``_CHOICES``, gives each
+method of ``bound`` and theorem of ``certify`` its library call and the
+options it takes; those options and ``gen``'s params are passed on only
+when given, so the library's defaults apply, and an option that the
+chosen method or theorem does not take is refused.  Exit codes, from
+the one table ``_EXIT_CODES``: 0 success, 2 unreadable or malformed
+input, a malformed argument or a refused option (argparse prints the
+usage), 3 a computation failed to converge or left the float64 range,
+4 the operation does not apply to the given matrix (wrong shape,
+parity, or class) or a generator request was infeasible.  A failed
+command prints one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -44,16 +45,7 @@ from .errors import (
 )
 from .gen import EXAMPLE_LABELS, KINDS, GeneratorSpec, certify, generate
 from .mmio import _format, read_matrix, write_matrix
-from .report import (
-    _bound_dict,
-    _certificate_dict,
-    _classification_dict,
-    _components_dict,
-    _fmt,
-    full_analysis,
-    render_text,
-    to_json,
-)
+from .report import full_analysis, render
 
 
 def _parse_shape(text: str) -> tuple[int, int]:
@@ -111,11 +103,11 @@ def _parse_graph(text: str) -> dict:
     return {"name": name, "n": nums[0]} if nums else {"name": name}
 
 
-def _emit(args, value, document, text) -> int:
-    """Write ``document(value)`` as JSON under ``--json``, else ``text(value)``,
-    to stdout or to ``--out`` as UTF-8.  Only that rendering is computed,
-    and the newline is written on its own so a large report is not copied."""
-    body = to_json(document(value)) if args.json else text(value)
+def _emit(args, value) -> int:
+    """Write ``value`` rendered as JSON under ``--json``, else as text, to
+    stdout or to ``--out`` as UTF-8.  The newline is written on its own so
+    a large report is not copied."""
+    body = render(value, args.json)
     with (contextlib.nullcontext(sys.stdout) if args.out is None
           else open(args.out, "w", encoding="utf-8")) as fh:
         fh.write(body)
@@ -129,115 +121,56 @@ def _cmd_analyze(args) -> int:
     body = full_analysis(ctx, literal_t3=args.literal_t3ii)
     meta = {"path": args.path, "format": _format(args.path), "shape": [ctx.a.m, ctx.a.n],
             "nnz": int(ctx.support.sum()), "real": ctx.a.is_real()}
-    report = {"schema": body.pop("schema"), "input": meta, **body}
-    return _emit(args, report, lambda doc: doc, render_text)
-
-
-def _bound_text(rep) -> str:
-    params = " ".join(f"{k}={v}" for k, v in sorted(rep.params.items()))
-    extra = f" certificate {_fmt(rep.certificate)}" if rep.certificate is not None else ""
-    return (f"{rep.method}{' ' + params if params else ''}: value {rep.value:.12g} "
-            f"sigma {rep.sigma:.12g} gap {rep.gap:.3g} tight {_fmt(rep.tight)}{extra}")
-
-
-def _cmd_bound(args) -> int:
-    _refuse_unused(args, "method")
-    a = read_matrix(args.path)
-    if args.method == "walk":
-        rep = walk_bound(a, 3 if args.p is None else args.p, 1 if args.r is None else args.r,
-                         tol=args.tol)
-    elif args.method == "weighted":
-        rep = weighted_bound(a, tol=args.tol, **_given(args, "r"))
-    elif args.method == "mean":
-        rep = mean_bound(a, tol=args.tol)
-    elif args.method == "hwh":
-        rep = hwh_bound(a, tol=args.tol)
-    else:
-        rep = schur_upper_bound(a, tol=args.tol)
-    return _emit(args, rep, _bound_dict, _bound_text)
-
-
-def _classification_text(rep) -> str:
-    lam = f" (lambda {_fmt(rep.pseudo_lambda)})" if rep.pseudo_lambda is not None else ""
-    lines = [
-        "scalar: yes",
-        f"regular: {_fmt(rep.is_regular)}",
-        f"pseudo-regular: {_fmt(rep.is_pseudo_regular)}{lam}",
-        f"almost-regular: {_fmt(rep.is_almost_regular)}",
-    ]
-    for k, s in enumerate(rep.per_component):
-        lines.append(f"component {k}: regular {_fmt(s.regular)} sigma {s.sigma:.12g}")
-    return "\n".join(lines)
+    return _emit(args, {"schema": body.pop("schema"), "input": meta, **body})
 
 
 def _cmd_classify(args) -> int:
-    rep = classify(read_matrix(args.path), args.tol)
-    return _emit(args, rep, _classification_dict, _classification_text)
-
-
-def _components_text(ctx: Analysis) -> str:
-    # The support's components only: no component is solved for its sigma.
-    dec = ctx.decomposition
-    lines = [f"components: {len(dec.components)}"]
-    for k, comp in enumerate(dec.components):
-        lines.append(f"  {k}: rows {list(comp.row_indices)} cols {list(comp.col_indices)}")
-    if dec.isolated_rows:
-        lines.append(f"isolated rows: {list(dec.isolated_rows)}")
-    if dec.isolated_cols:
-        lines.append(f"isolated cols: {list(dec.isolated_cols)}")
-    return "\n".join(lines)
+    return _emit(args, classify(read_matrix(args.path), args.tol))
 
 
 def _cmd_components(args) -> int:
-    return _emit(args, Analysis(read_matrix(args.path)), _components_dict, _components_text)
+    return _emit(args, Analysis(read_matrix(args.path)))
+
+
+# Each method of ``bound`` and theorem of ``certify``, in --help order:
+# its library call, named so that a rebinding of this module's names (a
+# tracer) sees the call, and the options it takes.
+_CHOICES = {
+    "method": {
+        "walk": ("walk_bound", "p", "r"),
+        "weighted": ("weighted_bound", "r"),
+        "mean": ("mean_bound",),
+        "hwh": ("hwh_bound",),
+        "schur": ("schur_upper_bound",),
+    },
+    "theorem": {
+        "T2": ("certify_theorem2", "r", "s"),
+        "T2.1": ("certify_theorem2_1", "r", "s"),
+        "T3": ("certify_theorem3", "r", "literal_t3ii"),
+        "T4": ("certify_theorem4",),
+        "HWH": ("hwh_equality_certificate",),
+    },
+}
+# The one option whose library keyword is not its name.
+_KEYWORDS = {"literal_t3ii": "include_literal"}
+
+
+def _cmd_choice(args) -> int:
+    """``bound`` or ``certify``: the chosen call with the options it takes
+    that were given; another of the command's options, given, exits 2."""
+    table, choice = _CHOICES[args.by], getattr(args, args.by)
+    call, *takes = table[choice]
+    for name in dict.fromkeys(n for _, *names in table.values() for n in names):
+        if name not in takes and getattr(args, name) is not None:
+            args.parser.error(f"argument --{name.replace('_', '-')}: "
+                              f"not allowed with --{args.by} {choice}")
+    given = {_KEYWORDS.get(k, k): v for k, v in _given(args, *takes).items()}
+    return _emit(args, globals()[call](read_matrix(args.path), tol=args.tol, **given))
 
 
 def _given(args, *names) -> dict:
     """The named options that were set; the library applies its defaults to the rest."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
-# The options of ``bound`` and ``certify`` that each method and theorem
-# takes.  Any other of them, given, is a usage error rather than ignored.
-_TAKES = {
-    "walk": ("p", "r"), "weighted": ("r",), "mean": (), "hwh": (), "schur": (),
-    "T2": ("r", "s"), "T2.1": ("r", "s"), "T3": ("r", "literal_t3ii"), "T4": (), "HWH": (),
-}
-
-
-def _refuse_unused(args, by: str) -> None:
-    """Exit 2 with the usage line when an option was given that the choice
-    of option ``by`` (``method`` or ``theorem``) does not take."""
-    choice = getattr(args, by)
-    for name in ("p", "r", "s", "literal_t3ii"):
-        if name not in _TAKES[choice] and getattr(args, name, None) is not None:
-            args.parser.error(f"argument --{name.replace('_', '-')}: "
-                              f"not allowed with --{by} {choice}")
-
-
-def _certificate_text(cert) -> str:
-    lines = [f"{cert.theorem}: holds {_fmt(cert.holds)} gap {cert.gap:.3g} "
-             f"implied-class {_fmt(cert.implied_class_verified)}"]
-    for k, v in sorted(cert.details.items()):
-        lines.append(f"  {k}: {_fmt(v)}")
-    return "\n".join(lines)
-
-
-def _cmd_certify(args) -> int:
-    _refuse_unused(args, "theorem")
-    a = read_matrix(args.path)
-    if args.theorem == "T2":
-        cert = certify_theorem2(a, tol=args.tol, **_given(args, "r", "s"))
-    elif args.theorem == "T2.1":
-        cert = certify_theorem2_1(a, tol=args.tol, **_given(args, "r", "s"))
-    elif args.theorem == "T3":
-        cert = certify_theorem3(a, tol=args.tol, include_literal=bool(args.literal_t3ii),
-                                **_given(args, "r"))
-    elif args.theorem == "T4":
-        cert = certify_theorem4(a, tol=args.tol)
-    else:
-        cert = hwh_equality_certificate(a, tol=args.tol)
-    return _emit(args, cert, _certificate_dict, _certificate_text)
 
 
 def _cmd_gen(args) -> int:
@@ -261,6 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, tol=True):
+        p.add_argument("path")
         if tol:
             p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
                            help="relative comparison tolerance (default 1e-8)")
@@ -268,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("analyze", help="full report for one matrix file")
-    p.add_argument("path")
     p.add_argument("--max-iter", type=_int_at_least(1), default=DEFAULT_MAX_ITER)
     p.add_argument("--literal-t3ii", action="store_true",
                    help="also report the literal product-form support gap")
@@ -276,34 +209,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("bound", help="one lower (or upper) bound")
-    p.add_argument("path")
-    p.add_argument("--method", required=True,
-                   choices=("walk", "weighted", "mean", "hwh", "schur"))
+    p.add_argument("--method", required=True, choices=tuple(_CHOICES["method"]))
     p.add_argument("--p", type=int, help="walk bound: higher order")
     p.add_argument("--r", type=int, help="walk/weighted order")
     common(p)
-    p.set_defaults(func=_cmd_bound, parser=p)
+    p.set_defaults(func=_cmd_choice, parser=p, by="method")
 
     p = sub.add_parser("classify", help="scalar / regular / pseudo-regular / almost-regular")
-    p.add_argument("path")
     common(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("components", help="connected components of the support")
-    p.add_argument("path")
     common(p, tol=False)
     p.set_defaults(func=_cmd_components)
 
     p = sub.add_parser("certify", help="equality certificate for one theorem")
-    p.add_argument("path")
-    p.add_argument("--theorem", required=True,
-                   choices=("T2", "T2.1", "T3", "T4", "HWH"))
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--r", type=int, default=None,
+    p.add_argument("--theorem", required=True, choices=tuple(_CHOICES["theorem"]))
+    p.add_argument("--s", type=int)
+    p.add_argument("--r", type=int,
                    help="order parameter; defaults to 0 for T2, 1 for T2.1, 2 for T3")
     p.add_argument("--literal-t3ii", action="store_true", default=None)
     common(p)
-    p.set_defaults(func=_cmd_certify, parser=p)
+    p.set_defaults(func=_cmd_choice, parser=p, by="theorem")
 
     p = sub.add_parser("gen", help="generate a test matrix and write it to a file")
     p.add_argument("--kind", required=True, choices=KINDS)

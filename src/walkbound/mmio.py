@@ -11,7 +11,8 @@ storage follows the file's layout: a coordinate file becomes a
 ``SparseMatrix`` with no m x n array formed, an array file or a CSV file
 a ``DenseMatrix``.  Writing is done here so the byte layout stays fixed:
 array layout, column major, one value per line, shortest lossless float
-representation.
+representation; the entries are formatted and written a chunk at a
+time.  A CSV file may start with a UTF-8 byte-order mark.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from pathlib import Path
 
 from .core import DenseMatrix, Matrix, SparseMatrix
 from .errors import InputFormatError
+
+
+_CHUNK = 4096  # entries a writer formats at a time: it never holds the whole text
 
 
 def _parse_complex(token: str, where: str) -> complex:
@@ -35,7 +39,8 @@ def _parse_complex(token: str, where: str) -> complex:
 
 def _read_csv(path: Path) -> DenseMatrix:
     rows = []
-    with open(path, newline="") as handle:
+    # utf-8-sig: a leading byte-order mark, as spreadsheets write, is skipped.
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for lineno, record in enumerate(csv.reader(handle), start=1):
             if not record:
                 continue
@@ -74,16 +79,25 @@ def _fmt_complex_csv(z: complex) -> str:
 
 def _write_matrix_market(path: Path, a: DenseMatrix) -> None:
     real = a.is_real()
-    entries = a.data.T.ravel().tolist()  # column major, as Python floats or complexes
-    body = map(repr, entries) if real else (f"{z.real!r} {z.imag!r}" for z in entries)
-    head = f"%%MatrixMarket matrix array {'real' if real else 'complex'} general\n{a.m} {a.n}\n"
-    path.write_text(head + "\n".join(body) + "\n")
+    step = max(1, _CHUNK // a.m)  # columns per chunk
+    with open(path, "w") as fh:
+        fh.write(f"%%MatrixMarket matrix array {'real' if real else 'complex'} general\n"
+                 f"{a.m} {a.n}\n")
+        for j in range(0, a.n, step):
+            block = a.data[:, j:j + step].T.ravel()  # column major
+            if real:
+                fh.write("\n".join(map(repr, block.tolist())) + "\n")
+            else:  # each entry as the pair of its float64 parts
+                fh.write("%r %r\n" * block.size % tuple(block.view(float).tolist()))
 
 
 def _write_csv(path: Path, a: DenseMatrix) -> None:
     fmt = repr if a.is_real() else _fmt_complex_csv
-    rows = a.data.tolist()  # as Python floats or complexes
-    path.write_text("".join(",".join(map(fmt, row)) + "\n" for row in rows), newline="")
+    step = max(1, _CHUNK // a.n)  # rows per chunk
+    with open(path, "w", newline="") as fh:
+        for i in range(0, a.m, step):
+            rows = a.data[i:i + step].tolist()  # as Python floats or complexes
+            fh.write("".join(",".join(map(fmt, row)) + "\n" for row in rows))
 
 
 # Each supported suffix, lowercase and without its dot, with its reader

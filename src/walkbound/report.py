@@ -8,6 +8,9 @@ digits), which round-trips exactly.  ``to_json`` writes the bytes of
 primitives of ``json``'s own encoder, and writes each list of plain ints
 in one join; CPython serves ``indent=2`` with its pure-Python encoder,
 which spends most of a large report on the component index lists.
+
+``render`` is the one home of every rendering the CLI prints, as JSON
+or as text, keyed by the type of the result.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from math import isfinite
 
 from . import __version__
 from .analysis import Analysis
-from .bounds import mean_bound, schur_upper_bound, walk_bound, weighted_bound
+from .bounds import BoundReport, mean_bound, schur_upper_bound, walk_bound, weighted_bound
 from .classify import (
+    ClassificationReport,
+    EqualityCertificate,
     certify_theorem2,
     certify_theorem2_1,
     certify_theorem3,
@@ -46,11 +51,20 @@ def _num(x):
 def _complex_dict(z) -> dict | None:
     if z is None:
         return None
-    z = complex(z)
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _bound_dict(report) -> dict:
+def _fmt(x) -> str:
+    if x is None:
+        return "-"
+    if isinstance(x, bool):
+        return "yes" if x else "no"
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return str(x)
+
+
+def _bound_dict(report: BoundReport) -> dict:
     return {
         "method": report.method,
         "params": {k: _num(v) for k, v in sorted(report.params.items())},
@@ -62,7 +76,14 @@ def _bound_dict(report) -> dict:
     }
 
 
-def _certificate_dict(cert) -> dict:
+def _bound_text(report: BoundReport) -> str:
+    params = " ".join(f"{k}={v}" for k, v in sorted(report.params.items()))
+    extra = f" certificate {_fmt(report.certificate)}" if report.certificate is not None else ""
+    return (f"{report.method}{' ' + params if params else ''}: value {report.value:.12g} "
+            f"sigma {report.sigma:.12g} gap {report.gap:.3g} tight {_fmt(report.tight)}{extra}")
+
+
+def _certificate_dict(cert: EqualityCertificate) -> dict:
     return {
         "theorem": cert.theorem,
         "holds": bool(cert.holds),
@@ -72,19 +93,40 @@ def _certificate_dict(cert) -> dict:
     }
 
 
-def _classification_dict(report) -> dict:
+def _certificate_text(cert: EqualityCertificate) -> str:
+    details = "".join(f"\n  {k}: {_fmt(v)}" for k, v in sorted(cert.details.items()))
+    return (f"{cert.theorem}: holds {_fmt(cert.holds)} gap {cert.gap:.3g} "
+            f"implied-class {_fmt(cert.implied_class_verified)}{details}")
+
+
+def _classification_dict(report, scalarity=None) -> dict:
+    """The classes of ``report``, or none where it is None, the
+    classification being undefined, and the input's ``scalarity``."""
+    sc = scalarity or report.scalarity
     return {
-        "is_scalar": True,
-        "phase": _complex_dict(report.scalarity.phase),
-        "is_regular": report.is_regular,
-        "is_pseudo_regular": report.is_pseudo_regular,
-        "pseudo_lambda": _num(report.pseudo_lambda),
-        "is_almost_regular": report.is_almost_regular,
+        "is_scalar": sc.is_scalar,
+        "phase": _complex_dict(sc.phase),
+        "is_regular": getattr(report, "is_regular", None),
+        "is_pseudo_regular": getattr(report, "is_pseudo_regular", None),
+        "pseudo_lambda": _num(getattr(report, "pseudo_lambda", None)),
+        "is_almost_regular": getattr(report, "is_almost_regular", None),
         "per_component": [
             {"regular": s.regular, "sigma": float(s.sigma)}
-            for s in report.per_component
+            for s in getattr(report, "per_component", ())
         ],
     }
+
+
+def _classification_text(report: ClassificationReport) -> str:
+    lam = f" (lambda {_fmt(report.pseudo_lambda)})" if report.pseudo_lambda is not None else ""
+    return "\n".join([
+        "scalar: yes",
+        f"regular: {_fmt(report.is_regular)}",
+        f"pseudo-regular: {_fmt(report.is_pseudo_regular)}{lam}",
+        f"almost-regular: {_fmt(report.is_almost_regular)}",
+        *(f"component {k}: regular {_fmt(s.regular)} sigma {s.sigma:.12g}"
+          for k, s in enumerate(report.per_component)),
+    ])
 
 
 def _components_dict(ctx: Analysis) -> dict:
@@ -105,6 +147,19 @@ def _components_dict(ctx: Analysis) -> dict:
             for comp, sigma in zip(dec.components, ctx.component_sigmas(ctx.a))
         ],
     }
+
+
+def _components_text(ctx: Analysis) -> str:
+    # The support's components only: no component is solved for its sigma.
+    dec = ctx.decomposition
+    lines = [f"components: {len(dec.components)}"]
+    for k, comp in enumerate(dec.components):
+        lines.append(f"  {k}: rows {list(comp.row_indices)} cols {list(comp.col_indices)}")
+    if dec.isolated_rows:
+        lines.append(f"isolated rows: {list(dec.isolated_rows)}")
+    if dec.isolated_cols:
+        lines.append(f"isolated cols: {list(dec.isolated_cols)}")
+    return "\n".join(lines)
 
 
 def full_analysis(a: Matrix | Analysis, *, tol: float = DEFAULT_TOL,
@@ -144,18 +199,9 @@ def full_analysis(a: Matrix | Analysis, *, tol: float = DEFAULT_TOL,
         bound_reports.append(schur_upper_bound(ctx))
 
     try:
-        classification = dict(_classification_dict(ctx.classification), error=None)
+        cls, error = ctx.classification, None
     except PreconditionError as exc:
-        classification = {
-            "is_scalar": sc.is_scalar,
-            "phase": _complex_dict(sc.phase),
-            "is_regular": None,
-            "is_pseudo_regular": None,
-            "pseudo_lambda": None,
-            "is_almost_regular": None,
-            "per_component": [],
-            "error": str(exc),
-        }
+        cls, error = None, str(exc)
 
     certificates = []
     if ctx.max_modulus == 0.0:
@@ -176,7 +222,7 @@ def full_analysis(a: Matrix | Analysis, *, tol: float = DEFAULT_TOL,
             "iterations": int(spectral.iterations),
         },
         "bounds": [_bound_dict(b) for b in bound_reports],
-        "classification": classification,
+        "classification": dict(_classification_dict(cls, sc), error=error),
         "certificates": [_certificate_dict(c) for c in certificates],
         "components": _components_dict(ctx),
         "notes": notes,
@@ -226,16 +272,6 @@ def _write(o, newline: str) -> str:
         items = (f"{_quote(k)}: {_write(v, inner)}" for k, v in o.items())
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return "-"
-    if isinstance(x, bool):
-        return "yes" if x else "no"
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
 
 
 def render_text(report: dict) -> str:
@@ -289,3 +325,22 @@ def render_text(report: dict) -> str:
     for note in report.get("notes", ()):
         lines.append(f"note: {note}")
     return "\n".join(lines) + "\n"
+
+
+# The JSON document and the text of each result type that ``render`` takes.
+_RENDERINGS = {
+    dict: (lambda report: report, render_text),
+    BoundReport: (_bound_dict, _bound_text),
+    ClassificationReport: (_classification_dict, _classification_text),
+    EqualityCertificate: (_certificate_dict, _certificate_text),
+    Analysis: (_components_dict, _components_text),
+}
+
+
+def render(value, as_json: bool) -> str:
+    """``value`` as JSON (``to_json`` of its document) or as text: an
+    analyze report (a dict), a BoundReport, a ClassificationReport, an
+    EqualityCertificate or an ``Analysis``, for its components, whose text
+    solves no component.  Only the rendering asked for is computed."""
+    document, text = _RENDERINGS[type(value)]
+    return to_json(document(value)) if as_json else text(value)

@@ -9,6 +9,7 @@ import scipy.sparse
 
 from walkbound import (
     DenseMatrix,
+    GeneratorSpec,
     NotScalarError,
     PreconditionError,
     SparseMatrix,
@@ -19,6 +20,7 @@ from walkbound import (
     characterize_pseudo_regular,
     classify,
     detect_scalar,
+    generate,
     hwh_equality_certificate,
     relaxed_pseudo_regular,
 )
@@ -305,10 +307,15 @@ def test_theorem4_reads_only_regularity(calls):
 
 
 def test_theorem2_reads_only_pseudo_regularity(w_star, calls):
-    cert = certify_theorem2(w_star)
-    assert cert.holds and cert.implied_class_verified is True
-    assert calls["_cut"] == []
-    assert len(calls["largest_singular"]) == 1
+    for a in (w_star, generate(GeneratorSpec("regular", (6, 6), seed=1))):
+        for seen in calls.values():
+            seen.clear()
+        cert = certify_theorem2(a)
+        assert cert.holds and cert.implied_class_verified is True
+        assert calls["_cut"] == []
+        assert len(calls["largest_singular"]) == 1
+        # One table serves the equality (order 3) and pseudo_lambda (order 5).
+        assert [order for _, order in calls["walk_table"]] == [5]
 
 
 @pytest.mark.parametrize("r", [1, 2, 4])

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -436,6 +437,15 @@ def test_overflowing_input_exits_with_one_error_line(tmp_path, capsys, symmetric
         assert "Traceback" not in err and "Warning" not in err, argv
         if rc:
             assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_cli_imports_no_private_report_name():
+    # Every rendering lives in report, behind report.render.
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module in ("report", "walkbound.report")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_installed_entry_point_runs(e1_file):

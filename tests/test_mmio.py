@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,14 @@ def test_csv_accepts_i_and_j_suffixes(tmp_path):
     assert a.data[1, 0] == -1j
 
 
+def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # Spreadsheets save "CSV UTF-8" with a leading byte-order mark.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(b"1,2.5\n-3,4+1i\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_matrix(marked) == read_matrix(plain)
+
+
 def test_write_is_byte_stable(tmp_path, c2):
     p1 = tmp_path / "a.mtx"
     p2 = tmp_path / "b.mtx"
@@ -72,6 +82,9 @@ def _per_entry_matrix_market(a: DenseMatrix) -> str:
     np.random.default_rng(7).random((6, 4)),
     np.random.default_rng(8).standard_normal((3, 5)) * (1 - 2j),
     [[3.0]],
+    # More entries than one chunk of the writer: several chunks.
+    np.random.default_rng(9).random((70, 130)),
+    np.random.default_rng(9).random((70, 130)) * (1 - 2j),
 ])
 def test_mtx_writer_matches_the_per_entry_layout(tmp_path, entries):
     a = DenseMatrix(entries)
@@ -102,12 +115,28 @@ def _per_entry_csv(a: DenseMatrix) -> str:
     np.random.default_rng(7).random((6, 4)),
     np.random.default_rng(8).standard_normal((3, 5)) * (1 - 2j),
     [[3.0]],
+    np.random.default_rng(9).random((130, 70)),
+    np.random.default_rng(9).random((130, 70)) * (1 - 2j),
 ])
 def test_csv_writer_matches_the_per_entry_layout(tmp_path, entries):
     a = DenseMatrix(entries)
     path = tmp_path / "m.csv"
     write_matrix(path, a)
     assert path.read_bytes() == _per_entry_csv(a).encode()
+
+
+@pytest.mark.parametrize("suffix", [".mtx", ".csv"])
+def test_write_peaks_below_the_file_size(tmp_path, suffix):
+    # The body is formatted a chunk at a time, not held whole.
+    a = DenseMatrix(np.random.default_rng(10).random((500, 500)))
+    path = tmp_path / f"m{suffix}"
+    tracemalloc.start()
+    try:
+        write_matrix(path, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_csv_layout(tmp_path):

@@ -41,6 +41,7 @@ from walkbound.report import (
     _bound_dict,
     _certificate_dict,
     _complex_dict,
+    render,
 )
 
 
@@ -269,6 +270,15 @@ def test_cli_analyze_builds_one_support_mask(e1, tmp_path, count_calls):
     write_matrix(path, e1)
     assert cli.main(["analyze", str(path), "--json", "--out", str(tmp_path / "r.json")]) == 0
     assert count_calls["support_mask"] == 1
+
+
+def test_components_text_solves_no_component(count_calls):
+    # Two blocks: the JSON solves each, the text only lists them.
+    ctx = Analysis(DenseMatrix(np.kron(np.eye(2), np.ones((2, 2)))))
+    assert render(ctx, as_json=False).startswith("components: 2\n")
+    assert count_calls["largest_singular"] == 0
+    assert json.loads(render(ctx, as_json=True))["count"] == 2
+    assert count_calls["largest_singular"] == 2
 
 
 def test_walk_bound_without_sigma_solves_once(e1, count_calls):

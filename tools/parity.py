@@ -19,8 +19,11 @@ scalar, ``bound --method walk`` and ``classify`` exit 4 with one
 refusals are held to the base.
 It also runs ``gen`` for every generator kind (``GEN``), writing a
 ``.mtx`` and a ``.csv`` file, and records the bytes of the file with
-its output.  Every (file, command) pair whose records differ is
-printed, and the exit status is 1 if any does, 0 otherwise.
+its output, and runs each argument list of ``ONCE`` once: ``--help`` of
+``walkbound`` and of each command, and options that the chosen method
+or theorem does not take, refused with exit 2 and the usage line.
+Every (file, command) pair whose records differ is printed, and the
+exit status is 1 if any does, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -51,6 +54,21 @@ COMMANDS = (
     ("analyze", "--json", "--literal-t3ii"),
     ("certify", "--theorem", "T4", "--json"),
 )
+# Argument lists run once rather than per input; PATH stands for the
+# first input.
+ONCE = (
+    ("--help",),
+    *((command, "--help")
+      for command in ("analyze", "bound", "classify", "components", "certify", "gen")),
+    ("bound", "PATH", "--method", "mean", "--r", "2"),
+    ("bound", "PATH", "--method", "weighted", "--p", "3"),
+    ("bound", "PATH", "--method", "hwh", "--p", "3", "--r", "1"),
+    ("bound", "PATH", "--method", "nope"),
+    ("certify", "PATH", "--theorem", "T4", "--s", "1"),
+    ("certify", "PATH", "--theorem", "T2", "--literal-t3ii"),
+    ("certify", "PATH", "--theorem", "T3", "--s", "5"),
+    ("certify", "PATH", "--theorem", "HWH", "--r", "1", "--s", "1", "--literal-t3ii"),
+)
 # One ``walkbound gen`` argument list per case; every kind appears.
 GEN = (
     ("random_nonneg", "--shape", "7x5", "--density", "0.6", "--seed", "3"),
@@ -69,7 +87,8 @@ SUFFIXES = (".mtx", ".csv")
 # argv[2] receives [command line, path, exit code, stdout, stderr] per
 # run, and argv[3] is an empty directory for the files ``gen`` writes.  A
 # gen run's path is its case number and suffix, and its stdout, with
-# argv[3] written as "OUT", is followed by the file's bytes.
+# argv[3] written as "OUT", is followed by the file's bytes.  A run of
+# ``ONCE`` has the path "once".
 _RUNNER = """
 import contextlib, io, json, os, pathlib, sys, warnings
 from walkbound.cli import main
@@ -90,6 +109,9 @@ runs = []
 for path in paths:
     for command, *args in %r:
         runs.append([" ".join([command, *args]), path, *run([command, path, *args])])
+for args in %r:
+    runs.append([" ".join(args), "once",
+                 *run([paths[0] if arg == "PATH" else arg for arg in args])])
 gen_dir = sys.argv[3]
 for k, args in enumerate(%r):
     for suffix in %r:
@@ -100,7 +122,7 @@ for k, args in enumerate(%r):
                      [out.replace(gen_dir, "OUT"), written], err])
 with open(sys.argv[2], "w") as fh:
     json.dump(runs, fh)
-""" % (COMMANDS, GEN, SUFFIXES)
+""" % (COMMANDS, ONCE, GEN, SUFFIXES)
 
 
 def build_inputs(tree: Path, workdir: Path) -> list[str]:
@@ -140,14 +162,17 @@ def main(argv: list[str]) -> int:
         before = run_tree(base, listing, Path(tmp, "base.json"))
         after = run_tree(head, listing, Path(tmp, "head.json"))
         keys = sorted(before.keys() | after.keys())
-        differ = [(command, path if command == "gen" else os.path.relpath(path, tmp))
+        differ = [(command, path if command == "gen" or path == "once"
+                   else os.path.relpath(path, tmp))
                   for command, path in keys
                   if before.get((command, path)) != after.get((command, path))]
     for command, name in differ:
         print(f"differs: {command} case {name}" if command == "gen"
+              else f"differs: {command}" if name == "once"
               else f"differs: {command} {name}")
     print(f"{len(differ)} of {len(keys)} runs differ ({len(paths)} inputs x "
-          f"{len(COMMANDS)} commands, {len(GEN)} gen cases x {len(SUFFIXES)} formats)")
+          f"{len(COMMANDS)} commands, {len(ONCE)} runs once, "
+          f"{len(GEN)} gen cases x {len(SUFFIXES)} formats)")
     return 1 if differ else 0
 
 

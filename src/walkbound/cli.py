@@ -1,8 +1,12 @@
 """Command line front end: arguments, dispatch and exit codes only.
 
-Each command hands ``_emit`` its result, and ``_emit`` alone has
-``report.render`` write it as JSON or text, ends it with a newline and
-writes it to stdout or ``--out``.  One table, ``_CHOICES``, gives each
+One table, ``_COMMANDS``, gives each command its help line, its
+arguments and its handler; a call that names a command builds the
+parser of that command alone, and any other call (``--help``, no
+command, an unknown one) the parser of every command.  Each command
+hands ``_emit`` its result, and ``_emit`` alone has ``report.render``
+write it as JSON or text, ends it with a newline and writes it to
+stdout or ``--out``.  One table, ``_CHOICES``, gives each
 method of ``bound`` and theorem of ``certify`` its library call and the
 options it takes; those options and ``gen``'s params are passed on only
 when given, so the library's defaults apply, and an option that the
@@ -185,54 +189,45 @@ def _cmd_gen(args) -> int:
     return 0 if ok else 4
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="walkbound",
-        description="Walk weight bounds on the largest singular value, "
-                    "with regularity classification and equality certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, tol=True):
+    p.add_argument("path")
+    if tol:
+        p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
+                       help="relative comparison tolerance (default 1e-8)")
+    p.add_argument("--json", action="store_true", help="emit JSON")
+    p.add_argument("--out", help="write output to this file instead of stdout")
 
-    def common(p, tol=True):
-        p.add_argument("path")
-        if tol:
-            p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
-                           help="relative comparison tolerance (default 1e-8)")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--out", help="write output to this file instead of stdout")
 
-    p = sub.add_parser("analyze", help="full report for one matrix file")
+def _analyze_args(p):
     p.add_argument("--max-iter", type=_int_at_least(1), default=DEFAULT_MAX_ITER)
     p.add_argument("--literal-t3ii", action="store_true",
                    help="also report the literal product-form support gap")
-    common(p)
-    p.set_defaults(func=_cmd_analyze)
+    _common(p)
 
-    p = sub.add_parser("bound", help="one lower (or upper) bound")
+
+def _bound_args(p):
     p.add_argument("--method", required=True, choices=tuple(_CHOICES["method"]))
     p.add_argument("--p", type=int, help="walk bound: higher order")
     p.add_argument("--r", type=int, help="walk/weighted order")
-    common(p)
-    p.set_defaults(func=_cmd_choice, parser=p, by="method")
+    _common(p)
+    p.set_defaults(parser=p, by="method")
 
-    p = sub.add_parser("classify", help="scalar / regular / pseudo-regular / almost-regular")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("components", help="connected components of the support")
-    common(p, tol=False)
-    p.set_defaults(func=_cmd_components)
+def _components_args(p):
+    _common(p, tol=False)
 
-    p = sub.add_parser("certify", help="equality certificate for one theorem")
+
+def _certify_args(p):
     p.add_argument("--theorem", required=True, choices=tuple(_CHOICES["theorem"]))
     p.add_argument("--s", type=int)
     p.add_argument("--r", type=int,
                    help="order parameter; defaults to 0 for T2, 1 for T2.1, 2 for T3")
     p.add_argument("--literal-t3ii", action="store_true", default=None)
-    common(p)
-    p.set_defaults(func=_cmd_choice, parser=p, by="theorem")
+    _common(p)
+    p.set_defaults(parser=p, by="theorem")
 
-    p = sub.add_parser("gen", help="generate a test matrix and write it to a file")
+
+def _gen_args(p):
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--shape", type=_parse_shape, default=(4, 4), metavar="MxN")
     p.add_argument("--density", type=float, default=1.0)
@@ -243,8 +238,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", type=_parse_graph, metavar="NAME[:N|:A,B]",
                    help="path:5, cycle:6, complete:4, star:5, complete_bipartite:2,3")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
 
+
+# Each command, in --help order: its help line, the function that adds
+# its arguments and its handler.
+_COMMANDS = {
+    "analyze": ("full report for one matrix file", _analyze_args, _cmd_analyze),
+    "bound": ("one lower (or upper) bound", _bound_args, _cmd_choice),
+    "classify": ("scalar / regular / pseudo-regular / almost-regular", _common, _cmd_classify),
+    "components": ("connected components of the support", _components_args, _cmd_components),
+    "certify": ("equality certificate for one theorem", _certify_args, _cmd_choice),
+    "gen": ("generate a test matrix and write it to a file", _gen_args, _cmd_gen),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command when it is None.
+
+    Either way the top usage line, which an unrecognized argument prints,
+    names every command."""
+    parser = argparse.ArgumentParser(
+        prog="walkbound",
+        description="Walk weight bounds on the largest singular value, "
+                    "with regularity classification and equality certificates.",
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    for name in _COMMANDS if command is None else (command,):
+        help_line, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -258,7 +283,10 @@ _EXIT_CODES = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the named command's parser is built; --help, no command or an
+    # unknown one gets every command's.
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         # An overflow fails the command rather than print inf or nan.
         with np.errstate(over="raise", invalid="raise"):

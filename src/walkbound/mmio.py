@@ -41,12 +41,15 @@ def _read_csv(path: Path) -> DenseMatrix:
     rows = []
     # utf-8-sig: a leading byte-order mark, as spreadsheets write, is skipped.
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        for lineno, record in enumerate(csv.reader(handle), start=1):
-            if not record:
-                continue
-            rows.append([
-                _parse_complex(cell, f"{path.name}:{lineno}") for cell in record
-            ])
+        try:
+            for lineno, record in enumerate(csv.reader(handle), start=1):
+                if not record:
+                    continue
+                rows.append([
+                    _parse_complex(cell, f"{path.name}:{lineno}") for cell in record
+                ])
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: not UTF-8 text") from exc
     if not rows:
         raise InputFormatError(f"{path}: no matrix rows found")
     width = len(rows[0])

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import subprocess
@@ -390,6 +391,13 @@ def test_bad_content_exits_2(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
 
 
+def test_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1,\xff\n")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
+
+
 def test_walk_on_non_scalar_exits_4(c2_file, capsys):
     assert main(["bound", c2_file, "--method", "walk"]) == 4
     assert "scalar" in capsys.readouterr().err
@@ -437,6 +445,75 @@ def test_overflowing_input_exits_with_one_error_line(tmp_path, capsys, symmetric
         assert "Traceback" not in err and "Warning" not in err, argv
         if rc:
             assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_a_named_command_builds_only_its_own_parser(e1_file, capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recorded(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recorded)
+    assert main(["classify", e1_file]) == 0
+    assert built == ["classify"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == list(cli._COMMANDS)
+
+
+def _subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_one_command_parser_prints_what_the_full_one_does(name):
+    alone, every = cli._build_parser(name), cli._build_parser()
+    # The top usage line is what an unrecognized argument prints.
+    assert alone.format_usage() == every.format_usage()
+    for text in ("format_help", "format_usage"):
+        assert (getattr(_subparser(alone, name), text)()
+                == getattr(_subparser(every, name), text)())
+
+
+def _parse(parser, argv, capsys):
+    """The namespace of ``argv``, with the command's parser by its prog,
+    or the exit code and stderr of its refusal."""
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().err
+    return {k: v.prog if k == "parser" else v for k, v in vars(args).items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "m.mtx"],
+    ["analyze", "m.mtx", "--json", "--literal-t3ii", "--max-iter", "7", "--tol", "1e-6",
+     "--out", "r.json"],
+    ["analyze", "m.mtx", "--max-iter", "0"],
+    ["analyze"],
+    ["bound", "m.mtx", "--method", "walk"],
+    ["bound", "m.mtx", "--method", "walk", "--p", "5", "--r", "3", "--json"],
+    ["bound", "m.mtx", "--method", "mean", "--r", "2"],
+    ["bound", "m.mtx"],
+    ["classify", "m.csv", "--tol", "1e-3", "--json"],
+    ["components", "m.mtx", "--out", "c.txt"],
+    ["components", "m.mtx", "--tol", "0.1"],
+    ["certify", "m.mtx", "--theorem", "T2.1", "--r", "2", "--s", "3"],
+    ["certify", "m.mtx", "--theorem", "T3", "--literal-t3ii"],
+    ["certify", "m.mtx", "--theorem", "T4", "--s", "1"],
+    ["certify", "m.mtx", "--theorem", "T9"],
+    ["gen", "--kind", "graph", "--graph", "complete_bipartite:2,3", "--out", "g.mtx"],
+    ["gen", "--kind", "regular", "--shape", "6x3", "--seed", "5", "--density", "0.5",
+     "--blocks", "2x3,2x2", "--target-sigma", "5", "--which", "E1", "--out", "g.csv"],
+    ["gen", "--kind", "regular"],
+], ids=" ".join)
+def test_one_command_parser_parses_as_the_full_one(argv, capsys):
+    alone = _parse(cli._build_parser(argv[0]), argv, capsys)
+    assert alone == _parse(cli._build_parser(), argv, capsys)
 
 
 def test_cli_imports_no_private_report_name():

@@ -29,9 +29,9 @@ E1 = DenseMatrix([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
 PATH3 = DenseMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
-def _csv(tmp_path, text):
+def _csv(tmp_path, data):
     path = tmp_path / "m.csv"
-    path.write_text(text)
+    path.write_bytes(data)
     return path
 
 
@@ -78,10 +78,12 @@ _DOCUMENTED = {
                 GeneratorError, "cycle needs at least three vertices"),
     "unknown paper_example": (lambda tmp: _gen("paper_example", which="E9"),
                               GeneratorError, "unknown example 'E9'; available: E1, C2"),
-    "empty CSV cell": (lambda tmp: read_matrix(_csv(tmp, "1,2\n3, \n")),
+    "empty CSV cell": (lambda tmp: read_matrix(_csv(tmp, b"1,2\n3, \n")),
                        InputFormatError, "empty cell at m.csv:2"),
-    "CSV with no rows": (lambda tmp: read_matrix(_csv(tmp, "\n\n")),
+    "CSV with no rows": (lambda tmp: read_matrix(_csv(tmp, b"\n\n")),
                          InputFormatError, "{tmp}/m.csv: no matrix rows found"),
+    "CSV not UTF-8": (lambda tmp: read_matrix(_csv(tmp, b"1,\xff\n")),
+                      InputFormatError, "{tmp}/m.csv: not UTF-8 text"),
     "write_matrix .txt": (lambda tmp: write_matrix(tmp / "m.txt", E1), InputFormatError,
                           "unsupported extension '.txt'; expected .mtx, .mm, or .csv"),
     "SparseMatrix (0, 3)": (lambda tmp: SparseMatrix(scipy.sparse.csr_array((0, 3))),

@@ -20,8 +20,12 @@ refusals are held to the base.
 It also runs ``gen`` for every generator kind (``GEN``), writing a
 ``.mtx`` and a ``.csv`` file, and records the bytes of the file with
 its output, and runs each argument list of ``ONCE`` once: ``--help`` of
-``walkbound`` and of each command, and options that the chosen method
-or theorem does not take, refused with exit 2 and the usage line.
+``walkbound`` and of each command; no command, an unknown one, a
+leading ``--`` and a command with no path, which the parser of every
+command answers or which sit at its edge; an option the command does
+not have, which the top parser refuses with its usage line; and
+options that the chosen method or theorem does not take, refused with
+exit 2 and the usage line.
 Every (file, command) pair whose records differ is printed, and the
 exit status is 1 if any does, 0 otherwise.
 """
@@ -58,6 +62,11 @@ COMMANDS = (
 # first input.
 ONCE = (
     ("--help",),
+    (),
+    ("nope",),
+    ("analyze",),
+    ("--", "analyze", "PATH"),
+    ("components", "PATH", "--tol", "0.1"),
     *((command, "--help")
       for command in ("analyze", "bound", "classify", "components", "certify", "gen")),
     ("bound", "PATH", "--method", "mean", "--r", "2"),

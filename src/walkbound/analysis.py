@@ -8,14 +8,14 @@ present the same bits to every test, and ``ctx.unscaled`` takes numbers
 back to the input's units.  Each shared quantity is computed once, on
 first use: the scalarity test and the certificates' basis, one singular
 triple and one walk table per distinct matrix, the support, one search
-of it for its components, one cut of the input and of the basis along
-that search, the decomposition, the three readings of the classification
-(``regular``, ``pseudo_lambda`` and ``per_component``), the
-classification built from them and the degree-product report.  A
-certificate reads only the reading it checks.  ``component_sigmas`` is
-the one rule for the sigma of each component: a single component that
-holds every nonzero entry of its matrix has that matrix's sigma, and
-any other is solved.
+of it for its components and one cut of the input and of the basis along
+that search.  ``component_sigmas`` is the one rule for the sigma of each
+component: a single component that holds every nonzero entry of its
+matrix has that matrix's sigma, and any other is solved.
+A quantity that the context does not hold is a ``reading``: a function
+of the context alone, defined where it is computed, that the context
+keeps once it has run (the three class readings in ``classify``, the
+degree-product report in ``bounds``).
 Every layer function takes a matrix or a context: ``full_analysis`` reads
 everything from one context, and a call on a bare matrix builds its own.
 The context keeps the input's storage: a ``SparseMatrix`` input has a
@@ -27,7 +27,7 @@ that rebinds them (a tracer, a test counting calls) sees every call.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -70,6 +70,7 @@ class Analysis:
         self._solves: dict[int, tuple[Matrix, SpectralResult]] = {}
         self._tables: dict[int, tuple[Matrix, WalkTable]] = {}
         self._cuts: dict[int, tuple[Matrix, Blocks]] = {}
+        self._readings: dict = {}  # reading function -> its value
 
     @classmethod
     def of(cls, a: Matrix | Analysis, tol: float = DEFAULT_TOL,
@@ -138,13 +139,6 @@ class Analysis:
 
         return _search(self.a, self.support)
 
-    @cached_property
-    def decomposition(self):
-        """The ComponentDecomposition of the input's support."""
-        from .structure import decompose
-
-        return decompose(self)
-
     def blocks(self, matrix: Matrix) -> Blocks:
         """``matrix`` (the input or the basis) cut on the support
         components, as a ``structure.Blocks``; each matrix is cut once."""
@@ -166,48 +160,22 @@ class Analysis:
             return [self.singular(matrix).sigma]
         return [self.singular(sub).sigma for sub in subs]
 
-    # The classification in three readings, each computed on its own, so
-    # a certificate reads only the class it checks: regular, the pseudo
-    # regular lambda, and the per-component summaries that almost
-    # regularity is read off.  Each raises PreconditionError where the
-    # classification is undefined.
 
-    @cached_property
-    def regular(self) -> bool:
-        """Whether the basis has equal row sums and equal column sums."""
-        from .classify import _regular  # classify imports this module
+def reading(fn):
+    """Make ``fn(ctx)`` a reading: a quantity of the context alone.
 
-        return _regular(self)
+    Called on an ``Analysis``, ``fn`` runs once and the context keeps its
+    result; an error it raises is not kept.  Called on a matrix, it runs
+    as it stands, with the other arguments (a ``tol``), which apply only
+    to a matrix.
+    """
+    @wraps(fn)
+    def read(a, *args, **kwargs):
+        if not isinstance(a, Analysis):
+            return fn(a, *args, **kwargs)
+        kept = a._readings
+        if fn not in kept:
+            kept[fn] = fn(a)
+        return kept[fn]
 
-    @cached_property
-    def pseudo_lambda(self) -> float | None:
-        """lambda with w^5(i) = lambda * w^3(i) on the basis's rows, in
-        ``a``'s units; None when the basis is not pseudo regular."""
-        from .classify import _pseudo_lambda
-
-        return _pseudo_lambda(self)
-
-    @cached_property
-    def per_component(self) -> tuple:
-        """A ComponentSummary per support component of the basis, sigma in
-        ``a``'s units: the cut and the component sigmas, which almost
-        regularity is read off."""
-        from .classify import _per_component
-
-        return _per_component(self)
-
-    @cached_property
-    def classification(self):
-        """The ClassificationReport, built by ``classify`` from the readings
-        above; raises PreconditionError where undefined."""
-        from .classify import classify
-
-        return classify(self)
-
-    @cached_property
-    def hwh_report(self):
-        """The degree-product BoundReport; raises PreconditionError where
-        the bound does not apply."""
-        from .bounds import hwh_bound  # bounds imports this module
-
-        return hwh_bound(self)
+    return read

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import Analysis
+from .analysis import Analysis, reading
 from .core import DEFAULT_TOL, Matrix, col_sums, row_sums, total_sum
 from .errors import NotScalarError, PreconditionError
 
@@ -104,13 +104,15 @@ def mean_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
     return _report(ctx, "mean", value, {})
 
 
+@reading
 def hwh_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
     """Degree-product lower bound for symmetric nonnegative matrices.
 
     value = (1/S) * sum_ij a_ij sqrt(d_i d_j) with d the row sums and S
     the total sum.  The report's certificate records whether the equality
     condition d_i * d_j = sigma^2 holds on every support pair, which is
-    exactly when the bound is attained.
+    exactly when the bound is attained.  A reading, which ``full_analysis``
+    and ``hwh_equality_certificate`` both read off one context.
     """
     ctx = Analysis.of(a, tol)
     a = ctx.a

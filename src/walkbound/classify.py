@@ -12,9 +12,9 @@ The classes nest: regular implies almost regular implies pseudo regular.
 The certificates tie specific walk-total equalities to these classes; a
 certificate evaluated on a non-scalar matrix still reports its gaps, but
 claims nothing about classification, which is undefined there.  Each
-class is a reading of its own on the ``Analysis`` context, and each
-certificate computes only the class it checks: T4 regularity, T2 the
-pseudo-regular lambda, T2.1 and T3 almost regularity.
+class is an ``analysis.reading`` of its own, kept by the context, and
+each certificate computes only the class it checks: T4 ``_regular``, T2
+``_pseudo_lambda``, T2.1 and T3 almost regularity, from ``_per_component``.
 
 Each function takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
 one.  ``tol`` applies only to a matrix: a context brings its own
@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import Analysis
+from .analysis import Analysis, reading
+from .bounds import hwh_bound
 from .core import (
     DEFAULT_TOL,
     Matrix,
@@ -121,21 +122,30 @@ def _proportionality(table: WalkTable, hi: int, lo: int, tol: float) -> float | 
     return lam if deviation <= tol * max(1.0, float(np.abs(w_hi).max())) else None
 
 
+@reading
 def _regular(ctx: Analysis) -> bool:
+    """Whether the basis has equal row sums and equal column sums; like
+    each class reading, raises PreconditionError where undefined."""
     basis = _require_scalar_nonzero(ctx)
     return bool(_blocks_regular(basis, np.array([0, basis.m]), np.array([0, basis.n]),
                                 ctx.tol)[0])
 
 
+@reading
 def _pseudo_lambda(ctx: Analysis) -> float | None:
+    """lambda with w^5(i) = lambda * w^3(i) on the basis's rows, in
+    ``a``'s units; None when the basis is not pseudo regular."""
     return _proportionality(ctx.table(_require_scalar_nonzero(ctx), 5), 5, 3, ctx.tol)
 
 
+@reading
 def _per_component(ctx: Analysis) -> tuple:
+    """A ComponentSummary per support component of the basis, sigma in
+    ``a``'s units: the cut and the component sigmas."""
     basis = _require_scalar_nonzero(ctx)
     blocks = ctx.blocks(basis)
     if blocks.inside is basis:  # one component covers the matrix
-        each = [ctx.regular]
+        each = [_regular(ctx)]
     else:
         each = _blocks_regular(blocks.inside, blocks.row_ptr, blocks.col_ptr, ctx.tol).tolist()
     return tuple(ComponentSummary(regular=ok, sigma=s)
@@ -144,25 +154,26 @@ def _per_component(ctx: Analysis) -> tuple:
 
 def _almost_regular(ctx: Analysis) -> bool:
     """Whether every component of the basis is regular and attains its
-    sigma, read off ``ctx.per_component``."""
+    sigma, read off ``_per_component``."""
     sigma = ctx.singular(_require_scalar_nonzero(ctx)).sigma
     tol = ctx.tol
-    return bool(ctx.per_component) and all(
-        s.regular and abs(s.sigma - sigma) <= tol * max(1.0, sigma) for s in ctx.per_component
+    each = _per_component(ctx)
+    return bool(each) and all(
+        s.regular and abs(s.sigma - sigma) <= tol * max(1.0, sigma) for s in each
     )
 
 
 def classify(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Full regularity classification of a nonzero scalar matrix.
 
-    The report puts together the context's three class readings,
-    ``regular``, ``pseudo_lambda`` and ``per_component``, which almost
-    regularity is read off.  Each is computed once per context, and each
-    certificate reads only the one it checks.
+    The report puts together the three class readings, ``_regular``,
+    ``_pseudo_lambda`` and ``_per_component``, which almost regularity is
+    read off.  Each is computed once per context, and each certificate
+    reads only the one it checks.
     """
     ctx = Analysis.of(a, tol)
     nonneg = _require_scalar_nonzero(ctx)
-    regular, lam, almost = ctx.regular, ctx.pseudo_lambda, _almost_regular(ctx)
+    regular, lam, almost = _regular(ctx), _pseudo_lambda(ctx), _almost_regular(ctx)
     scalarity = ctx.scalarity
     if ctx.exponent:  # a nonnegative input is its own nonnegative part
         unscaled = ctx.input if nonneg is ctx.a else nonneg.times_pow2(ctx.exponent)
@@ -173,7 +184,7 @@ def classify(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> ClassificationRe
         is_pseudo_regular=lam is not None,
         pseudo_lambda=None if lam is None else ctx.unscaled(lam, 2),
         is_almost_regular=almost,
-        per_component=tuple(replace(s, sigma=ctx.unscaled(s.sigma)) for s in ctx.per_component),
+        per_component=tuple(replace(s, sigma=ctx.unscaled(s.sigma)) for s in _per_component(ctx)),
         tol=ctx.tol,
     )
 
@@ -283,7 +294,7 @@ def certify_theorem2(a: Matrix | Analysis, s: int = 1, r: int = 0,
     elif not holds:
         implied = True
     else:
-        implied = ctx.pseudo_lambda is not None
+        implied = _pseudo_lambda(ctx) is not None
     return EqualityCertificate(
         "T2", holds, gap, implied,
         {"s": s, "r": r, "equality_gap": gap, "scalar": scalar},
@@ -420,7 +431,7 @@ def certify_theorem4(a: Matrix | Analysis,
     gap = abs(sigma - mean_value) / max(1.0, sigma)
     holds = gap <= ctx.tol
     if scalar:
-        implied = ctx.regular == holds
+        implied = _regular(ctx) == holds
     else:
         implied = None
     return EqualityCertificate(
@@ -437,7 +448,7 @@ def hwh_equality_certificate(a: Matrix | Analysis,
     support pair; the certificate verifies the two readings agree.
     """
     ctx = Analysis.of(a, tol)
-    report = ctx.hwh_report
+    report = hwh_bound(ctx)
     gap = abs(float(np.ldexp(report.gap, -ctx.exponent))) / max(1.0, ctx.singular(ctx.a).sigma)
     holds = report.tight
     support_condition = bool(report.certificate)

@@ -20,7 +20,14 @@ from math import isfinite
 
 from . import __version__
 from .analysis import Analysis
-from .bounds import BoundReport, mean_bound, schur_upper_bound, walk_bound, weighted_bound
+from .bounds import (
+    BoundReport,
+    hwh_bound,
+    mean_bound,
+    schur_upper_bound,
+    walk_bound,
+    weighted_bound,
+)
 from .classify import (
     ClassificationReport,
     EqualityCertificate,
@@ -28,11 +35,13 @@ from .classify import (
     certify_theorem2_1,
     certify_theorem3,
     certify_theorem4,
+    classify,
     hwh_equality_certificate,
 )
 from .core import DEFAULT_MAX_ITER, DEFAULT_TOL, Matrix
 from .errors import PreconditionError
 from .spectral import sigma_method
+from .structure import decompose
 
 SCHEMA_VERSION = 1
 
@@ -130,7 +139,7 @@ def _classification_text(report: ClassificationReport) -> str:
 
 
 def _components_dict(ctx: Analysis) -> dict:
-    dec = ctx.decomposition
+    dec = decompose(ctx)
     return {
         "count": len(dec.components),
         "isolated_rows": list(dec.isolated_rows),
@@ -151,7 +160,7 @@ def _components_dict(ctx: Analysis) -> dict:
 
 def _components_text(ctx: Analysis) -> str:
     # The support's components only: no component is solved for its sigma.
-    dec = ctx.decomposition
+    dec = decompose(ctx)
     lines = [f"components: {len(dec.components)}"]
     for k, comp in enumerate(dec.components):
         lines.append(f"  {k}: rows {list(comp.row_indices)} cols {list(comp.col_indices)}")
@@ -190,7 +199,7 @@ def full_analysis(a: Matrix | Analysis, *, tol: float = DEFAULT_TOL,
         bound_reports.append(weighted_bound(ctx, r))
     bound_reports.append(mean_bound(ctx))
     try:
-        hwh = ctx.hwh_report
+        hwh = hwh_bound(ctx)
     except PreconditionError:  # the degree-product bound does not apply
         hwh = None
     else:
@@ -199,7 +208,7 @@ def full_analysis(a: Matrix | Analysis, *, tol: float = DEFAULT_TOL,
         bound_reports.append(schur_upper_bound(ctx))
 
     try:
-        cls, error = ctx.classification, None
+        cls, error = classify(ctx), None
     except PreconditionError as exc:
         cls, error = None, str(exc)
 

@@ -1,5 +1,7 @@
 import contextlib
+import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +69,31 @@ def rand_complex():
         return DenseMatrix(rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
 
     return make
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """``record_calls(on_call, (module, name), ...)`` rebinds each named
+    walkbound function at every module binding that holds it, as the
+    benchmark's tracer does, so that each call first runs
+    ``on_call(name, args)`` with its positional arguments."""
+    modules = [mod for key, mod in sys.modules.items()
+               if key == "walkbound" or key.startswith("walkbound.")]
+
+    def record(on_call, *targets):
+        for home, name in targets:
+            original = getattr(importlib.import_module(f"walkbound.{home}"), name)
+
+            def recorded(*args, _name=name, _fn=original, **kwargs):
+                on_call(_name, args)
+                return _fn(*args, **kwargs)
+
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, recorded)
+
+    return record
 
 
 def pytest_configure(config):

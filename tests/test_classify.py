@@ -1,6 +1,4 @@
-import importlib
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -20,6 +18,7 @@ from walkbound import (
     characterize_pseudo_regular,
     classify,
     detect_scalar,
+    full_analysis,
     generate,
     hwh_equality_certificate,
     relaxed_pseudo_regular,
@@ -272,25 +271,12 @@ def test_hwh_certificate_path4(path4):
 
 
 @pytest.fixture
-def calls(monkeypatch):
-    """Rebind the solve, the walk table and the component cut at every
-    module binding that holds them, as tests/test_report.py does, and
-    return the positional arguments of each call by name."""
+def calls(record_calls):
+    """The positional arguments of each call of the solve, the walk table
+    and the component cut, by name."""
     seen = {"largest_singular": [], "walk_table": [], "_cut": []}
-    modules = [mod for key, mod in sys.modules.items()
-               if key == "walkbound" or key.startswith("walkbound.")]
-    for home, name in (("spectral", "largest_singular"), ("walks", "walk_table"),
-                       ("structure", "_cut")):
-        original = getattr(importlib.import_module(f"walkbound.{home}"), name)
-
-        def recorded(*args, _name=name, _fn=original, **kwargs):
-            seen[_name].append(args)
-            return _fn(*args, **kwargs)
-
-        for mod in modules:
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, recorded)
+    record_calls(lambda name, args: seen[name].append(args), ("spectral", "largest_singular"),
+                 ("walks", "walk_table"), ("structure", "_cut"))
     return seen
 
 
@@ -351,7 +337,7 @@ def test_certificates_and_classification_in_any_order(e1, w_star, name):
     a = _order_inputs(e1, w_star)[name]
     alone = {label: cert(Analysis(a)) for label, cert in _CERTIFICATES.items()}
     classified = Analysis(a)
-    report = classified.classification
+    report = classify(classified)
     after = {label: cert(classified) for label, cert in _CERTIFICATES.items()}
     assert after == alone
     certified = Analysis(a)
@@ -361,10 +347,23 @@ def test_certificates_and_classification_in_any_order(e1, w_star, name):
 
 
 @pytest.mark.parametrize("label", sorted(_CERTIFICATES))
-def test_no_certificate_builds_the_classification(w_star, label):
-    ctx = Analysis(w_star)
-    _CERTIFICATES[label](ctx)
-    assert "classification" not in vars(ctx)
+def test_no_certificate_builds_the_classification(w_star, label, record_calls):
+    built = []
+    record_calls(lambda name, args: built.append(args), ("classify", "classify"))
+    _CERTIFICATES[label](Analysis(w_star))
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["two_blocks", "w_star", "sparse_w_star"])
+def test_certificates_after_full_analysis_cut_nothing(e1, w_star, name, calls):
+    ctx = Analysis(_order_inputs(e1, w_star)[name])
+    report = full_analysis(ctx)
+    cuts = len(calls["_cut"])
+    for cert in _CERTIFICATES.values():
+        cert(ctx)
+    if any(c["theorem"] == "HWH" for c in report["certificates"]):
+        hwh_equality_certificate(ctx)
+    assert len(calls["_cut"]) == cuts
 
 
 def test_theorem3_runs_in_two_matrix_sized_arrays():

@@ -109,3 +109,19 @@ def test_write_matrix_refuses_the_suffix_before_densifying(tmp_path):
     with pytest.raises(InputFormatError, match="unsupported extension '.npy'"):
         write_matrix(tmp_path / "m.npy", Undensifiable())
     assert not list(tmp_path.iterdir())
+
+
+_ARRAY_HEADER = b"%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize("body", [b"2 2\n1\n2\n3\n", b"2 2\n1\nx\n3\n4\n", b"1\n2\n3\n4\n"],
+                         ids=["too few values", "non-numeric token", "no size line"])
+def test_malformed_matrix_market_array(tmp_path, body):
+    # Only the type and the path prefix: scipy's own message differs
+    # between its Python reader and fast_matrix_market.
+    path = tmp_path / "m.mtx"
+    path.write_bytes(_ARRAY_HEADER + body)
+    with pytest.raises(InputFormatError) as exc:
+        read_matrix(path)
+    assert type(exc.value) is InputFormatError
+    assert str(exc.value).startswith(f"{path}: ")

@@ -1,4 +1,3 @@
-import importlib
 import json
 import sys
 
@@ -34,7 +33,8 @@ from walkbound import (
     write_matrix,
 )
 from walkbound import cli
-from walkbound.analysis import Analysis
+from walkbound.analysis import Analysis, reading
+from walkbound.core import DEFAULT_TOL
 from walkbound.report import (
     _WALK_GRID,
     _WEIGHTED_GRID,
@@ -131,23 +131,10 @@ _COUNTED = (
 
 
 @pytest.fixture
-def count_calls(monkeypatch):
-    """Rebind each counted function at every module binding that holds it,
-    as the benchmark's tracer does, and return the call counts."""
+def count_calls(record_calls):
+    """The number of calls of each counted function."""
     counts = dict.fromkeys((name for _, name in _COUNTED), 0)
-    modules = [mod for key, mod in sys.modules.items()
-               if key == "walkbound" or key.startswith("walkbound.")]
-    for home, name in _COUNTED:
-        original = getattr(importlib.import_module(f"walkbound.{home}"), name)
-
-        def counted(*args, _name=name, _fn=original, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for mod in modules:
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    record_calls(lambda name, _: counts.__setitem__(name, counts[name] + 1), *_COUNTED)
     return counts
 
 
@@ -248,6 +235,45 @@ def test_calls_on_an_analysed_context_recompute_nothing(name, count_calls):
     before = {k: count_calls[k] for k in costly}
     fn(ctx, *args)
     assert {k: count_calls[k] for k in costly} == before
+
+
+def _counted_reading(fails=0):
+    """A reading of the row count that records the tol of each run and
+    raises on its first ``fails`` runs."""
+    runs = []
+
+    @reading
+    def rows(a, tol=DEFAULT_TOL):
+        runs.append(tol)
+        if len(runs) <= fails:
+            raise PreconditionError("not yet")
+        return Analysis.of(a, tol).a.m
+
+    return rows, runs
+
+
+def test_a_reading_on_a_matrix_runs_every_call(e1):
+    rows, runs = _counted_reading()
+    assert [rows(e1), rows(e1), rows(e1, tol=1e-3)] == [3, 3, 3]
+    assert runs == [DEFAULT_TOL, DEFAULT_TOL, 1e-3]
+
+
+def test_a_reading_runs_once_per_context(e1):
+    rows, runs = _counted_reading()
+    ctx = Analysis(e1, 1e-6)
+    assert [rows(ctx), rows(ctx), rows(ctx, tol=1e-3)] == [3, 3, 3]
+    assert runs == [DEFAULT_TOL]  # a context passes no tol to its reading
+    assert rows(Analysis(e1)) == 3
+    assert len(runs) == 2
+
+
+def test_a_reading_that_raises_is_not_kept(e1):
+    rows, runs = _counted_reading(fails=1)
+    ctx = Analysis(e1)
+    with pytest.raises(PreconditionError):
+        rows(ctx)
+    assert [rows(ctx), rows(ctx)] == [3, 3]
+    assert len(runs) == 2
 
 
 @pytest.mark.parametrize("name", ["E1", "-E1", "w_star", "path3", "nonneg", "signed"])

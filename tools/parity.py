@@ -12,10 +12,12 @@ exit code, stdout and stderr of each.  The lists cover every JSON
 command (``analyze``, ``bound``, ``classify``, ``components``,
 ``certify``) and the text output of each of them, ``certify`` also at
 its library's default orders (``T2`` and ``T2.1`` with no ``--r`` or
-``--s``), T3's literal support gap (``analyze --literal-t3ii``) and
-T4's class check (``certify --theorem T4``); on the inputs that are not
-scalar, ``bound --method walk`` and ``classify`` exit 4 with one
-``error:`` line.  So both report writers, the CLI's output path and its
+``--s``), T3's literal support gap (``analyze --literal-t3ii``),
+T4's class check (``certify --theorem T4``) and the degree-product
+bound and its certificate (``bound --method hwh``, ``certify --theorem
+HWH``); on the inputs that are not scalar, ``bound --method walk`` and
+``classify`` exit 4 with one ``error:`` line, and on those that are not
+symmetric and nonnegative both degree-product commands do.  So both report writers, the CLI's output path and its
 refusals are held to the base.
 It also runs ``gen`` for every generator kind (``GEN``), writing a
 ``.mtx`` and a ``.csv`` file, and records the bytes of the file with
@@ -57,6 +59,8 @@ COMMANDS = (
     ("certify", "--theorem", "T2", "--json"),
     ("analyze", "--json", "--literal-t3ii"),
     ("certify", "--theorem", "T4", "--json"),
+    ("bound", "--method", "hwh", "--json"),
+    ("certify", "--theorem", "HWH", "--json"),
 )
 # Argument lists run once rather than per input; PATH stands for the
 # first input.

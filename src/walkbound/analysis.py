@@ -7,14 +7,11 @@ its largest real or imaginary part into [0.5, 1); ``ctx.singular(...)``,
 present the same bits to every test, and ``ctx.unscaled`` takes numbers
 back to the input's units.  Each shared quantity is computed once, on
 first use: the scalarity test and the certificates' basis, one singular
-triple and one walk table per distinct matrix, the support, one search
-of it for its components and one cut of the input and of the basis along
-that search.  ``component_sigmas`` is the one rule for the sigma of each
-component: a single component that holds every nonzero entry of its
-matrix has that matrix's sigma, and any other is solved.
+triple and one walk table per distinct matrix, and the support.
 A quantity that the context does not hold is a ``reading``: a function
 of the context alone, defined where it is computed, that the context
-keeps once it has run (the three class readings in ``classify``, the
+keeps once it has run (the components and their cuts in ``structure``,
+the sums and the three class readings in ``classify``, the
 degree-product report in ``bounds``).
 Every layer function takes a matrix or a context: ``full_analysis`` reads
 everything from one context, and a call on a bare matrix builds its own.
@@ -28,9 +25,6 @@ that rebinds them (a tracer, a test counting calls) sees every call.
 from __future__ import annotations
 
 from functools import cached_property, wraps
-from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .core import (
     DEFAULT_MAX_ITER,
@@ -44,9 +38,6 @@ from .core import (
 )
 from .spectral import SpectralResult, _scaled, _unscaled, largest_singular
 from .walks import WalkTable, walk_table
-
-if TYPE_CHECKING:
-    from .structure import Blocks
 
 
 class Analysis:
@@ -69,7 +60,6 @@ class Analysis:
         # from being reused while the context lives.
         self._solves: dict[int, tuple[Matrix, SpectralResult]] = {}
         self._tables: dict[int, tuple[Matrix, WalkTable]] = {}
-        self._cuts: dict[int, tuple[Matrix, Blocks]] = {}
         self._readings: dict = {}  # reading function -> its value
 
     @classmethod
@@ -130,35 +120,6 @@ class Analysis:
         """The input's support: ``support_mask`` of ``a``, one flag per
         stored entry."""
         return support_mask(self.a)
-
-    @cached_property
-    def _plan(self) -> tuple[np.ndarray, ...]:
-        """The components of the input's support, as ``structure._search``
-        returns them."""
-        from .structure import _search  # structure imports this module
-
-        return _search(self.a, self.support)
-
-    def blocks(self, matrix: Matrix) -> Blocks:
-        """``matrix`` (the input or the basis) cut on the support
-        components, as a ``structure.Blocks``; each matrix is cut once."""
-        hit = self._cuts.get(id(matrix))
-        if hit is None:
-            from .structure import _cut
-
-            hit = self._cuts[id(matrix)] = (matrix, _cut(matrix, *self._plan))
-        return hit[1]
-
-    def component_sigmas(self, matrix: Matrix) -> list[float]:
-        """The sigma of each component of ``matrix`` (the input or the
-        basis).  A single component that holds every nonzero entry of
-        ``matrix``, as one that covers it does, has ``matrix``'s sigma,
-        since the rest is zero; any other is solved once."""
-        subs = self.blocks(matrix).subs
-        if len(subs) == 1 and (subs[0] is matrix or np.count_nonzero(subs[0].values)
-                               == np.count_nonzero(matrix.values)):
-            return [self.singular(matrix).sigma]
-        return [self.singular(sub).sigma for sub in subs]
 
 
 def reading(fn):

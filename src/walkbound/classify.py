@@ -15,6 +15,9 @@ claims nothing about classification, which is undefined there.  Each
 class is an ``analysis.reading`` of its own, kept by the context, and
 each certificate computes only the class it checks: T4 ``_regular``, T2
 ``_pseudo_lambda``, T2.1 and T3 almost regularity, from ``_per_component``.
+Both regularity readings test one pair of sums, ``_sums``, the basis's
+row and column sums: ``_regular`` whole, ``_per_component`` gathered on
+the rows and columns of each component of ``structure._plan``.
 
 Each function takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
 one.  ``tol`` applies only to a matrix: a context brings its own
@@ -44,6 +47,7 @@ from .core import (
 )
 from .errors import NotScalarError, PreconditionError
 from .spectral import _svd
+from .structure import _plan, component_sigmas
 from .walks import WalkTable
 
 
@@ -88,15 +92,6 @@ def _level_runs(x: np.ndarray, ptr: np.ndarray, tol: float) -> np.ndarray:
     return hi - np.minimum.reduceat(x, ptr[:-1]) <= tol * np.maximum(hi, 1e-300)
 
 
-def _blocks_regular(mat: Matrix, row_ptr: np.ndarray, col_ptr: np.ndarray,
-                    tol: float) -> np.ndarray:
-    """Whether each diagonal block of ``mat``, rows row_ptr[k]..row_ptr[k+1]-1
-    by columns col_ptr[k]..col_ptr[k+1]-1, has equal row sums and equal
-    column sums; ``mat`` holds nothing outside its blocks."""
-    return (_level_runs(row_sums(mat).real, row_ptr, tol)
-            & _level_runs(col_sums(mat).real, col_ptr, tol))
-
-
 def _require_scalar_nonzero(ctx: Analysis) -> Matrix:
     if ctx.max_modulus == 0.0:
         raise PreconditionError("classification is undefined for the zero matrix")
@@ -123,12 +118,20 @@ def _proportionality(table: WalkTable, hi: int, lo: int, tol: float) -> float | 
 
 
 @reading
+def _sums(ctx: Analysis) -> tuple[np.ndarray, np.ndarray]:
+    """The basis's row sums and column sums (real parts), which every
+    regularity test reads."""
+    basis = _require_scalar_nonzero(ctx)
+    return row_sums(basis).real, col_sums(basis).real
+
+
+@reading
 def _regular(ctx: Analysis) -> bool:
     """Whether the basis has equal row sums and equal column sums; like
     each class reading, raises PreconditionError where undefined."""
-    basis = _require_scalar_nonzero(ctx)
-    return bool(_blocks_regular(basis, np.array([0, basis.m]), np.array([0, basis.n]),
-                                ctx.tol)[0])
+    rows, cols = _sums(ctx)
+    return bool(_level_runs(rows, np.array([0, rows.size]), ctx.tol)[0]
+                and _level_runs(cols, np.array([0, cols.size]), ctx.tol)[0])
 
 
 @reading
@@ -141,15 +144,15 @@ def _pseudo_lambda(ctx: Analysis) -> float | None:
 @reading
 def _per_component(ctx: Analysis) -> tuple:
     """A ComponentSummary per support component of the basis, sigma in
-    ``a``'s units: the cut and the component sigmas."""
+    ``a``'s units: the basis's sums gathered on each component's rows and
+    columns, and the component sigmas."""
     basis = _require_scalar_nonzero(ctx)
-    blocks = ctx.blocks(basis)
-    if blocks.inside is basis:  # one component covers the matrix
-        each = [_regular(ctx)]
-    else:
-        each = _blocks_regular(blocks.inside, blocks.row_ptr, blocks.col_ptr, ctx.tol).tolist()
+    rows, row_ptr, cols, col_ptr = _plan(ctx)
+    row_s, col_s = _sums(ctx)
+    each = (_level_runs(row_s[rows], row_ptr, ctx.tol)
+            & _level_runs(col_s[cols], col_ptr, ctx.tol)).tolist()
     return tuple(ComponentSummary(regular=ok, sigma=s)
-                 for ok, s in zip(each, ctx.component_sigmas(basis)))
+                 for ok, s in zip(each, component_sigmas(ctx, basis)))
 
 
 def _almost_regular(ctx: Analysis) -> bool:

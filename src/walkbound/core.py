@@ -242,27 +242,19 @@ def segment_positions(ptr: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def diagonal_blocks(a: Matrix, rows: np.ndarray, row_ptr: np.ndarray,
-                    cols: np.ndarray, col_ptr: np.ndarray) -> tuple[Matrix, list[Matrix]]:
+                    cols: np.ndarray, col_ptr: np.ndarray) -> list[Matrix]:
     """``a`` cut into blocks: block k is rows ``rows[row_ptr[k]:row_ptr[k+1]]``
     by columns ``cols[col_ptr[k]:col_ptr[k+1]]``, in those orders.
 
-    Returns ``inside``, the len(rows) x len(cols) matrix that holds the
-    blocks along its diagonal (the rows ``rows`` and columns ``cols`` of
-    ``a`` with every entry outside a block dropped, or zero for a
-    DenseMatrix), and the list of blocks.  A SparseMatrix is cut in one
-    pass over the stored entries of ``rows``, and each block is a slice
-    of ``inside``'s arrays.
+    A SparseMatrix is cut in one pass over the stored entries of ``rows``,
+    dropping any entry outside a block, and each block is a slice of one
+    permuted set of CSR arrays.
     """
     bounds = list(zip(row_ptr[:-1].tolist(), row_ptr[1:].tolist(),
                       col_ptr[:-1].tolist(), col_ptr[1:].tolist()))
     if isinstance(a, DenseMatrix):
-        inside = np.zeros((rows.size, cols.size), dtype=a.data.dtype)
-        blocks = []
-        for r0, r1, c0, c1 in bounds:
-            block = a.data[np.ix_(rows[r0:r1], cols[c0:c1])]
-            inside[r0:r1, c0:c1] = block
-            blocks.append(DenseMatrix._adopt(values=block))
-        return DenseMatrix._adopt(values=inside), blocks
+        return [DenseMatrix._adopt(values=a.data[np.ix_(rows[r0:r1], cols[c0:c1])])
+                for r0, r1, c0, c1 in bounds]
     count = row_ptr.size - 1
     row_block = np.repeat(np.arange(count), np.diff(row_ptr))
     col_block = np.repeat(np.arange(count), np.diff(col_ptr))
@@ -275,20 +267,17 @@ def diagonal_blocks(a: Matrix, rows: np.ndarray, row_ptr: np.ndarray,
     # A stored entry below the zero cutoff may reach another block's column.
     keep = (new_cols >= 0) & (col_block[new_cols] == entry_block)
     values = a.values[pos[keep]]
-    new_cols = new_cols[keep]
-    local = new_cols - col_ptr[entry_block[keep]]  # place within the block
+    local = new_cols[keep] - col_ptr[entry_block[keep]]  # place within the block
     indptr = np.zeros(rows.size + 1, dtype=np.intp)
     np.cumsum(np.bincount(np.repeat(np.arange(rows.size), counts)[keep], minlength=rows.size),
               out=indptr[1:])
-    inside = SparseMatrix._adopt(values=values, indices=new_cols, indptr=indptr,
-                                 shape=(rows.size, cols.size))
     blocks = []
     for r0, r1, c0, c1 in bounds:
         e0, e1 = int(indptr[r0]), int(indptr[r1])
         blocks.append(SparseMatrix._adopt(values=values[e0:e1], indices=local[e0:e1],
                                           indptr=indptr[r0:r1 + 1] - e0,
                                           shape=(r1 - r0, c1 - c0)))
-    return inside, blocks
+    return blocks
 
 
 def entrywise_abs(a: Matrix) -> Matrix:

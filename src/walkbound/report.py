@@ -41,7 +41,7 @@ from .classify import (
 from .core import DEFAULT_MAX_ITER, DEFAULT_TOL, Matrix
 from .errors import PreconditionError
 from .spectral import sigma_method
-from .structure import decompose
+from .structure import component_sigmas, decompose
 
 SCHEMA_VERSION = 1
 
@@ -153,7 +153,7 @@ def _components_dict(ctx: Analysis) -> dict:
                 "shape": [len(comp.row_indices), len(comp.col_indices)],
                 "sigma": ctx.unscaled(sigma),
             }
-            for comp, sigma in zip(dec.components, ctx.component_sigmas(ctx.a))
+            for comp, sigma in zip(dec.components, component_sigmas(ctx, ctx.a))
         ],
     }
 

@@ -13,10 +13,15 @@ few whole-array operations over the pairs, and the rounds are few (2 on
 an 8000 x 8000 identity, 3 on 10^4 disjoint 10 x 10 blocks, 21 on a
 shuffled path of 10^5 rows and columns), so the cost grows with the
 stored entries and not with the number of components.  ``_cut`` cuts a
-matrix on those components (``core.diagonal_blocks``).  ``decompose``
-runs both; an ``Analysis`` searches once and cuts its input and its
-basis along that search.  ``connectivity_via_powers`` and
-``singular_multiset_check`` need every entry and densify it.
+matrix into the submatrices of those components (``core.diagonal_blocks``).
+``decompose`` runs both.  This module owns a context's components, as
+``analysis.reading``s: ``_plan``, the one search of the input's support,
+and ``_input_cut`` and ``_basis_cut``, the input and the basis cut along
+it (one cut when the basis is the input).  ``component_sigmas`` is the
+one rule for the sigma of each component: a single component that holds
+every nonzero entry of its matrix has that matrix's sigma, and any other
+is solved.  ``connectivity_via_powers`` and ``singular_multiset_check``
+need every entry and densify it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Analysis
+from .analysis import Analysis, reading
 from .core import (
     DEFAULT_TOL,
     DenseMatrix,
@@ -44,23 +49,6 @@ class Component:
     row_indices: tuple
     col_indices: tuple
     submatrix: Matrix
-
-
-@dataclass(frozen=True)
-class Blocks:
-    """One matrix cut on the support components.
-
-    Component k holds rows ``rows[row_ptr[k]:row_ptr[k+1]]`` and columns
-    ``cols[col_ptr[k]:col_ptr[k+1]]``.  ``inside`` holds the components
-    along its diagonal and ``subs`` lists them, as ``_cut`` makes them.
-    """
-
-    rows: np.ndarray
-    row_ptr: np.ndarray
-    cols: np.ndarray
-    col_ptr: np.ndarray
-    inside: Matrix
-    subs: tuple
 
 
 @dataclass(frozen=True)
@@ -185,16 +173,40 @@ def _search(a: Matrix, support: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _cut(matrix: Matrix, rows: np.ndarray, row_ptr: np.ndarray,
-         cols: np.ndarray, col_ptr: np.ndarray) -> Blocks:
-    """``matrix`` cut on the components that ``_search`` returned."""
-    count = row_ptr.size - 1
-    if count == 1 and rows.size == matrix.m and cols.size == matrix.n:
-        inside, subs = matrix, [matrix]
-    elif count:
-        inside, subs = diagonal_blocks(matrix, rows, row_ptr, cols, col_ptr)
-    else:  # the zero matrix
-        inside, subs = None, []
-    return Blocks(rows, row_ptr, cols, col_ptr, inside, tuple(subs))
+         cols: np.ndarray, col_ptr: np.ndarray) -> tuple:
+    """``matrix`` cut on the components that ``_search`` returned: one
+    submatrix per component, ``matrix`` itself when one covers it."""
+    if row_ptr.size == 2 and rows.size == matrix.m and cols.size == matrix.n:
+        return (matrix,)
+    return tuple(diagonal_blocks(matrix, rows, row_ptr, cols, col_ptr))
+
+
+@reading
+def _plan(ctx: Analysis) -> tuple[np.ndarray, ...]:
+    """The components of the input's support, as ``_search`` returns them."""
+    return _search(ctx.a, ctx.support)
+
+
+@reading
+def _input_cut(ctx: Analysis) -> tuple:
+    return _cut(ctx.a, *_plan(ctx))
+
+
+@reading
+def _basis_cut(ctx: Analysis) -> tuple:
+    return _input_cut(ctx) if ctx.basis is ctx.a else _cut(ctx.basis, *_plan(ctx))
+
+
+def component_sigmas(ctx: Analysis, matrix: Matrix) -> list[float]:
+    """The sigma of each component of ``matrix``, the context's input or
+    basis.  A single component that holds every nonzero entry of
+    ``matrix``, as one that covers it does, has ``matrix``'s sigma, since
+    the rest is zero; any other is solved once."""
+    subs = _input_cut(ctx) if matrix is ctx.a else _basis_cut(ctx)
+    if len(subs) == 1 and (subs[0] is matrix or np.count_nonzero(subs[0].values)
+                           == np.count_nonzero(matrix.values)):
+        return [ctx.singular(matrix).sigma]
+    return [ctx.singular(sub).sigma for sub in subs]
 
 
 def decompose(a: Matrix | Analysis) -> ComponentDecomposition:
@@ -209,23 +221,23 @@ def decompose(a: Matrix | Analysis) -> ComponentDecomposition:
     permutation of its arrays.  The returned permutations list original
     row and column indices in an order that makes the matrix block
     diagonal, with isolated (all-zero) rows and columns moved to the end.
-    A context gives its own matrix A / 2^e and its cut of it.
+    A context gives its own matrix A / 2^e, its plan and its cut of it.
     """
     if isinstance(a, Analysis):
-        a, blocks = a.a, a.blocks(a.a)
+        a, plan, subs = a.a, _plan(a), _input_cut(a)
     else:
-        blocks = _cut(a, *_search(a, support_mask(a)))
-    row_list = blocks.rows.tolist()
-    col_list = blocks.cols.tolist()
-    row_ptr, col_ptr = blocks.row_ptr, blocks.col_ptr
+        plan = _search(a, support_mask(a))
+        subs = _cut(a, *plan)
+    rows, row_ptr, cols, col_ptr = plan
+    row_list = rows.tolist()
+    col_list = cols.tolist()
     components = tuple(
         Component(tuple(row_list[r0:r1]), tuple(col_list[c0:c1]), sub)
         for r0, r1, c0, c1, sub in zip(row_ptr[:-1].tolist(), row_ptr[1:].tolist(),
-                                       col_ptr[:-1].tolist(), col_ptr[1:].tolist(),
-                                       blocks.subs)
+                                       col_ptr[:-1].tolist(), col_ptr[1:].tolist(), subs)
     )
-    isolated_rows = _left_out(blocks.rows, a.m)
-    isolated_cols = _left_out(blocks.cols, a.n)
+    isolated_rows = _left_out(rows, a.m)
+    isolated_cols = _left_out(cols, a.n)
     return ComponentDecomposition(
         components, tuple(row_list + isolated_rows), tuple(col_list + isolated_cols),
         tuple(isolated_rows), tuple(isolated_cols),

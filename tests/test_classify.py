@@ -17,6 +17,7 @@ from walkbound import (
     certify_theorem4,
     characterize_pseudo_regular,
     classify,
+    decompose,
     detect_scalar,
     full_analysis,
     generate,
@@ -378,3 +379,41 @@ def test_theorem3_runs_in_two_matrix_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * m * n * 8
+
+
+def _many_components():
+    # Regular, row-regular only, a 1 x 2 row and regular again.
+    return _block_diag(np.ones((3, 3)), np.array([[1.0, 1.0], [2.0, 0.0]]),
+                       np.array([[1.0, 2.0]]), np.array([[2.0, 1.0], [1.0, 2.0]]))
+
+
+def _faint_crossing():
+    # A stored entry below the zero cutoff in the first component's row
+    # and the last component's column.
+    a = _many_components().data.copy()
+    a[0, -1] = 1e-14
+    return SparseMatrix(scipy.sparse.coo_array(a))
+
+
+def _level(x):
+    return x.max() - x.min() <= 1e-8 * max(x.max(), 1e-300)
+
+
+@pytest.mark.parametrize("name", ["dense", "sparse", "negated", "phase", "faint"])
+def test_component_verdicts_read_the_components(name):
+    a = {
+        "dense": lambda: _many_components(),
+        "sparse": lambda: SparseMatrix(scipy.sparse.coo_array(_many_components().data)),
+        "negated": lambda: DenseMatrix(-_many_components().data),
+        "phase": lambda: SparseMatrix(scipy.sparse.coo_array(
+            np.exp(0.7j) * _many_components().data)),
+        "faint": _faint_crossing,
+    }[name]()
+    components = decompose(a).components
+    verdicts = [s.regular for s in classify(a).per_component]
+    assert len(verdicts) == len(components) == 4
+    # A scalar matrix's sums are its phase times its nonnegative part's.
+    assert verdicts == [
+        _level(np.abs(sub.sum(axis=1))) and _level(np.abs(sub.sum(axis=0)))
+        for sub in (comp.submatrix.to_dense().data for comp in components)
+    ] == [True, False, False, True]

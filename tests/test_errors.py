@@ -80,6 +80,8 @@ _DOCUMENTED = {
                               GeneratorError, "unknown example 'E9'; available: E1, C2"),
     "empty CSV cell": (lambda tmp: read_matrix(_csv(tmp, b"1,2\n3, \n")),
                        InputFormatError, "empty cell at m.csv:2"),
+    "CSV cell of two numbers": (lambda tmp: read_matrix(_csv(tmp, b"1 2,3\n")),
+                                InputFormatError, "cannot parse '1 2' at m.csv:1"),
     "CSV with no rows": (lambda tmp: read_matrix(_csv(tmp, b"\n\n")),
                          InputFormatError, "{tmp}/m.csv: no matrix rows found"),
     "CSV not UTF-8": (lambda tmp: read_matrix(_csv(tmp, b"1,\xff\n")),

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -73,3 +74,17 @@ def test_sigma_and_components_import_no_sparse_solvers():
 
 def test_import_and_csv_analysis_load_no_scipy():
     assert _run(_CSV_SCRIPT) == ""
+
+
+def test_analysis_imports_no_module_that_reads_contexts():
+    # The context sits below every layer that reads it; deferred imports
+    # and type-checking imports count too.
+    tree = ast.parse((SRC / "walkbound" / "analysis.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert not parts & {"structure", "classify", "bounds", "report"}

@@ -45,6 +45,12 @@ def test_csv_accepts_i_and_j_suffixes(tmp_path):
     assert a.data[1, 0] == -1j
 
 
+def test_csv_spaces_next_to_a_sign_or_the_unit(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1.5 - 2i, 3 + 1 i\n- 4,1e- 3\n")
+    assert read_matrix(path).data.tolist() == [[1.5 - 2j, 3 + 1j], [-4, 1e-3]]
+
+
 def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
     # Spreadsheets save "CSV UTF-8" with a leading byte-order mark.
     plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"

@@ -4,7 +4,13 @@
 
 Each tree is the root of a walkbound checkout (it holds ``src/walkbound``).
 The ``analyze_small`` and ``analyze_large`` inputs are built once, at seed
-101, full size and ``--tiny``, with ``bench/workloads.build`` of HEAD_TREE.
+101, full size and ``--tiny``, with ``bench/workloads.build`` of HEAD_TREE,
+and six inputs of its own (``own_inputs``) whose basis is not the input:
+-1 times a ``block_diag`` and a circulant ``almost_regular``, 1j times a
+one-block circulant ``almost_regular`` with a zero row and a zero column
+added, exp(0.7i) times that ``block_diag``, and a coordinate file with
+isolated rows and columns and an entry below the zero cutoff that
+crosses two components, as it stands and negated.
 Each tree then runs in one subprocess, with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, which calls ``walkbound.cli.main`` in-process
 for every argument list of ``COMMANDS`` on every input and records the
@@ -138,8 +144,53 @@ with open(sys.argv[2], "w") as fh:
 """ % (COMMANDS, ONCE, GEN, SUFFIXES)
 
 
+# A coordinate file of two components, one regular, with rows 2 and 6
+# and columns 3, 5 and 7 isolated and an entry below the zero cutoff in
+# the first component's row and the second's column.
+_FAINT_ENTRIES = ((1, 1, 1.0), (1, 2, 2.0), (3, 1, 2.0), (3, 2, 1.0),
+                  (4, 4, 1.0), (4, 6, 1.0), (5, 4, 2.0), (5, 6, 0.5), (1, 6, 1e-14))
+
+
+def own_inputs(workdir: Path) -> list[str]:
+    """Seeded scalar inputs that are not nonnegative.  The basis, the
+    nonnegative part, is the input on every benchmark input and not on
+    these, so parity also holds the basis's cut, its component sigmas and
+    the rule that gives a single component its matrix's sigma."""
+    import numpy as np
+    from walkbound import GeneratorSpec, generate
+    from walkbound.core import DenseMatrix
+    from walkbound.mmio import write_matrix
+
+    blocks = generate(GeneratorSpec("block_diag", density=0.8, seed=6,
+                                    params={"blocks": [(3, 3), (2, 4), (4, 2)]})).data
+
+    def circulant(shapes):
+        return generate(GeneratorSpec("almost_regular", density=0.7, seed=7, params={
+            "blocks": shapes, "style": "circulant", "target_sigma": 3.0})).data
+
+    # One component that holds every nonzero entry but leaves out a zero
+    # row and a zero column.
+    one_block = np.pad(circulant([(3, 6)]), ((0, 1), (1, 0)))
+    dense = {"neg_block_diag.mtx": -blocks, "neg_circulant.csv": -circulant([(4, 4), (3, 6)]),
+             "i_circulant.mtx": 1j * one_block, "rotated_block_diag.csv": np.exp(0.7j) * blocks}
+    out = workdir / "own"
+    out.mkdir()
+    paths = []
+    for name, values in dense.items():
+        write_matrix(out / name, DenseMatrix(values))
+        paths.append(str(out / name))
+    for name, sign in (("faint.mtx", 1.0), ("neg_faint.mtx", -1.0)):
+        lines = ["%%MatrixMarket matrix coordinate real general",
+                 f"6 7 {len(_FAINT_ENTRIES)}"]
+        lines += [f"{i} {j} {sign * v!r}" for i, j, v in _FAINT_ENTRIES]
+        (out / name).write_text("\n".join(lines) + "\n")
+        paths.append(str(out / name))
+    return paths
+
+
 def build_inputs(tree: Path, workdir: Path) -> list[str]:
-    """The analyze inputs of both workloads, full size and tiny."""
+    """The analyze inputs of both workloads, full size and tiny, and
+    ``own_inputs``."""
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     from workloads import build
 
@@ -149,7 +200,7 @@ def build_inputs(tree: Path, workdir: Path) -> list[str]:
             out = workdir / f"{workload}{'-tiny' if tiny else ''}"
             out.mkdir()
             paths += [op.item.path for op in build(workload, SEED, out, tiny=tiny)]
-    return paths
+    return paths + own_inputs(workdir)
 
 
 def run_tree(tree: Path, listing: Path, result: Path) -> dict:

@@ -6,7 +6,9 @@ read) and CSV (.csv) with complex literals written as a+bi.  One table,
 ``_FORMATS``, maps each suffix to its reader and its writer, and
 ``_format`` names a path's format ("mtx", "mm" or "csv", as a report's
 ``input.format`` shows it) or refuses its suffix.  A Matrix
-Market file is read by scipy's parser, imported on first use.  The
+Market file is read by scipy's parser, imported on first use, on the
+calling thread: scipy 1.12 on would start a pool of one thread per core
+on every read, which on a few shared cores costs more than it saves.  The
 storage follows the file's layout: a coordinate file becomes a
 ``SparseMatrix`` with no m x n array formed, an array file or a CSV file
 a ``DenseMatrix``.  Writing is done here so the byte layout stays fixed:
@@ -19,41 +21,44 @@ from __future__ import annotations
 
 import csv
 import re
+import threading
 from pathlib import Path
 
 from .core import DenseMatrix, Matrix, SparseMatrix
 from .errors import InputFormatError
 
 
+# Held while a Matrix Market read swaps scipy's process-wide thread
+# setting, so reads on several threads all put back the caller's value.
+_PARALLELISM_LOCK = threading.Lock()
 _CHUNK = 4096  # entries a writer formats at a time: it never holds the whole text
 # Spaces next to a sign or before the imaginary unit, which a cell drops,
 # so "1.5 - 2i" and "3 + 1 i" read; "1 2" stays two numbers and is refused.
 _SPACES = re.compile(r" *([+-]) *| +(?=[ijIJ])")
 
 
-def _parse_complex(token: str, where: str) -> complex:
+def _parse_complex(token: str, name: str, lineno: int) -> complex:
+    # The location "name:lineno" is formatted only when the cell fails.
     text = token.strip()
     if " " in text:  # 40 ns a cell; the substitution takes 3 us (Python 3.11)
         text = _SPACES.sub(r"\1", text)
     if not text:
-        raise InputFormatError(f"empty cell at {where}")
+        raise InputFormatError(f"empty cell at {name}:{lineno}")
     try:
         return complex(text.replace("i", "j").replace("I", "j"))
     except ValueError as exc:
-        raise InputFormatError(f"cannot parse {token!r} at {where}") from exc
+        raise InputFormatError(f"cannot parse {token!r} at {name}:{lineno}") from exc
 
 
 def _read_csv(path: Path) -> DenseMatrix:
-    rows = []
+    rows, name = [], path.name
     # utf-8-sig: a leading byte-order mark, as spreadsheets write, is skipped.
     with open(path, newline="", encoding="utf-8-sig") as handle:
         try:
             for lineno, record in enumerate(csv.reader(handle), start=1):
                 if not record:
                     continue
-                rows.append([
-                    _parse_complex(cell, f"{path.name}:{lineno}") for cell in record
-                ])
+                rows.append([_parse_complex(cell, name, lineno) for cell in record])
         except UnicodeDecodeError as exc:
             raise InputFormatError(f"{path}: not UTF-8 text") from exc
     if not rows:
@@ -68,10 +73,20 @@ def _read_matrix_market(path: Path) -> Matrix:
     import scipy.io  # deferred: a CSV read and ``import walkbound`` load no scipy
     import scipy.sparse
 
-    try:
-        loaded = scipy.io.mmread(str(path))
-    except Exception as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
+    # fast_matrix_market (scipy 1.12 on) reads with one thread per core
+    # by default (PARALLELISM = 0); this read takes one thread and puts
+    # the caller's setting back.  scipy 1.10's Python reader has no pool.
+    fmm = getattr(scipy.io, "_fast_matrix_market", None)
+    with _PARALLELISM_LOCK:
+        if fmm is not None:
+            caller, fmm.PARALLELISM = fmm.PARALLELISM, 1
+        try:
+            loaded = scipy.io.mmread(str(path))
+        except Exception as exc:
+            raise InputFormatError(f"{path}: {exc}") from exc
+        finally:
+            if fmm is not None:
+                fmm.PARALLELISM = caller
     # A real, integer or pattern field stays real: both types store it as
     # float64.
     if scipy.sparse.issparse(loaded):

@@ -82,6 +82,8 @@ _DOCUMENTED = {
                        InputFormatError, "empty cell at m.csv:2"),
     "CSV cell of two numbers": (lambda tmp: read_matrix(_csv(tmp, b"1 2,3\n")),
                                 InputFormatError, "cannot parse '1 2' at m.csv:1"),
+    "CSV bad cell past the first row": (lambda tmp: read_matrix(_csv(tmp, b"1,2\n3,banana\n")),
+                                        InputFormatError, "cannot parse 'banana' at m.csv:2"),
     "CSV with no rows": (lambda tmp: read_matrix(_csv(tmp, b"\n\n")),
                          InputFormatError, "{tmp}/m.csv: no matrix rows found"),
     "CSV not UTF-8": (lambda tmp: read_matrix(_csv(tmp, b"1,\xff\n")),

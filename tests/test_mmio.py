@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -180,6 +182,55 @@ def test_scipy_coordinate_files_load(tmp_path):
     assert dense[0, 0] == 2.5
     assert dense[2, 1] == 1.0
     assert dense[1, 1] == 0.0
+
+
+def test_mtx_read_runs_on_one_thread_and_restores_the_setting(tmp_path, monkeypatch, e1):
+    import scipy.io
+    # fast_matrix_market exists from scipy 1.12 on; the older reader has no pool.
+    fmm = pytest.importorskip("scipy.io._fast_matrix_market")
+    monkeypatch.setattr(fmm, "PARALLELISM", 3)  # the caller's own setting
+    during = []
+    mmread = scipy.io.mmread
+
+    def spy(*args, **kwargs):
+        during.append(fmm.PARALLELISM)
+        return mmread(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.io, "mmread", spy)
+    good, bad = tmp_path / "good.mtx", tmp_path / "bad.mtx"
+    write_matrix(good, e1)
+    bad.write_text("%%MatrixMarket matrix array real general\n2 2\n1\nx\n3\n4\n")
+    assert read_matrix(good) == e1
+    assert fmm.PARALLELISM == 3
+    with pytest.raises(InputFormatError):
+        read_matrix(bad)
+    assert fmm.PARALLELISM == 3
+    assert during == [1, 1]
+
+
+def test_mtx_reads_on_several_threads_restore_the_setting(tmp_path, monkeypatch, e1):
+    fmm = pytest.importorskip("scipy.io._fast_matrix_market")
+    monkeypatch.setattr(fmm, "PARALLELISM", 3)
+    path = tmp_path / "m.mtx"
+    write_matrix(path, e1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-swap as often as possible
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(lambda _: read_matrix(path), range(200), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(a == e1 for a in results)
+    assert fmm.PARALLELISM == 3
+
+
+def test_mtx_reads_without_fast_matrix_market(tmp_path, monkeypatch, e1):
+    # As on scipy 1.10, whose Python reader has no PARALLELISM to set.
+    import scipy.io
+    monkeypatch.delattr(scipy.io, "_fast_matrix_market", raising=False)
+    path = tmp_path / "m.mtx"
+    write_matrix(path, e1)
+    assert read_matrix(path) == e1
 
 
 def test_missing_file():

@@ -10,7 +10,11 @@ and six inputs of its own (``own_inputs``) whose basis is not the input:
 one-block circulant ``almost_regular`` with a zero row and a zero column
 added, exp(0.7i) times that ``block_diag``, and a coordinate file with
 isolated rows and columns and an entry below the zero cutoff that
-crosses two components, as it stands and negated.
+crosses two components, as it stands and negated; and six small seeded
+Matrix Market files, one per header variant that the reader expands or
+converts: ``array real symmetric``, ``array real skew-symmetric``,
+``array complex hermitian``, ``coordinate real symmetric``,
+``coordinate pattern general`` and ``coordinate integer general``.
 Each tree then runs in one subprocess, with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, which calls ``walkbound.cli.main`` in-process
 for every argument list of ``COMMANDS`` on every input and records the
@@ -34,8 +38,9 @@ command answers or which sit at its edge; an option the command does
 not have, which the top parser refuses with its usage line; and
 options that the chosen method or theorem does not take, refused with
 exit 2 and the usage line.
-Every (file, command) pair whose records differ is printed, and the
-exit status is 1 if any does, 0 otherwise.
+That is 254 inputs x 15 commands + 20 runs once + 18 gen runs = 3848
+runs.  Every (file, command) pair whose records differ is printed, and
+the exit status is 1 if any does, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -151,11 +156,55 @@ _FAINT_ENTRIES = ((1, 1, 1.0), (1, 2, 2.0), (3, 1, 2.0), (3, 2, 1.0),
                   (4, 4, 1.0), (4, 6, 1.0), (5, 4, 2.0), (5, 6, 0.5), (1, 6, 1e-14))
 
 
+def _header_variants() -> dict[str, list[str]]:
+    """The lines of one small seeded file per Matrix Market header that the
+    reader expands or converts: symmetric, skew-symmetric and hermitian
+    array storage (the lower triangle, column major, without the diagonal
+    when skew) and symmetric, pattern and integer coordinate files."""
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+    n = 5
+    lower = [(i, j) for j in range(n) for i in range(j, n)]
+    strict = [(i, j) for i, j in lower if i > j]
+
+    def array(field, symmetry, values):
+        return [f"%%MatrixMarket matrix array {field} {symmetry}", f"{n} {n}", *values]
+
+    def coordinate(field, symmetry, shape, entries):
+        return [f"%%MatrixMarket matrix coordinate {field} {symmetry}",
+                f"{shape[0]} {shape[1]} {len(entries)}", *entries]
+
+    def pick(pairs, p):  # 1-based indices of a seeded share p of pairs
+        return [(i + 1, j + 1) for i, j in pairs if rng.random() < p]
+
+    full = [(i, j) for j in range(7) for i in range(6)]
+    return {
+        "array_symmetric.mtx": array(
+            "real", "symmetric", map(repr, rng.standard_normal(len(lower)).tolist())),
+        "array_skew.mtx": array(
+            "real", "skew-symmetric", map(repr, rng.standard_normal(len(strict)).tolist())),
+        "array_hermitian.mtx": array("complex", "hermitian", [
+            f"{x!r} {0.0 if i == j else y!r}"
+            for (i, j), (x, y) in zip(lower, rng.standard_normal((len(lower), 2)).tolist())]),
+        "coordinate_symmetric.mtx": coordinate("real", "symmetric", (6, 6), [
+            f"{i} {j} {rng.uniform(0.5, 2.0)!r}"
+            for i, j in pick([(i, j) for j in range(6) for i in range(j, 6)], 0.5)]),
+        "coordinate_pattern.mtx": coordinate(
+            "pattern", "general", (6, 7), [f"{i} {j}" for i, j in pick(full, 0.3)]),
+        "coordinate_integer.mtx": coordinate("integer", "general", (6, 7), [
+            f"{i} {j} {rng.choice([-3, -2, -1, 1, 2, 3])}" for i, j in pick(full, 0.3)]),
+    }
+
+
 def own_inputs(workdir: Path) -> list[str]:
-    """Seeded scalar inputs that are not nonnegative.  The basis, the
+    """Seeded scalar inputs that are not nonnegative, and one file per
+    Matrix Market header variant (``_header_variants``).  The basis, the
     nonnegative part, is the input on every benchmark input and not on
-    these, so parity also holds the basis's cut, its component sigmas and
-    the rule that gives a single component its matrix's sigma."""
+    the first six, so parity also holds the basis's cut, its component
+    sigmas and the rule that gives a single component its matrix's sigma;
+    the last six hold the reader's expansion of each header to the
+    base."""
     import numpy as np
     from walkbound import GeneratorSpec, generate
     from walkbound.core import DenseMatrix
@@ -179,10 +228,11 @@ def own_inputs(workdir: Path) -> list[str]:
     for name, values in dense.items():
         write_matrix(out / name, DenseMatrix(values))
         paths.append(str(out / name))
-    for name, sign in (("faint.mtx", 1.0), ("neg_faint.mtx", -1.0)):
-        lines = ["%%MatrixMarket matrix coordinate real general",
-                 f"6 7 {len(_FAINT_ENTRIES)}"]
-        lines += [f"{i} {j} {sign * v!r}" for i, j, v in _FAINT_ENTRIES]
+    texts = {name: ["%%MatrixMarket matrix coordinate real general",
+                    f"6 7 {len(_FAINT_ENTRIES)}",
+                    *(f"{i} {j} {sign * v!r}" for i, j, v in _FAINT_ENTRIES)]
+             for name, sign in (("faint.mtx", 1.0), ("neg_faint.mtx", -1.0))}
+    for name, lines in {**texts, **_header_variants()}.items():
         (out / name).write_text("\n".join(lines) + "\n")
         paths.append(str(out / name))
     return paths

@@ -19,6 +19,14 @@ Both regularity readings test one pair of sums, ``_sums``, the basis's
 row and column sums: ``_regular`` whole, ``_per_component`` gathered on
 the rows and columns of each component of ``structure._plan``.
 
+Each certificate states only its own equality; the rules they share are
+written once.  ``_certificate_basis`` refuses the zero matrix and gives
+the basis with its sigma; ``walks.total_gap`` is the gap of a walk-total
+equality (T2 and both sides of T2.1); ``_verdict`` decides T2, T2.1 and
+T4 from the gap and, on scalar input only, checks the implied class when
+the check needs it.  T3 keeps its three-way agreement and HWH the
+degree-product report's own tightness test.
+
 Each function takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
 one.  ``tol`` applies only to a matrix: a context brings its own
 tolerance.  T3 and the degree-product certificate read the walk or
@@ -30,6 +38,7 @@ storage; ``characterize_pseudo_regular`` densifies it.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,7 +57,7 @@ from .core import (
 from .errors import NotScalarError, PreconditionError
 from .spectral import _svd
 from .structure import _plan, component_sigmas
-from .walks import WalkTable
+from .walks import WalkTable, total_gap
 
 
 @dataclass(frozen=True)
@@ -264,13 +273,31 @@ class EqualityCertificate:
     details: dict
 
 
-def _certificate_basis(ctx: Analysis) -> tuple[bool, Matrix]:
-    """Whether the input is scalar, and the matrix the certificate
-    arithmetic runs on: the nonnegative part when it is, the raw matrix
-    otherwise."""
+def _certificate_basis(ctx: Analysis) -> tuple[bool, Matrix, float]:
+    """Whether the input is scalar, the matrix the certificate arithmetic
+    runs on (the nonnegative part when it is, the raw matrix otherwise)
+    and that matrix's sigma in ``a``'s units."""
     if ctx.max_modulus == 0.0:
         raise PreconditionError("certificates are undefined for the zero matrix")
-    return ctx.scalarity.is_scalar, ctx.basis
+    basis = ctx.basis
+    return ctx.scalarity.is_scalar, basis, ctx.singular(basis).sigma
+
+
+def _verdict(ctx: Analysis, theorem: str, gap: float, scalar: bool,
+             implies: Callable[[Analysis], bool],
+             details: dict, two_way: bool = False) -> EqualityCertificate:
+    """The certificate of an equality that holds when gap <= tol.
+
+    Only on scalar input does it check the class ``implies(ctx)``, and
+    only when the check needs it: one way, the equality forces the class,
+    so a failing equality reads no class; or, with two_way, the equality
+    holds exactly when the class does.
+    """
+    holds = gap <= ctx.tol
+    implied = None
+    if scalar:
+        implied = (implies(ctx) == holds) if two_way else (not holds or implies(ctx))
+    return EqualityCertificate(theorem, holds, gap, implied, {**details, "scalar": scalar})
 
 
 def certify_theorem2(a: Matrix | Analysis, s: int = 1, r: int = 0,
@@ -283,25 +310,14 @@ def certify_theorem2(a: Matrix | Analysis, s: int = 1, r: int = 0,
     ctx = Analysis.of(a, tol)
     if s < 1 or r < 0:
         raise PreconditionError(f"need s >= 1 and r >= 0, got s={s}, r={r}")
-    scalar, basis = _certificate_basis(ctx)
-    sigma = ctx.singular(basis).sigma
+    scalar, basis, sigma = _certificate_basis(ctx)
     # Where the equality holds on scalar input, pseudo_lambda reads order
     # 5 of this table: ask for it up front so one table serves both.
     table = ctx.table(basis, max(2 * r + 2 * s + 1, 5) if scalar else 2 * r + 2 * s + 1)
-    lhs = sigma ** (2 * s) * table.row_total(2 * r + 1)
-    rhs = table.row_total(2 * r + 2 * s + 1)
-    gap = abs(lhs - rhs) / max(1.0, abs(rhs))
-    holds = gap <= ctx.tol
-    if not scalar:
-        implied = None
-    elif not holds:
-        implied = True
-    else:
-        implied = _pseudo_lambda(ctx) is not None
-    return EqualityCertificate(
-        "T2", holds, gap, implied,
-        {"s": s, "r": r, "equality_gap": gap, "scalar": scalar},
-    )
+    gap = total_gap(sigma ** (2 * s) * table.row_total(2 * r + 1),
+                    table.row_total(2 * r + 2 * s + 1))
+    return _verdict(ctx, "T2", gap, scalar, lambda c: _pseudo_lambda(c) is not None,
+                    {"s": s, "r": r, "equality_gap": gap})
 
 
 def certify_theorem2_1(a: Matrix | Analysis, r: int = 1, s: int = 1,
@@ -314,25 +330,12 @@ def certify_theorem2_1(a: Matrix | Analysis, r: int = 1, s: int = 1,
     ctx = Analysis.of(a, tol)
     if r < 1 or s < 1:
         raise PreconditionError(f"need r >= 1 and s >= 1, got r={r}, s={s}")
-    scalar, basis = _certificate_basis(ctx)
-    sigma = ctx.singular(basis).sigma
+    scalar, basis, sigma = _certificate_basis(ctx)
     table = ctx.table(basis, max(2 * s, 2 * r) + 1)
-    row_rhs = table.row_total(2 * s + 1)
-    col_rhs = table.col_total(2 * r + 1)
-    row_gap = abs(sigma ** (2 * s) * basis.m - row_rhs) / max(1.0, abs(row_rhs))
-    col_gap = abs(sigma ** (2 * r) * basis.n - col_rhs) / max(1.0, abs(col_rhs))
-    gap = max(row_gap, col_gap)
-    holds = gap <= ctx.tol
-    if not scalar:
-        implied = None
-    elif not holds:
-        implied = True
-    else:
-        implied = _almost_regular(ctx)
-    return EqualityCertificate(
-        "T2.1", holds, gap, implied,
-        {"r": r, "s": s, "row_gap": row_gap, "col_gap": col_gap, "scalar": scalar},
-    )
+    row_gap = total_gap(sigma ** (2 * s) * basis.m, table.row_total(2 * s + 1))
+    col_gap = total_gap(sigma ** (2 * r) * basis.n, table.col_total(2 * r + 1))
+    return _verdict(ctx, "T2.1", max(row_gap, col_gap), scalar, _almost_regular,
+                    {"r": r, "s": s, "row_gap": row_gap, "col_gap": col_gap})
 
 
 def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
@@ -357,8 +360,7 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
     if r < 1:
         raise PreconditionError(f"order r must be at least 1, got {r}")
     tol = ctx.tol
-    scalar, basis = _certificate_basis(ctx)
-    sigma = ctx.singular(basis).sigma
+    scalar, basis, sigma = _certificate_basis(ctx)
     table = ctx.table(basis, r)
     wr = table.row(r)
     wc = table.col(r)
@@ -408,16 +410,9 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
             np.abs(literal_mods, out=literal_mods).max()
         ) / max(1.0, literal_target)
 
-    if scalar:
-        cond_i = _almost_regular(ctx)
-        details["almost_regular"] = cond_i
-        holds = cond_i == cond_ii == cond_iii
-        implied = holds
-    else:
-        details["almost_regular"] = None
-        holds = cond_iii
-        implied = None
-    return EqualityCertificate("T3", holds, equality_gap, implied, details)
+    cond_i = details["almost_regular"] = _almost_regular(ctx) if scalar else None
+    holds = (cond_i == cond_ii == cond_iii) if scalar else cond_iii
+    return EqualityCertificate("T3", holds, equality_gap, holds if scalar else None, details)
 
 
 def certify_theorem4(a: Matrix | Analysis,
@@ -428,19 +423,12 @@ def certify_theorem4(a: Matrix | Analysis,
     exactly when the classification says regular.
     """
     ctx = Analysis.of(a, tol)
-    scalar, basis = _certificate_basis(ctx)
-    sigma = ctx.singular(basis).sigma
+    scalar, basis, sigma = _certificate_basis(ctx)
     mean_value = abs(total_sum(basis)) / float(np.sqrt(basis.m * basis.n))
     gap = abs(sigma - mean_value) / max(1.0, sigma)
-    holds = gap <= ctx.tol
-    if scalar:
-        implied = _regular(ctx) == holds
-    else:
-        implied = None
-    return EqualityCertificate(
-        "T4", holds, gap, implied,
-        {"sigma": ctx.unscaled(sigma), "mean_value": ctx.unscaled(mean_value), "scalar": scalar},
-    )
+    return _verdict(ctx, "T4", gap, scalar, _regular,
+                    {"sigma": ctx.unscaled(sigma), "mean_value": ctx.unscaled(mean_value)},
+                    two_way=True)
 
 
 def hwh_equality_certificate(a: Matrix | Analysis,

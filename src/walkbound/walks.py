@@ -13,6 +13,9 @@ Weights are tabulated in the matrix's dtype: a real matrix has float64
 weights, nonnegative for a nonnegative matrix, and a complex one has
 complex128 weights.  Each level is one product with A and one with its
 transpose, so a SparseMatrix costs its stored entries per level.
+``total_gap`` is the relative gap |lhs - rhs| / max(1, |rhs|) of a
+walk-total equality, written once for the T2 and T2.1 certificates and
+``walk_identity_residual``.
 """
 
 from __future__ import annotations
@@ -106,6 +109,11 @@ def walk_table(a: Matrix, order: int) -> WalkTable:
     return WalkTable(order, rows, cols, row_totals, col_totals)
 
 
+def total_gap(lhs: complex, rhs: complex) -> float:
+    """The relative gap of a walk-total equality lhs = rhs."""
+    return abs(lhs - rhs) / max(1.0, abs(rhs))
+
+
 def _enumerate_walks(neighbors: list[np.ndarray], start: int, length: int) -> int:
     # Plain recursive enumeration of vertex sequences; exponential on
     # purpose so it stays an independent check on the recursion.
@@ -145,7 +153,7 @@ def walk_identity_residual(a: Matrix, r: int, s: int) -> float:
 
     For a real matrix, the sum over row indices of
     ``w^(2r+1)(i) * w^(2s+1)(i)`` equals the order 2r+2s+1 row total.
-    Returns |lhs - rhs| / max(1, |rhs|), which is zero up to rounding.
+    Returns their ``total_gap``, which is zero up to rounding.
     """
     if r < 0 or s < 0:
         raise PreconditionError("orders r and s must be nonnegative")
@@ -153,5 +161,4 @@ def walk_identity_residual(a: Matrix, r: int, s: int) -> float:
         raise PreconditionError("identity residual is defined for real matrices")
     table = walk_table(a, 2 * r + 2 * s + 1)
     lhs = float(np.dot(table.row(2 * r + 1).real, table.row(2 * s + 1).real))
-    rhs = table.row_total(2 * r + 2 * s + 1).real
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
+    return total_gap(lhs, table.row_total(2 * r + 2 * s + 1).real)

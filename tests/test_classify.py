@@ -165,13 +165,18 @@ def test_theorem2_1_on_w_star(w_star):
     assert cert.implied_class_verified is True
 
 
-def test_theorem2_1_on_e1(e1):
+def test_theorem2_1_on_e1(e1, calls):
     cert = certify_theorem2_1(e1, r=1, s=1)
     assert not cert.holds
     # Row side matches (12 = 12) but the column side misses (16 vs 12).
     assert cert.details["row_gap"] <= 1e-12
     # |16 - 12| relative to the order-3 column total 12.
     assert cert.details["col_gap"] == pytest.approx(1.0 / 3.0, abs=1e-9)
+    # A failing equality implies nothing, so almost regularity, whose
+    # components would be cut, is never read.
+    assert cert.implied_class_verified is True
+    assert calls["_cut"] == []
+    assert len(calls["largest_singular"]) == 1
 
 
 def test_theorem3_even_order_agreement(w_star, e1):
@@ -242,6 +247,9 @@ def test_theorem4_e1(e1):
 def test_certificates_on_non_scalar(c2):
     t2 = certify_theorem2(c2, s=1, r=0)
     assert t2.holds and t2.implied_class_verified is None
+    t21 = certify_theorem2_1(c2)
+    assert t21.implied_class_verified is None
+    assert t21.details["scalar"] is False
     t3 = certify_theorem3(c2, r=2)
     assert t3.holds and t3.implied_class_verified is None
     t4 = certify_theorem4(c2)
@@ -252,8 +260,11 @@ def test_certificates_on_non_scalar(c2):
 def test_certificates_reject_zero():
     zero = DenseMatrix(np.zeros((2, 2)))
     for fn in (certify_theorem2, certify_theorem2_1, certify_theorem3, certify_theorem4):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError,
+                           match="^certificates are undefined for the zero matrix$"):
             fn(zero)
+    with pytest.raises(PreconditionError):
+        hwh_equality_certificate(zero)
 
 
 def test_hwh_certificate_path3(path3):

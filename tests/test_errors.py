@@ -118,13 +118,31 @@ def test_write_matrix_refuses_the_suffix_before_densifying(tmp_path):
 _ARRAY_HEADER = b"%%MatrixMarket matrix array real general\n"
 
 
-@pytest.mark.parametrize("body", [b"2 2\n1\n2\n3\n", b"2 2\n1\nx\n3\n4\n", b"1\n2\n3\n4\n"],
-                         ids=["too few values", "non-numeric token", "no size line"])
+@pytest.mark.parametrize("body", [b"2 2\n1\n2\n3\n", b"2 2\n1\nx\n3\n4\n", b"1\n2\n3\n4\n",
+                                  b"2 2\n1\n2\n3\n4\n5\n"],
+                         ids=["too few values", "non-numeric token", "no size line",
+                              "too many values"])
 def test_malformed_matrix_market_array(tmp_path, body):
     # Only the type and the path prefix: scipy's own message differs
     # between its Python reader and fast_matrix_market.
     path = tmp_path / "m.mtx"
     path.write_bytes(_ARRAY_HEADER + body)
+    with pytest.raises(InputFormatError) as exc:
+        read_matrix(path)
+    assert type(exc.value) is InputFormatError
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_matrix_market_fortran_exponent(tmp_path, monkeypatch):
+    import scipy.io
+    path = tmp_path / "m.mtx"
+    path.write_bytes(_ARRAY_HEADER + b"1 1\n1.0D+00\n")
+    if getattr(scipy.io, "_fast_matrix_market", None) is not None:  # scipy 1.12 on
+        assert read_matrix(path) == DenseMatrix([[1.0]])
+    # scipy's Python reader, the only one before scipy 1.12, refuses the D,
+    # and the refusal keeps the path prefix.  The test reaches that reader
+    # through scipy.io._mmio; a scipy 1.10 install itself is unverified.
+    monkeypatch.setattr(scipy.io, "mmread", scipy.io._mmio.mmread)
     with pytest.raises(InputFormatError) as exc:
         read_matrix(path)
     assert type(exc.value) is InputFormatError

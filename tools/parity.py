@@ -14,7 +14,10 @@ crosses two components, as it stands and negated; and six small seeded
 Matrix Market files, one per header variant that the reader expands or
 converts: ``array real symmetric``, ``array real skew-symmetric``,
 ``array complex hermitian``, ``coordinate real symmetric``,
-``coordinate pattern general`` and ``coordinate integer general``.
+``coordinate pattern general`` and ``coordinate integer general``; and
+two zero matrices, a dense ``.csv`` and a coordinate ``.mtx`` whose
+stored entries are all explicit zeros, on which every command exits 0
+or 4 with one ``error:`` line.
 Each tree then runs in one subprocess, with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, which calls ``walkbound.cli.main`` in-process
 for every argument list of ``COMMANDS`` on every input and records the
@@ -38,7 +41,7 @@ command answers or which sit at its edge; an option the command does
 not have, which the top parser refuses with its usage line; and
 options that the chosen method or theorem does not take, refused with
 exit 2 and the usage line.
-That is 254 inputs x 15 commands + 20 runs once + 18 gen runs = 3848
+That is 256 inputs x 15 commands + 20 runs once + 18 gen runs = 3878
 runs.  Every (file, command) pair whose records differ is printed, and
 the exit status is 1 if any does, 0 otherwise.
 """
@@ -198,13 +201,15 @@ def _header_variants() -> dict[str, list[str]]:
 
 
 def own_inputs(workdir: Path) -> list[str]:
-    """Seeded scalar inputs that are not nonnegative, and one file per
-    Matrix Market header variant (``_header_variants``).  The basis, the
-    nonnegative part, is the input on every benchmark input and not on
-    the first six, so parity also holds the basis's cut, its component
-    sigmas and the rule that gives a single component its matrix's sigma;
-    the last six hold the reader's expansion of each header to the
-    base."""
+    """Seeded scalar inputs that are not nonnegative, one file per Matrix
+    Market header variant (``_header_variants``) and two zero matrices.
+    The basis, the nonnegative part, is the input on every benchmark
+    input and not on the first six, so parity also holds the basis's
+    cut, its component sigmas and the rule that gives a single component
+    its matrix's sigma; the header variants hold the reader's expansion
+    of each header to the base; and the zero matrices hold the refusals
+    that no other input meets (of certificates, of classification and of
+    the degree-product bound, and ``analyze``'s notes on them)."""
     import numpy as np
     from walkbound import GeneratorSpec, generate
     from walkbound.core import DenseMatrix
@@ -221,7 +226,8 @@ def own_inputs(workdir: Path) -> list[str]:
     # row and a zero column.
     one_block = np.pad(circulant([(3, 6)]), ((0, 1), (1, 0)))
     dense = {"neg_block_diag.mtx": -blocks, "neg_circulant.csv": -circulant([(4, 4), (3, 6)]),
-             "i_circulant.mtx": 1j * one_block, "rotated_block_diag.csv": np.exp(0.7j) * blocks}
+             "i_circulant.mtx": 1j * one_block, "rotated_block_diag.csv": np.exp(0.7j) * blocks,
+             "zero.csv": np.zeros((3, 3))}
     out = workdir / "own"
     out.mkdir()
     paths = []
@@ -232,6 +238,8 @@ def own_inputs(workdir: Path) -> list[str]:
                     f"6 7 {len(_FAINT_ENTRIES)}",
                     *(f"{i} {j} {sign * v!r}" for i, j, v in _FAINT_ENTRIES)]
              for name, sign in (("faint.mtx", 1.0), ("neg_faint.mtx", -1.0))}
+    texts["explicit_zeros.mtx"] = ["%%MatrixMarket matrix coordinate real general", "4 4 3",
+                                   "1 1 0.0", "2 3 0.0", "4 2 0.0"]
     for name, lines in {**texts, **_header_variants()}.items():
         (out / name).write_text("\n".join(lines) + "\n")
         paths.append(str(out / name))

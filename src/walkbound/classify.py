@@ -20,12 +20,13 @@ row and column sums: ``_regular`` whole, ``_per_component`` gathered on
 the rows and columns of each component of ``structure._plan``.
 
 Each certificate states only its own equality; the rules they share are
-written once.  ``_certificate_basis`` refuses the zero matrix and gives
-the basis with its sigma; ``walks.total_gap`` is the gap of a walk-total
-equality (T2 and both sides of T2.1); ``_verdict`` decides T2, T2.1 and
-T4 from the gap and, on scalar input only, checks the implied class when
-the check needs it.  T3 keeps its three-way agreement and HWH the
-degree-product report's own tightness test.
+written once.  ``_refuse_zero`` refuses the zero matrix, first in all
+five; ``_certificate_basis`` gives the basis with its sigma;
+``walks.total_gap`` is the gap of a walk-total equality (T2 and both
+sides of T2.1); ``_verdict`` decides T2, T2.1 and T4 from the gap and,
+on scalar input only, checks the implied class when the check needs it.
+T3 keeps its three-way agreement and HWH the degree-product report's own
+tightness test.
 
 Each function takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
 one.  ``tol`` applies only to a matrix: a context brings its own
@@ -273,12 +274,16 @@ class EqualityCertificate:
     details: dict
 
 
+def _refuse_zero(ctx: Analysis) -> None:
+    if ctx.max_modulus == 0.0:
+        raise PreconditionError("certificates are undefined for the zero matrix")
+
+
 def _certificate_basis(ctx: Analysis) -> tuple[bool, Matrix, float]:
     """Whether the input is scalar, the matrix the certificate arithmetic
     runs on (the nonnegative part when it is, the raw matrix otherwise)
     and that matrix's sigma in ``a``'s units."""
-    if ctx.max_modulus == 0.0:
-        raise PreconditionError("certificates are undefined for the zero matrix")
+    _refuse_zero(ctx)
     basis = ctx.basis
     return ctx.scalarity.is_scalar, basis, ctx.singular(basis).sigma
 
@@ -439,6 +444,7 @@ def hwh_equality_certificate(a: Matrix | Analysis,
     support pair; the certificate verifies the two readings agree.
     """
     ctx = Analysis.of(a, tol)
+    _refuse_zero(ctx)
     report = hwh_bound(ctx)
     gap = abs(float(np.ldexp(report.gap, -ctx.exponent))) / max(1.0, ctx.singular(ctx.a).sigma)
     holds = report.tight

@@ -325,23 +325,25 @@ def sigma_ratio_estimate(a: Matrix, s: int = 1, r_max: int = 60) -> RatioEstimat
     ctx = Analysis.of(a)
     sigma = ctx.singular(ctx.a).sigma
     table = ctx.table(ctx.a, 2 * r_max + 2 * s + 1)
-    ratios: list[float] = []
-    max_ratios: list[float] = []
-    degenerate = False
-    sigma2_pow = 1.0
-    for r in range(r_max + 1):
-        den = table.row_total(2 * r + 1).real
-        if den <= 1e-12 * ctx.a.m * sigma2_pow:
-            degenerate = sigma > 0.0
-            break
-        num = table.row_total(2 * r + 2 * s + 1).real
-        ratios.append(num / den)
-        den_vec = table.row(2 * r + 1).real
-        num_vec = table.row(2 * r + 2 * s + 1).real
-        usable = den_vec > 1e-12 * sigma2_pow
-        if usable.any():
-            max_ratios.append(float((num_vec[usable] / den_vec[usable]).max()))
-        sigma2_pow *= sigma * sigma
+    # Odd levels 2r+1 for r = 0..r_max + s; denominators at r = 0..r_max,
+    # numerators s levels on.
+    totals = table.row_totals[::2].real
+    weights = table.row_weights[::2].real
+    steps = np.full(r_max + 1, sigma * sigma)
+    steps[0] = 1.0
+    # Past the float64 range sigma^(2r) is inf, and every later denominator
+    # collapses.
+    with np.errstate(over="ignore"):
+        sigma2_pows = np.cumprod(steps)  # in order: 1, s2, s2 * s2, ...
+        collapsed = np.flatnonzero(totals[:r_max + 1] <= 1e-12 * ctx.a.m * sigma2_pows)
+        stop = collapsed[0] if collapsed.size else r_max + 1
+        ratios = (totals[s:s + stop] / totals[:stop]).tolist()
+        dens = weights[:stop]
+        usable = dens > 1e-12 * sigma2_pows[:stop, None]
+        quotients = np.divide(weights[s:s + stop], dens, where=usable,
+                              out=np.full(dens.shape, -np.inf))
+        max_ratios = quotients.max(axis=1)[usable.any(axis=1)].tolist()
+    degenerate = bool(collapsed.size) and sigma > 0.0
     limit = 0.0 if sigma == 0.0 else None
     settled = len(ratios) >= 2 and abs(ratios[-1] - ratios[-2]) < 1e-9 * abs(ratios[-1])
     if sigma > 0.0 and settled and not degenerate:

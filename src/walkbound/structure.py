@@ -6,22 +6,26 @@ above the zero threshold.  Components never mix indices from different
 blocks of a block-diagonal arrangement, and isolated vertices (zero rows
 or columns) belong to no component.  ``_search`` reads the support,
 one flag per stored entry, and is the one place outside ``core`` that
-selects by storage.  A dense matrix is searched on its m x n mask, level
-by level, one search per component.  A SparseMatrix is labelled in one
-pass of hooking and shortcutting over its support pairs: each round is a
-few whole-array operations over the pairs, and the rounds are few (2 on
-an 8000 x 8000 identity, 3 on 10^4 disjoint 10 x 10 blocks, 21 on a
+selects by storage.  Both of its searches label each row and column with
+the smallest row of its component (-1 when isolated), and ``_search``
+builds the plan from the labels once: rows and columns grouped by
+component, components by smallest row.  A dense mask is searched
+breadth-first, one search per component; a SparseMatrix is labelled by
+hooking and shortcutting over its support pairs, in rounds of a few
+whole-array operations over the pairs, and few rounds (2 on an
+8000 x 8000 identity, 3 on 10^4 disjoint 10 x 10 blocks, 21 on a
 shuffled path of 10^5 rows and columns), so the cost grows with the
 stored entries and not with the number of components.  ``_cut`` cuts a
-matrix into the submatrices of those components (``core.diagonal_blocks``).
-``decompose`` runs both.  This module owns a context's components, as
-``analysis.reading``s: ``_plan``, the one search of the input's support,
-and ``_input_cut`` and ``_basis_cut``, the input and the basis cut along
-it (one cut when the basis is the input).  ``component_sigmas`` is the
-one rule for the sigma of each component: a single component that holds
-every nonzero entry of its matrix has that matrix's sigma, and any other
-is solved.  ``connectivity_via_powers`` and ``singular_multiset_check``
-need every entry and densify it.
+matrix into the submatrices of those components
+(``core.diagonal_blocks``).  ``decompose`` runs both.  This module owns
+a context's components, as ``analysis.reading``s: ``_plan``, the one
+search of the input's support, and ``_input_cut`` and ``_basis_cut``,
+the input and the basis cut along it (one cut when the basis is the
+input).  ``component_sigmas`` is the one rule for the sigma of each
+component: a single component that holds every nonzero entry of its
+matrix has that matrix's sigma, and any other is solved.
+``connectivity_via_powers`` and ``singular_multiset_check`` need every
+entry and densify it.
 """
 
 from __future__ import annotations
@@ -60,26 +64,16 @@ class ComponentDecomposition:
     isolated_cols: tuple
 
 
-def _runs(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``parts`` end to end, and the boundaries of each."""
-    if len(parts) == 1:
-        return parts[0], np.array([0, parts[0].size], dtype=np.intp)
-    ptr = np.zeros(len(parts) + 1, dtype=np.intp)
-    np.cumsum([part.size for part in parts], out=ptr[1:])
-    return (np.concatenate(parts) if parts else ptr[:0]), ptr
-
-
-def _mask_search(support: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Components of a dense m x n support mask by breadth-first search:
-    the columns touched by the frontier rows, then the rows touched by
-    those new columns, one level at a time, one search per component.
-    Returns the rows in component order and the boundaries of each
-    component, then the same for the columns."""
+def _mask_search(support: np.ndarray) -> np.ndarray:
+    """Component labels of the rows and columns of a dense m x n support
+    mask, as ``_pair_labels`` gives them, by breadth-first search: the
+    columns touched by the frontier rows, then the rows touched by those
+    new columns, one level at a time, one search per component."""
     m, n = support.shape
-    seen = ~support.any(axis=1)
-    row_parts, col_parts = [], []
-    for start in np.flatnonzero(~seen).tolist():
-        if seen[start]:
+    labels = np.full(m + n, -1)
+    row_labels, col_labels = labels[:m], labels[m:]
+    for start in np.flatnonzero(support.any(axis=1)).tolist():
+        if row_labels[start] >= 0:
             continue
         rows = np.zeros(m, dtype=bool)
         cols = np.zeros(n, dtype=bool)
@@ -90,10 +84,9 @@ def _mask_search(support: np.ndarray) -> tuple[np.ndarray, ...]:
             cols |= new_cols
             frontier = np.flatnonzero(support[:, new_cols].any(axis=1) & ~rows)
             rows[frontier] = True
-        seen |= rows
-        row_parts.append(np.flatnonzero(rows))
-        col_parts.append(np.flatnonzero(cols))
-    return _runs(row_parts) + _runs(col_parts)
+        row_labels[rows] = start
+        col_labels[cols] = start
+    return labels
 
 
 def _pair_labels(a: SparseMatrix, support: np.ndarray) -> np.ndarray:
@@ -137,22 +130,6 @@ def _pair_labels(a: SparseMatrix, support: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _pair_search(a: SparseMatrix, support: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Components of a SparseMatrix from its pair labels, as
-    ``_mask_search`` returns them: rows, then columns, sorted by (label,
-    index), each with the boundaries of each component."""
-    labels = _pair_labels(a, support)
-    roots = np.flatnonzero(labels[:a.m] == np.arange(a.m))
-    out = ()
-    for side in (labels[:a.m], labels[a.m:]):
-        live = np.flatnonzero(side >= 0)
-        order = live[np.argsort(side[live], kind="stable")]
-        ptr = np.zeros(roots.size + 1, dtype=np.intp)
-        np.cumsum(np.bincount(side[live])[roots], out=ptr[1:])
-        out += (order, ptr)
-    return out
-
-
 def _left_out(idx: np.ndarray, size: int) -> list:
     """The indices 0..size-1 not in ``idx``, in increasing order."""
     if idx.size == size:
@@ -163,13 +140,23 @@ def _left_out(idx: np.ndarray, size: int) -> list:
 
 
 def _search(a: Matrix, support: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The components of ``a``'s support: rows, then columns, in component
-    order, each with the boundaries of each component."""
+    """The components of ``a``'s support: rows, then columns, sorted by
+    (label, index), each with the boundaries of each component."""
     # A dense input keeps the mask search: on a full 400 x 400 matrix it took
     # 0.2 ms, labelling its pairs 15 ms (numpy 2.4, one Xeon core).
     if isinstance(a, DenseMatrix):
-        return _mask_search(support)
-    return _pair_search(a, support)
+        labels = _mask_search(support)
+    else:
+        labels = _pair_labels(a, support)
+    roots = np.flatnonzero(labels[:a.m] == np.arange(a.m))
+    out = ()
+    for side in (labels[:a.m], labels[a.m:]):
+        live = np.flatnonzero(side >= 0)
+        order = live[np.argsort(side[live], kind="stable")]
+        ptr = np.zeros(roots.size + 1, dtype=np.intp)
+        np.cumsum(np.bincount(side[live])[roots], out=ptr[1:])
+        out += (order, ptr)
+    return out
 
 
 def _cut(matrix: Matrix, rows: np.ndarray, row_ptr: np.ndarray,

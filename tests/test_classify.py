@@ -258,13 +258,13 @@ def test_certificates_on_non_scalar(c2):
 
 
 def test_certificates_reject_zero():
-    zero = DenseMatrix(np.zeros((2, 2)))
-    for fn in (certify_theorem2, certify_theorem2_1, certify_theorem3, certify_theorem4):
-        with pytest.raises(PreconditionError,
-                           match="^certificates are undefined for the zero matrix$"):
-            fn(zero)
-    with pytest.raises(PreconditionError):
-        hwh_equality_certificate(zero)
+    # HWH is refused before its degree-product bound, square or not.
+    for zero in (DenseMatrix(np.zeros((2, 2))), DenseMatrix(np.zeros((2, 3)))):
+        for fn in (certify_theorem2, certify_theorem2_1, certify_theorem3, certify_theorem4,
+                   hwh_equality_certificate):
+            with pytest.raises(PreconditionError,
+                               match="^certificates are undefined for the zero matrix$"):
+                fn(zero)
 
 
 def test_hwh_certificate_path3(path3):

@@ -94,6 +94,16 @@ def test_isolated_rows_and_cols():
     assert not _connected(dec)
 
 
+def test_zero_support_has_no_components():
+    explicit_zeros = SparseMatrix(scipy.sparse.coo_array(
+        (np.zeros(3), ([0, 1, 3], [0, 2, 1])), shape=(4, 3)))
+    for a in (DenseMatrix(np.zeros((3, 4))), explicit_zeros):
+        dec = decompose(a)
+        assert dec.components == ()
+        assert dec.isolated_rows == dec.row_perm == tuple(range(a.m))
+        assert dec.isolated_cols == dec.col_perm == tuple(range(a.n))
+
+
 def test_component_submatrix_content():
     a = _block_diag_matrix(3, [(2, 2), (1, 1)])
     dec = decompose(a)

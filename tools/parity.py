@@ -5,12 +5,14 @@
 Each tree is the root of a walkbound checkout (it holds ``src/walkbound``).
 The ``analyze_small`` and ``analyze_large`` inputs are built once, at seed
 101, full size and ``--tiny``, with ``bench/workloads.build`` of HEAD_TREE,
-and six inputs of its own (``own_inputs``) whose basis is not the input:
--1 times a ``block_diag`` and a circulant ``almost_regular``, 1j times a
-one-block circulant ``almost_regular`` with a zero row and a zero column
-added, exp(0.7i) times that ``block_diag``, and a coordinate file with
+and eight inputs of its own (``own_inputs``), most with a basis that is
+not the input: -1 times a ``block_diag`` and a circulant
+``almost_regular``, 1j times a one-block circulant ``almost_regular``
+with a zero row and a zero column added, exp(0.7i) times that
+``block_diag``, and a coordinate file with
 isolated rows and columns and an entry below the zero cutoff that
-crosses two components, as it stands and negated; and six small seeded
+crosses two components, as it stands and negated, each also as a dense
+``.csv`` so that both component searches meet it; and six small seeded
 Matrix Market files, one per header variant that the reader expands or
 converts: ``array real symmetric``, ``array real skew-symmetric``,
 ``array complex hermitian``, ``coordinate real symmetric``,
@@ -41,7 +43,7 @@ command answers or which sit at its edge; an option the command does
 not have, which the top parser refuses with its usage line; and
 options that the chosen method or theorem does not take, refused with
 exit 2 and the usage line.
-That is 256 inputs x 15 commands + 20 runs once + 18 gen runs = 3878
+That is 258 inputs x 15 commands + 20 runs once + 18 gen runs = 3908
 runs.  Every (file, command) pair whose records differ is printed, and
 the exit status is 1 if any does, 0 otherwise.
 """
@@ -201,12 +203,15 @@ def _header_variants() -> dict[str, list[str]]:
 
 
 def own_inputs(workdir: Path) -> list[str]:
-    """Seeded scalar inputs that are not nonnegative, one file per Matrix
+    """Seeded scalar inputs, most not nonnegative, one file per Matrix
     Market header variant (``_header_variants``) and two zero matrices.
     The basis, the nonnegative part, is the input on every benchmark
-    input and not on the first six, so parity also holds the basis's
-    cut, its component sigmas and the rule that gives a single component
-    its matrix's sigma; the header variants hold the reader's expansion
+    input and not on the negated, rotated and imaginary ones here, so
+    parity also holds the basis's cut, its component sigmas and the rule
+    that gives a single component its matrix's sigma; the faint inputs,
+    each as a coordinate ``.mtx`` and a dense ``.csv``, hold both
+    component searches on isolated rows and columns and an entry below
+    the zero cutoff; the header variants hold the reader's expansion
     of each header to the base; and the zero matrices hold the refusals
     that no other input meets (of certificates, of classification and of
     the degree-product bound, and ``analyze``'s notes on them)."""
@@ -225,9 +230,12 @@ def own_inputs(workdir: Path) -> list[str]:
     # One component that holds every nonzero entry but leaves out a zero
     # row and a zero column.
     one_block = np.pad(circulant([(3, 6)]), ((0, 1), (1, 0)))
+    faint = np.zeros((6, 7))
+    for i, j, v in _FAINT_ENTRIES:
+        faint[i - 1, j - 1] = v
     dense = {"neg_block_diag.mtx": -blocks, "neg_circulant.csv": -circulant([(4, 4), (3, 6)]),
              "i_circulant.mtx": 1j * one_block, "rotated_block_diag.csv": np.exp(0.7j) * blocks,
-             "zero.csv": np.zeros((3, 3))}
+             "faint.csv": faint, "neg_faint.csv": -faint, "zero.csv": np.zeros((3, 3))}
     out = workdir / "own"
     out.mkdir()
     paths = []

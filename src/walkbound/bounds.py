@@ -1,7 +1,8 @@
 """Lower bounds on the largest singular value, plus one upper bound.
 
 Every bound comes back as a BoundReport carrying the value, the reference
-sigma, the signed gap, and a tightness flag at the requested tolerance.
+sigma, the signed gap, and a tightness flag at the requested tolerance:
+tight when ``core.relative_gap(|gap|, sigma)`` is at most ``tol``.
 Lower bounds use gap = sigma - value; the upper bound uses value - sigma,
 each judged on the context's A / 2^e and reported in the input's units.
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import Analysis, reading
-from .core import DEFAULT_TOL, Matrix, col_sums, row_sums, total_sum
+from .core import DEFAULT_TOL, Matrix, col_sums, relative_gap, row_sums, total_sum
 from .errors import NotScalarError, PreconditionError
 
 
@@ -42,7 +43,7 @@ def _report(ctx: Analysis, method: str, value: float, params: dict,
     """A lower (or ``upper``) bound on the sigma of ``ctx.a``, in the input's units."""
     sigma = ctx.singular(ctx.a).sigma
     gap = value - sigma if upper else sigma - value
-    tight = abs(gap) <= ctx.tol * max(1.0, sigma)
+    tight = relative_gap(abs(gap), sigma) <= ctx.tol
     return BoundReport(method, ctx.unscaled(value), ctx.unscaled(sigma),
                        ctx.unscaled(gap), tight, params, certificate)
 
@@ -121,7 +122,7 @@ def hwh_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
         raise PreconditionError("degree-product bound needs a square matrix")
     if not a.is_real():
         raise PreconditionError("degree-product bound needs real entries")
-    if float(abs(data - data.T).max()) > 1e-12 * max(ctx.max_modulus, 1e-300):
+    if float(abs(data - data.T).max()) > 1e-12 * ctx.max_modulus:
         raise PreconditionError("degree-product bound needs a symmetric matrix")
     if not a.is_nonneg():
         raise PreconditionError("degree-product bound needs nonnegative entries")
@@ -134,7 +135,7 @@ def hwh_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
     sigma = ctx.singular(a).sigma
     target = sigma * sigma
     products = a.pair_products(d, d)[ctx.support]
-    certificate = bool(np.all(np.abs(products - target) <= ctx.tol * max(1.0, target)))
+    certificate = relative_gap(float(np.abs(products - target).max()), target) <= ctx.tol
     return _report(ctx, "hwh", value, {}, certificate)
 
 

@@ -25,8 +25,9 @@ five; ``_certificate_basis`` gives the basis with its sigma;
 ``walks.total_gap`` is the gap of a walk-total equality (T2 and both
 sides of T2.1); ``_verdict`` decides T2, T2.1 and T4 from the gap and,
 on scalar input only, checks the implied class when the check needs it.
-T3 keeps its three-way agreement and HWH the degree-product report's own
-tightness test.
+T3 keeps its three-way agreement; HWH compares the degree-product
+report's gap, which it reports, with the tolerance.  Every gap here is a
+``core.relative_gap``.
 
 Each function takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
 one.  ``tol`` applies only to a matrix: a context brings its own
@@ -51,6 +52,7 @@ from .core import (
     Matrix,
     ScalarityResult,
     col_sums,
+    relative_gap,
     row_sums,
     support_mask,
     total_sum,
@@ -99,7 +101,7 @@ def _level_runs(x: np.ndarray, ptr: np.ndarray, tol: float) -> np.ndarray:
     """Whether each run x[ptr[k]:ptr[k+1]] spreads by at most tol times
     its largest value."""
     hi = np.maximum.reduceat(x, ptr[:-1])
-    return hi - np.minimum.reduceat(x, ptr[:-1]) <= tol * np.maximum(hi, 1e-300)
+    return hi - np.minimum.reduceat(x, ptr[:-1]) <= tol * hi
 
 
 def _require_scalar_nonzero(ctx: Analysis) -> Matrix:
@@ -124,7 +126,7 @@ def _proportionality(table: WalkTable, hi: int, lo: int, tol: float) -> float | 
         return None
     lam = table.row_total(hi).real / lo_total
     deviation = float(np.abs(w_hi - lam * w_lo).max())
-    return lam if deviation <= tol * max(1.0, float(np.abs(w_hi).max())) else None
+    return lam if relative_gap(deviation, float(np.abs(w_hi).max())) <= tol else None
 
 
 @reading
@@ -172,7 +174,7 @@ def _almost_regular(ctx: Analysis) -> bool:
     tol = ctx.tol
     each = _per_component(ctx)
     return bool(each) and all(
-        s.regular and abs(s.sigma - sigma) <= tol * max(1.0, sigma) for s in each
+        s.regular and relative_gap(abs(s.sigma - sigma), sigma) <= tol for s in each
     )
 
 
@@ -259,9 +261,11 @@ def relaxed_pseudo_regular(a: Matrix | Analysis, r: int, s: int,
 class EqualityCertificate:
     """One named equality condition, its gap, and the class it implies.
 
-    theorem is the certificate label (T2, T2.1, T3, T4, or HWH).  holds
-    reports whether the condition is met at the tolerance; gap is the
-    relative residual that decided it.  implied_class_verified is True
+    theorem is the certificate label (T2, T2.1, T3, T4, or HWH).  gap is
+    the relative residual of the equality, and holds is gap <= tol,
+    except for T3 on scalar input, where holds is the agreement of its
+    three readings and gap is only the residual of the third.
+    implied_class_verified is True
     when the classification consequence promised by the certificate was
     confirmed, None when the input is not scalar and no consequence is
     claimed.  details carries the per-condition numbers.
@@ -392,12 +396,12 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
 
     target = sigma ** (2 * (r - 1))
     pair_mods -= target
-    support_gap = float(np.abs(pair_mods, out=pair_mods).max()) / max(1.0, target)
+    support_gap = relative_gap(float(np.abs(pair_mods, out=pair_mods).max()), target)
     cond_ii = support_gap <= tol
 
     rhs = abs(complex(weighted_sum))
     lhs = sigma * float(np.sqrt(abs(total_r * total_c)))
-    equality_gap = abs(lhs - rhs) / max(1.0, lhs, rhs)
+    equality_gap = relative_gap(abs(lhs - rhs), lhs, rhs)
     cond_iii = equality_gap <= tol
 
     details: dict = {
@@ -411,9 +415,8 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
     if include_literal:
         literal_target = sigma * sigma * abs(total_r * total_c)
         literal_mods -= literal_target
-        details["literal_gap"] = float(
-            np.abs(literal_mods, out=literal_mods).max()
-        ) / max(1.0, literal_target)
+        details["literal_gap"] = relative_gap(
+            float(np.abs(literal_mods, out=literal_mods).max()), literal_target)
 
     cond_i = details["almost_regular"] = _almost_regular(ctx) if scalar else None
     holds = (cond_i == cond_ii == cond_iii) if scalar else cond_iii
@@ -430,7 +433,7 @@ def certify_theorem4(a: Matrix | Analysis,
     ctx = Analysis.of(a, tol)
     scalar, basis, sigma = _certificate_basis(ctx)
     mean_value = abs(total_sum(basis)) / float(np.sqrt(basis.m * basis.n))
-    gap = abs(sigma - mean_value) / max(1.0, sigma)
+    gap = relative_gap(abs(sigma - mean_value), sigma)
     return _verdict(ctx, "T4", gap, scalar, _regular,
                     {"sigma": ctx.unscaled(sigma), "mean_value": ctx.unscaled(mean_value)},
                     two_way=True)
@@ -446,8 +449,9 @@ def hwh_equality_certificate(a: Matrix | Analysis,
     ctx = Analysis.of(a, tol)
     _refuse_zero(ctx)
     report = hwh_bound(ctx)
-    gap = abs(float(np.ldexp(report.gap, -ctx.exponent))) / max(1.0, ctx.singular(ctx.a).sigma)
-    holds = report.tight
+    gap = relative_gap(abs(float(np.ldexp(report.gap, -ctx.exponent))),
+                       ctx.singular(ctx.a).sigma)
+    holds = gap <= ctx.tol
     support_condition = bool(report.certificate)
     return EqualityCertificate(
         "HWH", holds, gap, holds == support_condition,

@@ -221,6 +221,13 @@ class SparseMatrix(_Storage):
 Matrix = DenseMatrix | SparseMatrix
 
 
+def relative_gap(diff: float, *scales: float) -> float:
+    """``diff`` relative to the largest of ``scales``, floored at 1: the
+    one tolerance rule, under which a quantity "equals" its target when
+    this gap is at most ``tol``."""
+    return diff / max(1.0, *scales)
+
+
 def max_modulus(a: Matrix) -> float:
     return float(np.abs(a.values).max(initial=0.0))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DenseMatrix
+from .core import DenseMatrix, relative_gap
 from .classify import classify
 from .errors import GeneratorError, WalkboundError
 
@@ -90,7 +90,7 @@ def _regular(spec: GeneratorSpec) -> DenseMatrix:
     row_sum = spec.params.get("row_sum")
     col_sum = spec.params.get("col_sum")
     if row_sum is not None and col_sum is not None:
-        if abs(m * row_sum - n * col_sum) > 1e-12 * max(1.0, abs(m * row_sum)):
+        if relative_gap(abs(m * row_sum - n * col_sum), abs(m * row_sum)) > 1e-12:
             raise GeneratorError(
                 f"infeasible sums: m*row_sum={m * row_sum:g} must equal "
                 f"n*col_sum={n * col_sum:g}"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MAX_ITER, Matrix, col_sums
+from .core import DEFAULT_MAX_ITER, Matrix, col_sums, relative_gap
 from .errors import ConvergenceError, PreconditionError, WalkScaleError
 
 _START_PERTURBATION = 1e-6
@@ -184,7 +184,7 @@ def _golub_kahan_lanczos(scaled: Matrix, exponent: int, tol: float,
         if beta * abs(ritz_left[-1, 0]) <= tol * sigma or beta == 0.0 or k == cap:
             best = _triple(b, exponent, sigma, ritz_left[:, 0] @ us[:k],
                            ritz_right_h[0] @ vs[:k], k)
-            if best.residual <= tol * max(1.0, best.sigma):
+            if relative_gap(best.residual, best.sigma) <= tol:
                 return best
             if beta == 0.0 or k == cap:
                 break
@@ -214,8 +214,9 @@ def largest_singular(a: Matrix, tol: float = 1e-12,
                      max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
     """The largest singular triple, by dense SVD or Lanczos bidiagonalization.
 
-    Convergence is declared when the combined defect residual drops below
-    ``tol * max(1, sigma)``; the absolute residual is reported.  Raises
+    Convergence is declared when the combined defect residual, relative
+    to sigma by ``core.relative_gap``, is at most ``tol``; the absolute
+    residual is reported.  Raises
     ConvergenceError (with the best triple attached) when ``max_iter``
     Lanczos steps are not enough.  A SparseMatrix stays sparse for
     Lanczos and is densified for the dense SVD.
@@ -235,7 +236,7 @@ def largest_singular(a: Matrix, tol: float = 1e-12,
         return _golub_kahan_lanczos(scaled, exponent, tol, max_iter)
     u, s, vh = _svd(b)
     result = _triple(b, exponent, float(s[0]), u[:, 0], vh[0].conj(), 0)
-    if result.residual > tol * max(1.0, result.sigma):
+    if relative_gap(result.residual, result.sigma) > tol:
         raise ConvergenceError(
             f"dense SVD residual {result.residual:.3g} exceeds {tol:g}", best=result
         )

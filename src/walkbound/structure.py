@@ -42,6 +42,7 @@ from .core import (
     SparseMatrix,
     detect_scalar,
     diagonal_blocks,
+    relative_gap,
     support_mask,
 )
 from .errors import NotScalarError, PreconditionError
@@ -268,22 +269,22 @@ def singular_multiset_check(a: Matrix, tol: float = DEFAULT_TOL) -> bool:
 
     Compares the sorted nonzero singular values of the matrix with the
     union of the nonzero singular values of its components; isolated rows
-    and columns only ever contribute zeros.  Values within tol (scaled by
-    the largest value) of zero are discarded before comparing.  A
+    and columns only ever contribute zeros.  Values within tol of zero,
+    relative to the largest value by ``core.relative_gap``, are discarded
+    before comparing, and kept values must agree to that gap.  A
     SparseMatrix is densified.
     """
     a = a.to_dense()
     whole = singular_values(a)
     top = float(whole[0]) if whole.size else 0.0
-    scale = max(1.0, top)
     merged: list[float] = []
     for comp in decompose(a).components:
         merged.extend(float(s) for s in singular_values(comp.submatrix))
     merged.sort(reverse=True)
-    keep_whole = [float(s) for s in whole if s > tol * scale]
-    keep_merged = [s for s in merged if s > tol * scale]
+    keep_whole = [float(s) for s in whole if relative_gap(s, top) > tol]
+    keep_merged = [s for s in merged if relative_gap(s, top) > tol]
     if len(keep_whole) != len(keep_merged):
         return False
     return all(
-        abs(x - y) <= tol * scale for x, y in zip(keep_whole, keep_merged)
+        relative_gap(abs(x - y), top) <= tol for x, y in zip(keep_whole, keep_merged)
     )

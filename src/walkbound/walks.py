@@ -13,9 +13,9 @@ Weights are tabulated in the matrix's dtype: a real matrix has float64
 weights, nonnegative for a nonnegative matrix, and a complex one has
 complex128 weights.  Each level is one product with A and one with its
 transpose, so a SparseMatrix costs its stored entries per level.
-``total_gap`` is the relative gap |lhs - rhs| / max(1, |rhs|) of a
-walk-total equality, written once for the T2 and T2.1 certificates and
-``walk_identity_residual``.
+``total_gap`` is the gap of a walk-total equality lhs = rhs,
+``core.relative_gap`` of |lhs - rhs| on the scale |rhs|, written once
+for the T2 and T2.1 certificates and ``walk_identity_residual``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix
+from .core import Matrix, relative_gap
 from .errors import PreconditionError, WalkScaleError
 
 # Walk weights above this modulus abort the recursion: results past that
@@ -111,7 +111,7 @@ def walk_table(a: Matrix, order: int) -> WalkTable:
 
 def total_gap(lhs: complex, rhs: complex) -> float:
     """The relative gap of a walk-total equality lhs = rhs."""
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
+    return relative_gap(abs(lhs - rhs), abs(rhs))
 
 
 def _enumerate_walks(neighbors: list[np.ndarray], start: int, length: int) -> int:

@@ -72,6 +72,19 @@ def rand_complex():
 
 
 @pytest.fixture
+def rand_symmetric():
+    # Symmetric with positive entries, so every bound and certificate
+    # applies, and with sigma above 1 on A / 2^e for the seeds the tests
+    # use, so the floor of a relative gap is not what decides it.
+    def make(seed):
+        rng = np.random.default_rng(seed)
+        x = rng.random((int(rng.integers(3, 9)),) * 2)
+        return DenseMatrix(x + x.T)
+
+    return make
+
+
+@pytest.fixture
 def record_calls(monkeypatch):
     """``record_calls(on_call, (module, name), ...)`` rebinds each named
     walkbound function at every module binding that holds it, as the

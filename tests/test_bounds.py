@@ -17,6 +17,8 @@ from walkbound import (
     walk_table,
     weighted_bound,
 )
+from walkbound.analysis import Analysis
+from walkbound.core import relative_gap
 
 
 def test_walk_bound_e1_is_tight(e1):
@@ -153,3 +155,17 @@ def test_weighted_bound_valid_on_random_complex(rand_complex, seed):
     sigma = float(singular_values(a)[0])
     for r in (1, 2, 3):
         assert weighted_bound(a, r).value <= sigma + 1e-9 * max(1.0, sigma)
+
+
+@pytest.mark.parametrize("seed", [6, 14, 19, 37])
+def test_tight_flips_at_the_relative_gap(rand_symmetric, seed):
+    # Each bound is judged on A / 2^e: tight holds at tol equal to its
+    # gap relative to sigma there, and not one float below.
+    a = rand_symmetric(seed)
+    e = Analysis(a).exponent
+    for bound in (walk_bound, weighted_bound, mean_bound, hwh_bound, schur_upper_bound):
+        rep = bound(Analysis(a))
+        tol = float(relative_gap(abs(np.ldexp(rep.gap, -e)), np.ldexp(rep.sigma, -e)))
+        assert tol > 0.0
+        assert bound(Analysis(a, tol)).tight
+        assert not bound(Analysis(a, float(np.nextafter(tol, 0.0)))).tight

@@ -282,6 +282,20 @@ def test_hwh_certificate_path4(path4):
     assert cert.implied_class_verified is True
 
 
+# At these seeds tol * max(1, sigma) and the reported quotient
+# |gap| / max(1, sigma) round apart at tol = gap, so a verdict that
+# compares anything but the gap it reports misses the flip.
+@pytest.mark.parametrize("seed", [6, 14, 19, 37])
+@pytest.mark.parametrize("certify", [certify_theorem2, certify_theorem2_1, certify_theorem4,
+                                     hwh_equality_certificate])
+def test_verdict_flips_at_the_gap_it_reports(rand_symmetric, certify, seed):
+    a = rand_symmetric(seed)
+    gap = certify(a).gap
+    assert gap > 0.0
+    assert certify(a, tol=gap).holds
+    assert not certify(a, tol=float(np.nextafter(gap, 0.0))).holds
+
+
 @pytest.fixture
 def calls(record_calls):
     """The positional arguments of each call of the solve, the walk table

@@ -88,3 +88,23 @@ def test_analysis_imports_no_module_that_reads_contexts():
             names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
     parts = {part for name in names for part in name.split(".")}
     assert not parts & {"structure", "classify", "bounds", "report"}
+
+
+def test_relative_gap_is_the_only_floor_at_one():
+    # The tolerance floor, a call max(1.0, ...), has one home:
+    # core.relative_gap.  The integer max(1, ...) chunk sizes of mmio are
+    # not tolerance floors and do not match.
+    found = []
+    for path in sorted((SRC / "walkbound").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        home = range(0)
+        if path.name == "core.py":
+            fn = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "relative_gap")
+            home = range(fn.lineno, fn.end_lineno + 1)
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "max" and node.lineno not in home
+                  and any(isinstance(arg, ast.Constant) and type(arg.value) is float
+                          and arg.value == 1.0 for arg in node.args)]
+    assert found == []

@@ -20,6 +20,11 @@ so a ``SparseMatrix`` is solved in its CSR storage at a cost that scales
 with its stored entries.  One with at most ``_DENSE_MAX_DIM`` rows or
 columns is densified for LAPACK, as are the inputs of ``singular_values``
 and ``hermitian_eigen``, which need every entry.
+
+``sigma_ratio_estimate`` reads no walk table: it walks the odd row levels
+(A A^T)^t 1 of A / 2^e as one chain, each level divided by the power of
+two nearest sigma^(2t), so it reaches any order without leaving float64
+and with the bits of the undivided levels' ratios.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 
 from .core import DEFAULT_MAX_ITER, Matrix, col_sums, relative_gap
 from .errors import ConvergenceError, PreconditionError, WalkScaleError
+from .walks import check_order
 
 _START_PERTURBATION = 1e-6
 
@@ -291,11 +297,12 @@ class RatioEstimate:
     ratios[r] is the order 2r+2s+1 row total divided by the order 2r+1
     row total; max_ratios holds the same quotient taken entrywise and
     maximized over row indices with a usable denominator.  Both are in
-    the input's units.  degenerate is set when the denominators collapse
-    toward zero while sigma stays positive, or when the sequence settles
-    farther than 1e-6 relative from sigma^(2s): the all-ones vector then
-    misses, or nearly misses, the top left singular space, and no limit
-    is reported.
+    the input's units: each is the quotient of the walk weights of
+    A / 2^e, rounded once, times exactly 2^(2se).  degenerate is set
+    when the denominators collapse toward zero while sigma stays
+    positive, or when the sequence settles farther than 1e-6 relative
+    from sigma^(2s): the all-ones vector then misses, or nearly misses,
+    the top left singular space, and no limit is reported.
     """
 
     ratios: tuple[float, ...]
@@ -308,15 +315,24 @@ class RatioEstimate:
 def sigma_ratio_estimate(a: Matrix, s: int = 1, r_max: int = 60) -> RatioEstimate:
     """Estimate sigma^(2s) from ratios of odd-order walk totals.
 
-    Defined for real matrices.  Sigma and the walk table come from
-    ``Analysis.of(a)``, on A / 2^e, and every ratio is scaled back by
-    exactly 2^(2se).  The limit is reported only when the last two
+    Defined for real matrices.  Sigma comes from ``Analysis.of(a)``, on
+    A / 2^e.  The only walk weights read are the odd row levels
+    (A A^T)^t 1 for t = 0..r_max + s, walked as one chain that divides
+    level t by 2^(e_t), the power of two nearest sigma^(2t).  The chain
+    stays within sqrt(2m) in norm at every order, so no level overflows
+    and the top one does not underflow, and while its entries stay
+    normal every division is exact: each ratio, threshold and verdict is
+    the one the undivided levels give.  Each result goes back to the
+    input's units by one exact power of two, which raises WalkScaleError
+    past float64.  The limit is reported only when the last two
     aggregate ratios agree to a relative 1e-9 and lie within 1e-6
     relative of sigma^(2s); the entrywise maximum sequence is returned
     for inspection but never drives the limit.
     """
     from .analysis import Analysis  # analysis imports this module
 
+    s = check_order(s, "s")
+    r_max = check_order(r_max, "r_max")
     if s < 1:
         raise PreconditionError("s must be at least 1")
     if r_max < 1:
@@ -325,40 +341,52 @@ def sigma_ratio_estimate(a: Matrix, s: int = 1, r_max: int = 60) -> RatioEstimat
         raise PreconditionError("ratio estimator is defined for real matrices")
     ctx = Analysis.of(a)
     sigma = ctx.singular(ctx.a).sigma
-    table = ctx.table(ctx.a, 2 * r_max + 2 * s + 1)
-    # Odd levels 2r+1 for r = 0..r_max + s; denominators at r = 0..r_max,
-    # numerators s levels on.
-    totals = table.row_totals[::2].real
-    weights = table.row_weights[::2].real
-    steps = np.full(r_max + 1, sigma * sigma)
-    steps[0] = 1.0
-    # Past the float64 range sigma^(2r) is inf, and every later denominator
-    # collapses.
-    with np.errstate(over="ignore"):
-        sigma2_pows = np.cumprod(steps)  # in order: 1, s2, s2 * s2, ...
-        collapsed = np.flatnonzero(totals[:r_max + 1] <= 1e-12 * ctx.a.m * sigma2_pows)
-        stop = collapsed[0] if collapsed.size else r_max + 1
-        ratios = (totals[s:s + stop] / totals[:stop]).tolist()
-        dens = weights[:stop]
-        usable = dens > 1e-12 * sigma2_pows[:stop, None]
-        quotients = np.divide(weights[s:s + stop], dens, where=usable,
-                              out=np.full(dens.shape, -np.inf))
-        max_ratios = quotients.max(axis=1)[usable.any(axis=1)].tolist()
+    sigma2 = sigma * sigma
+    b = ctx.a.data
+    bt = b.T
+    # levels[t] is (A A^T)^t 1 / 2^(e_t), e_t the integer nearest
+    # t log2(sigma^2): denominators at t = 0..r_max, numerators s levels on.
+    log2_sigma2 = math.log2(sigma2) if sigma2 else 0.0
+    exps = np.rint(np.arange(r_max + s + 1) * log2_sigma2).astype(int)
+    shifts = (exps[:-1] - exps[1:]).tolist()  # step t multiplies by 2^shifts[t - 1]
+    levels = np.empty((r_max + s + 1, ctx.a.m))
+    levels[0] = 1.0
+    for t, shift in enumerate(shifts, 1):
+        np.ldexp(b @ (bt @ levels[t - 1]), shift, out=levels[t])
+    totals = levels.sum(axis=1)
+    pows = np.cumprod(np.r_[1.0, np.ldexp(sigma2, shifts[:r_max])])  # sigma^(2t) / 2^(e_t)
+    collapsed = np.flatnonzero(totals[:r_max + 1] <= 1e-12 * ctx.a.m * pows)
+    stop = collapsed[0] if collapsed.size else r_max + 1
+    # Quotient t is its walk ratio over 2^(e_(t+s) - e_t); each is moved
+    # to the last one's divisor, 2^g.
+    gaps = exps[s:s + stop] - exps[:stop]
+    g = int(gaps[-1])
+    ratios = np.ldexp(totals[s:s + stop] / totals[:stop], gaps - g).tolist()
+    dens = levels[:stop]
+    usable = dens > 1e-12 * pows[:stop, None]
+    quotients = np.divide(levels[s:s + stop], dens, where=usable,
+                          out=np.full(dens.shape, -np.inf))
+    max_ratios = np.ldexp(quotients.max(axis=1), gaps - g)[usable.any(axis=1)].tolist()
     degenerate = bool(collapsed.size) and sigma > 0.0
     limit = 0.0 if sigma == 0.0 else None
     settled = len(ratios) >= 2 and abs(ratios[-1] - ratios[-2]) < 1e-9 * abs(ratios[-1])
     if sigma > 0.0 and settled and not degenerate:
-        # Past the float64 range sigma^(2s) is inf or 0, and the test fails.
-        with np.errstate(all="ignore"):
-            off = abs(ratios[-1] / np.float64(sigma) ** (2 * s) - 1.0)
-        if off <= _LIMIT_RTOL:
+        # sigma^(2s) / 2^g, from the pow of sigma while sigma^(2s) is a
+        # normal float64 (sigma is at least 0.5 here); past that, from
+        # log2(sigma), whose rounding is far below the 1e-6 tested.
+        if 2 * s * max(math.frexp(sigma)[1], 1) <= 1022:
+            target = math.ldexp(sigma ** (2 * s), -g)
+        else:
+            target = 2.0 ** (2 * s * math.log2(sigma) - g)
+        if abs(ratios[-1] / target - 1.0) <= _LIMIT_RTOL:
             limit = ratios[-1]
         else:
             degenerate = True
+    back = g + 2 * s * ctx.exponent
     return RatioEstimate(
-        tuple(ctx.unscaled(x, 2 * s) for x in ratios),
-        tuple(ctx.unscaled(x, 2 * s) for x in max_ratios),
+        tuple(_unscaled(x, back) for x in ratios),
+        tuple(_unscaled(x, back) for x in max_ratios),
         degenerate,
-        None if limit is None else ctx.unscaled(limit, 2 * s),
+        None if limit is None else _unscaled(limit, back),
         s,
     )

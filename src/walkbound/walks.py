@@ -20,6 +20,7 @@ for the T2 and T2.1 certificates and ``walk_identity_residual``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,16 @@ from .errors import PreconditionError, WalkScaleError
 # Walk weights above this modulus abort the recursion: results past that
 # point are meaningless in float64.
 WEIGHT_LIMIT = 1e300
+
+
+def check_order(value, name: str) -> int:
+    """``value`` as a Python int; PreconditionError unless it is an
+    integer, a Python or numpy int but not a bool or an integral float."""
+    if type(value) is int:  # the common case, and the cheapest test
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -48,6 +59,7 @@ class WalkTable:
     col_totals: np.ndarray
 
     def _check(self, s: int) -> int:
+        s = check_order(s, "walk order")
         if not 1 <= s <= self.order:
             raise PreconditionError(
                 f"walk order {s} outside the tabulated range 1..{self.order}"
@@ -75,6 +87,7 @@ def walk_table(a: Matrix, order: int) -> WalkTable:
     intermediate level is available afterwards.  Raises WalkScaleError
     when any weight modulus passes 1e300.
     """
+    order = check_order(order, "walk order")
     if order < 1:
         raise PreconditionError(f"walk order must be at least 1, got {order}")
     data = a.data
@@ -97,8 +110,7 @@ def walk_table(a: Matrix, order: int) -> WalkTable:
     if over.size:
         raise WalkScaleError(
             f"walk weights exceeded {WEIGHT_LIMIT:g} at order {over[0] + 1}: that "
-            "order is beyond float64 for this matrix (for "
-            "sigma_ratio_estimate, lower r_max)"
+            "order is beyond float64 for this matrix"
         )
     for arr in (rows, cols):
         arr.setflags(write=False)
@@ -131,6 +143,7 @@ def graph_walk_count_equivalence(g: Matrix, s: int) -> bool:
     and compared exactly.  Intended for small graphs; the enumeration is
     exponential in s, and a SparseMatrix is densified.
     """
+    s = check_order(s, "walk order")
     if s < 1:
         raise PreconditionError("walk order must be at least 1")
     g = g.to_dense()

@@ -18,12 +18,13 @@ from walkbound import (
     largest_singular,
     read_matrix,
     schur_upper_bound,
+    walk_bound,
     weighted_bound,
     write_matrix,
 )
 from walkbound.core import SparseMatrix
 from walkbound.spectral import sigma_ratio_estimate
-from walkbound.walks import graph_walk_count_equivalence, walk_identity_residual
+from walkbound.walks import graph_walk_count_equivalence, walk_identity_residual, walk_table
 
 E1 = DenseMatrix([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
 PATH3 = DenseMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
@@ -59,8 +60,29 @@ _DOCUMENTED = {
                                  PreconditionError, "s must be at least 1"),
     "sigma_ratio_estimate r_max=0": (lambda tmp: sigma_ratio_estimate(E1, r_max=0),
                                      PreconditionError, "r_max must be at least 1"),
+    "sigma_ratio_estimate r_max=2.5": (lambda tmp: sigma_ratio_estimate(E1, r_max=2.5),
+                                       PreconditionError, "r_max must be an integer, got 2.5"),
+    "sigma_ratio_estimate s=True": (lambda tmp: sigma_ratio_estimate(E1, s=True),
+                                    PreconditionError, "s must be an integer, got True"),
+    "walk_table order=5.0": (lambda tmp: walk_table(E1, 5.0),
+                             PreconditionError, "walk order must be an integer, got 5.0"),
+    "walk_table order=True": (lambda tmp: walk_table(E1, True),
+                              PreconditionError, "walk order must be an integer, got True"),
+    "WalkTable row 2.0": (lambda tmp: walk_table(E1, 3).row(2.0),
+                          PreconditionError, "walk order must be an integer, got 2.0"),
+    "walk_bound p=5.0": (lambda tmp: walk_bound(E1, 5.0, 3),
+                         PreconditionError, "walk order must be an integer, got 5.0"),
+    "weighted_bound r=2.0": (lambda tmp: weighted_bound(E1, 2.0),
+                             PreconditionError, "walk order must be an integer, got 2.0"),
+    "certify_theorem3 r=2.0": (lambda tmp: certify_theorem3(E1, r=2.0),
+                               PreconditionError, "walk order must be an integer, got 2.0"),
+    # Order 5 is tabulated whatever s is; the order-3 total is then read.
+    "certify_theorem2 s=1.0": (lambda tmp: certify_theorem2(E1, s=1.0),
+                               PreconditionError, "walk order must be an integer, got 3.0"),
     "graph_walk_count_equivalence s=0": (lambda tmp: graph_walk_count_equivalence(PATH3, 0),
                                          PreconditionError, "walk order must be at least 1"),
+    "graph_walk_count_equivalence s=2.5": (lambda tmp: graph_walk_count_equivalence(PATH3, 2.5),
+                                           PreconditionError, "walk order must be an integer, got 2.5"),
     "graph_walk_count_equivalence non-square": (
         lambda tmp: graph_walk_count_equivalence(E1, 1),
         PreconditionError, "graph adjacency must be square"),

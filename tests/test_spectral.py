@@ -16,6 +16,8 @@ from walkbound import (
     sigma_ratio_estimate,
     singular_values,
 )
+from walkbound.analysis import Analysis
+from walkbound.walks import walk_table
 
 
 def test_e1_sigma(e1):
@@ -200,17 +202,95 @@ def test_ratio_estimate_out_of_range_raises_walk_scale_error():
         sigma_ratio_estimate(DenseMatrix(1e200 * np.ones((2, 2))))
 
 
-def test_ratio_estimate_past_float64_names_the_order():
-    # Order-s weights grow like sigma^(s-1), sigma about 300 here, so
-    # r_max = 60 asks for an order past 1e300 even on A / 2^e; dividing
-    # the input again would not help, and the message says what would.
+def test_ratio_estimate_reads_the_limit_past_float64_levels():
+    # Order-s weights grow like sigma^(s-1), sigma about 300 here, so the
+    # walk table of A / 2^e passes 1e300 at order 123, which r_max = 60
+    # asks for.  The estimator's chain, each level divided by the power of
+    # two nearest sigma^(2t), stays in range.
     a = DenseMatrix(np.random.default_rng(0).uniform(0.0, 1.0, size=(600, 600)))
     with pytest.raises(WalkScaleError) as info:
-        sigma_ratio_estimate(a)
+        walk_table(Analysis(a).a, 123)
     assert str(info.value) == (
         "walk weights exceeded 1e+300 at order 123: that order is beyond "
-        "float64 for this matrix (for sigma_ratio_estimate, lower r_max)"
+        "float64 for this matrix"
     )
+    est = sigma_ratio_estimate(a)
+    assert not est.degenerate
+    assert abs(est.limit - largest_singular(a).sigma ** 2) <= 1e-6
+
+
+def test_ratio_estimate_high_s_past_float64_on_the_scaled_matrix():
+    # On A / 2^e sigma is about 20, so sigma^300 is past float64 there,
+    # while in the input's units, A = x / 32, it is about 1e-61.
+    a = DenseMatrix(np.random.default_rng(3).uniform(0.0, 1.0, size=(40, 40)) / 32)
+    est = sigma_ratio_estimate(a, s=150, r_max=8)
+    sigma2s = largest_singular(a).sigma ** 300
+    assert not est.degenerate
+    assert abs(est.limit - sigma2s) <= 1e-6 * sigma2s
+
+
+def test_ratio_estimate_builds_no_walk_table(record_calls):
+    tables = []
+    record_calls(lambda name, args: tables.append(args), ("walks", "walk_table"))
+    sigma_ratio_estimate(DenseMatrix(np.random.default_rng(1).uniform(size=(6, 5))), 2, 30)
+    assert tables == []
+
+
+def _table_estimate(a, s, r_max):
+    """(ratios, max_ratios, degenerate, limit) read off the odd row levels
+    of one walk table of A / 2^e, with thresholds in powers of sigma^2."""
+    ctx = Analysis(a)
+    sigma = largest_singular(ctx.a).sigma
+    table = walk_table(ctx.a, 2 * r_max + 2 * s + 1)
+    totals = table.row_totals[::2]
+    weights = table.row_weights[::2]
+    pows = np.cumprod(np.r_[1.0, np.full(r_max, sigma * sigma)])
+    collapsed = np.flatnonzero(totals[:r_max + 1] <= 1e-12 * ctx.a.m * pows)
+    stop = collapsed[0] if collapsed.size else r_max + 1
+    ratios = (totals[s:s + stop] / totals[:stop]).tolist()
+    usable = weights[:stop] > 1e-12 * pows[:stop, None]
+    quotients = np.divide(weights[s:s + stop], weights[:stop], where=usable,
+                          out=np.full(usable.shape, -np.inf))
+    max_ratios = quotients.max(axis=1)[usable.any(axis=1)].tolist()
+    degenerate = bool(collapsed.size) and sigma > 0.0
+    limit = 0.0 if sigma == 0.0 else None
+    if (sigma > 0.0 and not degenerate and len(ratios) >= 2
+            and abs(ratios[-1] - ratios[-2]) < 1e-9 * abs(ratios[-1])):
+        if abs(ratios[-1] / sigma ** (2 * s) - 1.0) <= 1e-6:
+            limit = ratios[-1]
+        else:
+            degenerate = True
+
+    def unscaled(xs):
+        return tuple(math.ldexp(x, 2 * s * ctx.exponent) for x in xs)
+
+    return (unscaled(ratios), unscaled(max_ratios), degenerate,
+            None if limit is None else unscaled([limit])[0])
+
+
+def test_ratio_estimate_is_the_table_estimate_exactly():
+    # Every division of the chain is by a power of two, so each ratio,
+    # maximum, limit and verdict has the bits of the table's.
+    limits = degenerates = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(2, 13, size=2)
+        x = rng.uniform(-1.0, 1.0 if seed % 3 else 0.2, size=(m, n))
+        x *= rng.uniform(size=(m, n)) < 0.8
+        if seed % 4 == 0:
+            x -= x.mean(axis=0)  # 1^T A is near 0: the denominators collapse
+        for k in (-100, 0, 100):
+            scaled = np.ldexp(x, k)
+            for a in (DenseMatrix(scaled), SparseMatrix(scipy.sparse.csr_array(scaled))):
+                for s in (1, 2):
+                    for r_max in (4, 30):
+                        est = sigma_ratio_estimate(a, s=s, r_max=r_max)
+                        want = _table_estimate(a, s, r_max)
+                        assert (est.ratios, est.max_ratios, est.degenerate,
+                                est.limit) == want, (seed, k, s, r_max)
+                        limits += est.limit is not None
+                        degenerates += est.degenerate
+    assert limits and degenerates
 
 
 def test_ratio_estimate_identity_is_flat():

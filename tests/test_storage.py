@@ -21,6 +21,7 @@ from walkbound import (
     connectivity_via_powers,
     hermitian_eigen,
     read_matrix,
+    sigma_ratio_estimate,
     singular_multiset_check,
     singular_values,
     write_matrix,
@@ -172,6 +173,21 @@ def test_dense_only_functions_densify_at_entry():
     assert singular_multiset_check(sparse) == singular_multiset_check(dense)
     for (lam, vec), (mu, wec) in zip(hermitian_eigen(sparse), hermitian_eigen(dense)):
         assert lam == mu and np.array_equal(vec, wec)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (x, _) in CASES.items()
+                                         if np.isrealobj(x)))
+def test_ratio_estimate_matches(name):
+    # The estimator is a library call only, so it is compared here rather
+    # than through the command line.
+    sparse = SparseMatrix(scipy.sparse.coo_array(CASES[name][0]))
+    dense = sparse.to_dense()
+    for s, r_max in ((1, 60), (2, 10)):
+        got, want = sigma_ratio_estimate(sparse, s, r_max), sigma_ratio_estimate(dense, s, r_max)
+        assert got.degenerate == want.degenerate
+        assert (got.limit is None) == (want.limit is None)
+        if want.limit is not None:
+            assert abs(got.limit - want.limit) <= RTOL * want.limit
 
 
 def test_analyze_matches(pair, tmp_path):

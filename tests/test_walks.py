@@ -8,6 +8,7 @@ from walkbound import (
     PreconditionError,
     WalkScaleError,
     graph_walk_count_equivalence,
+    sigma_ratio_estimate,
     walk_identity_residual,
     walk_table,
 )
@@ -31,6 +32,13 @@ def test_e1_row_and_col_weights(e1):
     assert t.col_total(1) == 4
     assert t.col_total(3) == 12
     assert t.col_total(5) == 48
+
+
+def test_numpy_integer_orders_are_accepted(e1):
+    t = walk_table(e1, np.int64(5))
+    assert t.order == 5
+    assert t.row(np.int32(3)).tolist() == t.row(3).tolist()
+    assert sigma_ratio_estimate(e1, np.int64(1), np.uint8(20)) == sigma_ratio_estimate(e1, 1, 20)
 
 
 def test_c2_totals(c2):

@@ -31,13 +31,14 @@ from .core import (
     DEFAULT_TOL,
     Matrix,
     ScalarityResult,
+    check_tol,
     detect_scalar,
     entrywise_abs,
     max_modulus,
     support_mask,
 )
 from .spectral import SpectralResult, _scaled, _unscaled, largest_singular
-from .walks import WalkTable, walk_table
+from .walks import WalkTable, check_order, walk_table
 
 
 class Analysis:
@@ -52,10 +53,10 @@ class Analysis:
 
     def __init__(self, a: Matrix, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER):
+        self.tol = check_tol(tol)
+        self.max_iter = check_order(max_iter, "max_iter")
         self.input = a
         self.a, self.exponent = _scaled(a)
-        self.tol = tol
-        self.max_iter = max_iter
         # id(matrix) -> (matrix, result); holding the matrix keeps the id
         # from being reused while the context lives.
         self._solves: dict[int, tuple[Matrix, SpectralResult]] = {}

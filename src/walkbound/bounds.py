@@ -23,6 +23,7 @@ import numpy as np
 from .analysis import Analysis, reading
 from .core import DEFAULT_TOL, Matrix, col_sums, relative_gap, row_sums, total_sum
 from .errors import NotScalarError, PreconditionError
+from .walks import check_order
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,15 @@ def walk_bound(a: Matrix | Analysis, p: int = 3, r: int = 1,
     weights are taken on the nonnegative part, whose largest singular
     value equals that of the input.
     """
+    p, r = check_order(p, "p"), check_order(r, "r")
     ctx = Analysis.of(a, tol)
     if p % 2 == 0 or r % 2 == 0:
         raise PreconditionError(
             f"walk bound needs odd orders, got p={p}, r={r}; "
             "even orders can overshoot the largest singular value"
         )
-    if not p > r >= 1:
-        raise PreconditionError(f"orders must satisfy p > r >= 1, got p={p}, r={r}")
+    if p <= r:
+        raise PreconditionError(f"orders must satisfy p > r, got p={p}, r={r}")
     if not ctx.scalarity.is_scalar:
         raise NotScalarError("walk bound is defined for scalar matrices")
     table = ctx.table(ctx.basis, p)
@@ -83,9 +85,8 @@ def weighted_bound(a: Matrix | Analysis, r: int = 1,
 
     Zero denominator (possible only for the zero matrix) reports 0.
     """
+    r = check_order(r, "r")
     ctx = Analysis.of(a, tol)
-    if r < 1:
-        raise PreconditionError("order r must be at least 1")
     table = ctx.table(ctx.modulus, r)
     wr = np.sqrt(table.row(r).real)
     wc = np.sqrt(table.col(r).real)

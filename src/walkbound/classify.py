@@ -60,7 +60,7 @@ from .core import (
 from .errors import NotScalarError, PreconditionError
 from .spectral import _svd
 from .structure import _plan, component_sigmas
-from .walks import WalkTable, total_gap
+from .walks import WalkTable, check_order, total_gap
 
 
 @dataclass(frozen=True)
@@ -248,10 +248,9 @@ def relaxed_pseudo_regular(a: Matrix | Analysis, r: int, s: int,
     every row index, with lambda the ratio of the totals.  Pseudo regular
     matrices satisfy it for every admissible pair.
     """
+    r, s = check_order(r, "r"), check_order(s, "s")
     if r % 2 == 0 or s % 2 == 0 or not r > s >= 3:
-        raise PreconditionError(
-            f"orders must be odd with r > s >= 3, got r={r}, s={s}"
-        )
+        raise PreconditionError(f"orders must be odd with r > s >= 3, got r={r}, s={s}")
     ctx = Analysis.of(a, tol)
     nonneg = _require_scalar_nonzero(ctx)
     return _proportionality(ctx.table(nonneg, r), r, s, ctx.tol) is not None
@@ -316,9 +315,8 @@ def certify_theorem2(a: Matrix | Analysis, s: int = 1, r: int = 0,
     The implication is only claimed for scalar input; for anything else
     the certificate reports the equality gap and nothing more.
     """
+    s, r = check_order(s, "s"), check_order(r, "r", 0)
     ctx = Analysis.of(a, tol)
-    if s < 1 or r < 0:
-        raise PreconditionError(f"need s >= 1 and r >= 0, got s={s}, r={r}")
     scalar, basis, sigma = _certificate_basis(ctx)
     # Where the equality holds on scalar input, pseudo_lambda reads order
     # 5 of this table: ask for it up front so one table serves both.
@@ -336,9 +334,8 @@ def certify_theorem2_1(a: Matrix | Analysis, r: int = 1, s: int = 1,
     Checks sigma^(2s) * w^1(R) = w^(2s+1)(R) and
     sigma^(2r) * w^1(C) = w^(2r+1)(C); both must hold.
     """
+    r, s = check_order(r, "r"), check_order(s, "s")
     ctx = Analysis.of(a, tol)
-    if r < 1 or s < 1:
-        raise PreconditionError(f"need r >= 1 and s >= 1, got r={r}, s={s}")
     scalar, basis, sigma = _certificate_basis(ctx)
     table = ctx.table(basis, max(2 * s, 2 * r) + 1)
     row_gap = total_gap(sigma ** (2 * s) * basis.m, table.row_total(2 * s + 1))
@@ -365,9 +362,8 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
     residual of the unscaled support identity
     |w^r(i) w^r(j)| = sigma^2 |w^r(R) w^r(C)| as a diagnostic.
     """
+    r = check_order(r, "r")
     ctx = Analysis.of(a, tol)
-    if r < 1:
-        raise PreconditionError(f"order r must be at least 1, got {r}")
     tol = ctx.tol
     scalar, basis, sigma = _certificate_basis(ctx)
     table = ctx.table(basis, r)

@@ -15,8 +15,8 @@ the one table ``_EXIT_CODES``: 0 success, 2 unreadable or malformed
 input, a malformed argument or a refused option (argparse prints the
 usage), 3 a computation failed to converge or left the float64 range,
 4 the operation does not apply to the given matrix (wrong shape,
-parity, or class) or a generator request was infeasible.  A failed
-command prints one ``error:`` line to stderr.
+parity, class or order) or was infeasible (a generator request, or an
+array past memory).  A failed command prints one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 _EXIT_CODES = {
     InputFormatError: 2, DimensionMismatchError: 2, NonFiniteEntryError: 2, OSError: 2,
     ConvergenceError: 3, WalkScaleError: 3, FloatingPointError: 3, OverflowError: 3,
-    PreconditionError: 4, GeneratorError: 4,
+    PreconditionError: 4, GeneratorError: 4, MemoryError: 4,
 }
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteEntryError
+from .errors import DimensionMismatchError, NonFiniteEntryError, PreconditionError
 
 # Entries at or below ZERO_TOL_FACTOR times the largest modulus are treated
 # as structural zeros wherever support matters.
@@ -228,6 +228,13 @@ def relative_gap(diff: float, *scales: float) -> float:
     return diff / max(1.0, *scales)
 
 
+def check_tol(tol: float) -> float:
+    """``tol`` if it is finite and at least 0 (0 tests exactly), else PreconditionError."""
+    if not 0.0 <= tol < np.inf:  # also false for nan
+        raise PreconditionError(f"tol must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
 def max_modulus(a: Matrix) -> float:
     return float(np.abs(a.values).max(initial=0.0))
 
@@ -341,6 +348,7 @@ def detect_scalar(a: Matrix, tol: float = DEFAULT_TOL) -> ScalarityResult:
     gives a phase of exactly +1 or -1, and a nonnegative input is its own
     nonnegative part.
     """
+    tol = check_tol(tol)
     if a.is_nonneg():
         return ScalarityResult(True, 1.0 + 0.0j, a)
     data = a.values

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MAX_ITER, Matrix, col_sums, relative_gap
+from .core import DEFAULT_MAX_ITER, Matrix, check_tol, col_sums, relative_gap
 from .errors import ConvergenceError, PreconditionError, WalkScaleError
 from .walks import check_order
 
@@ -227,8 +227,7 @@ def largest_singular(a: Matrix, tol: float = 1e-12,
     Lanczos steps are not enough.  A SparseMatrix stays sparse for
     Lanczos and is densified for the dense SVD.
     """
-    if max_iter < 1:
-        raise PreconditionError("max_iter must be positive")
+    tol, max_iter = check_tol(tol), check_order(max_iter, "max_iter")
     dense = sigma_method(a.shape) == "lapack_svd"
     scaled, exponent = _scaled(a.to_dense() if dense else a)
     b = scaled.data
@@ -269,6 +268,7 @@ def hermitian_eigen(h: Matrix, tol: float = 1e-10) -> list[tuple[float, np.ndarr
     per eigenvalue, as (eigenvalue, vector) pairs.  A SparseMatrix is
     densified.
     """
+    tol = check_tol(tol)
     data = h.to_dense().data
     if data.shape[0] != data.shape[1]:
         raise PreconditionError("hermitian_eigen needs a square matrix")
@@ -331,12 +331,7 @@ def sigma_ratio_estimate(a: Matrix, s: int = 1, r_max: int = 60) -> RatioEstimat
     """
     from .analysis import Analysis  # analysis imports this module
 
-    s = check_order(s, "s")
-    r_max = check_order(r_max, "r_max")
-    if s < 1:
-        raise PreconditionError("s must be at least 1")
-    if r_max < 1:
-        raise PreconditionError("r_max must be at least 1")
+    s, r_max = check_order(s, "s"), check_order(r_max, "r_max")
     if not a.is_real():
         raise PreconditionError("ratio estimator is defined for real matrices")
     ctx = Analysis.of(a)

@@ -40,6 +40,7 @@ from .core import (
     DenseMatrix,
     Matrix,
     SparseMatrix,
+    check_tol,
     detect_scalar,
     diagonal_blocks,
     relative_gap,
@@ -274,6 +275,7 @@ def singular_multiset_check(a: Matrix, tol: float = DEFAULT_TOL) -> bool:
     before comparing, and kept values must agree to that gap.  A
     SparseMatrix is densified.
     """
+    tol = check_tol(tol)
     a = a.to_dense()
     whole = singular_values(a)
     top = float(whole[0]) if whole.size else 0.0

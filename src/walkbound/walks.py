@@ -16,6 +16,8 @@ transpose, so a SparseMatrix costs its stored entries per level.
 ``total_gap`` is the gap of a walk-total equality lhs = rhs,
 ``core.relative_gap`` of |lhs - rhs| on the scale |rhs|, written once
 for the T2 and T2.1 certificates and ``walk_identity_residual``.
+``check_order`` is the one check of an order or iteration cap, run on
+entry by each public function under the argument's own name.
 """
 
 from __future__ import annotations
@@ -33,14 +35,16 @@ from .errors import PreconditionError, WalkScaleError
 WEIGHT_LIMIT = 1e300
 
 
-def check_order(value, name: str) -> int:
-    """``value`` as a Python int; PreconditionError unless it is an
-    integer, a Python or numpy int but not a bool or an integral float."""
-    if type(value) is int:  # the common case, and the cheapest test
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise PreconditionError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def check_order(value, name: str, low: int = 1) -> int:
+    """``value`` as a Python int; PreconditionError naming ``name`` unless
+    it is a Python or numpy int, not a bool or a float, of at least ``low``."""
+    if type(value) is not int:  # the common case takes one type test
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < low:
+        raise PreconditionError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -60,10 +64,8 @@ class WalkTable:
 
     def _check(self, s: int) -> int:
         s = check_order(s, "walk order")
-        if not 1 <= s <= self.order:
-            raise PreconditionError(
-                f"walk order {s} outside the tabulated range 1..{self.order}"
-            )
+        if s > self.order:
+            raise PreconditionError(f"walk order {s} outside the tabulated range 1..{self.order}")
         return s - 1
 
     def row(self, s: int) -> np.ndarray:
@@ -88,8 +90,6 @@ def walk_table(a: Matrix, order: int) -> WalkTable:
     when any weight modulus passes 1e300.
     """
     order = check_order(order, "walk order")
-    if order < 1:
-        raise PreconditionError(f"walk order must be at least 1, got {order}")
     data = a.data
     data_t = data.T
     m, n = data.shape
@@ -143,9 +143,7 @@ def graph_walk_count_equivalence(g: Matrix, s: int) -> bool:
     and compared exactly.  Intended for small graphs; the enumeration is
     exponential in s, and a SparseMatrix is densified.
     """
-    s = check_order(s, "walk order")
-    if s < 1:
-        raise PreconditionError("walk order must be at least 1")
+    s = check_order(s, "s")
     g = g.to_dense()
     data = g.data
     if data.shape[0] != data.shape[1]:
@@ -168,8 +166,7 @@ def walk_identity_residual(a: Matrix, r: int, s: int) -> float:
     ``w^(2r+1)(i) * w^(2s+1)(i)`` equals the order 2r+2s+1 row total.
     Returns their ``total_gap``, which is zero up to rounding.
     """
-    if r < 0 or s < 0:
-        raise PreconditionError("orders r and s must be nonnegative")
+    r, s = check_order(r, "r", 0), check_order(s, "s", 0)
     if not a.is_real():
         raise PreconditionError("identity residual is defined for real matrices")
     table = walk_table(a, 2 * r + 2 * s + 1)

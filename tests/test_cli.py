@@ -166,6 +166,21 @@ def test_certify_orders_default_to_the_library(e1_file, capsys, theorem, flags, 
     assert ("s" in details) == ("s" in orders)
 
 
+# An order below its floor is refused by the library, under the option's
+# name, with exit 4 and one error line.
+@pytest.mark.parametrize("args, message", [
+    (["bound", "--method", "weighted", "--r", "0"], "r must be at least 1, got 0"),
+    (["certify", "--theorem", "T2", "--s", "0"], "s must be at least 1, got 0"),
+    (["certify", "--theorem", "T2", "--r", "-1"], "r must be at least 0, got -1"),
+    (["certify", "--theorem", "T2.1", "--r", "0"], "r must be at least 1, got 0"),
+    (["certify", "--theorem", "T3", "--r", "0"], "r must be at least 1, got 0"),
+])
+def test_order_below_its_floor_exits_4(e1_file, capsys, args, message):
+    command, *options = args
+    assert main([command, e1_file, *options]) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_gen_subcommand(tmp_path, capsys):
     out = tmp_path / "g.mtx"
     rc = main([
@@ -370,6 +385,20 @@ def test_each_error_class_has_its_exit_code(e1_file, capsys, monkeypatch, error,
     monkeypatch.setattr(cli, "read_matrix", refuse)
     assert main(["classify", e1_file]) == code
     assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_gen_past_memory_exits_4(tmp_path, capsys, monkeypatch):
+    # numpy's own allocation failure is a MemoryError subclass; no large
+    # array is allocated here.
+    def refuse(spec):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, "generate", refuse)
+    out = tmp_path / "x.mtx"
+    argv = ["gen", "--kind", "random_nonneg", "--shape", "100000x100000", "--out", str(out)]
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", "error: Unable to allocate 74.5 GiB for an array\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

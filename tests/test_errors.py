@@ -13,21 +13,28 @@ from walkbound import (
     certify_theorem2,
     certify_theorem2_1,
     certify_theorem3,
+    classify,
+    detect_scalar,
     generate,
+    hermitian_eigen,
     hwh_bound,
     largest_singular,
     read_matrix,
+    relaxed_pseudo_regular,
     schur_upper_bound,
+    singular_multiset_check,
     walk_bound,
     weighted_bound,
     write_matrix,
 )
+from walkbound.analysis import Analysis
 from walkbound.core import SparseMatrix
 from walkbound.spectral import sigma_ratio_estimate
 from walkbound.walks import graph_walk_count_equivalence, walk_identity_residual, walk_table
 
 E1 = DenseMatrix([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
 PATH3 = DenseMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+REG4 = DenseMatrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]])
 
 
 def _csv(tmp_path, data):
@@ -43,23 +50,23 @@ def _gen(kind, **params):
 # (call on a scratch directory, error type, message; "{tmp}" is that directory)
 _DOCUMENTED = {
     "weighted_bound r=0": (lambda tmp: weighted_bound(E1, r=0),
-                           PreconditionError, "order r must be at least 1"),
+                           PreconditionError, "r must be at least 1, got 0"),
     "hwh_bound zero row sum": (lambda tmp: hwh_bound(DenseMatrix([[1.0, 0.0], [0.0, 0.0]])),
                                PreconditionError, "degree-product bound needs positive row sums"),
     "schur_upper_bound complex": (lambda tmp: schur_upper_bound(DenseMatrix([[1j, 1.0]])),
                                   PreconditionError, "the upper bound needs real entries"),
     "certify_theorem2 s=0": (lambda tmp: certify_theorem2(E1, s=0),
-                             PreconditionError, "need s >= 1 and r >= 0, got s=0, r=0"),
+                             PreconditionError, "s must be at least 1, got 0"),
     "certify_theorem2_1 r=0": (lambda tmp: certify_theorem2_1(E1, r=0),
-                               PreconditionError, "need r >= 1 and s >= 1, got r=0, s=1"),
+                               PreconditionError, "r must be at least 1, got 0"),
     "certify_theorem3 r=0": (lambda tmp: certify_theorem3(E1, r=0),
-                             PreconditionError, "order r must be at least 1, got 0"),
+                             PreconditionError, "r must be at least 1, got 0"),
     "largest_singular max_iter=0": (lambda tmp: largest_singular(E1, max_iter=0),
-                                    PreconditionError, "max_iter must be positive"),
+                                    PreconditionError, "max_iter must be at least 1, got 0"),
     "sigma_ratio_estimate s=0": (lambda tmp: sigma_ratio_estimate(E1, s=0),
-                                 PreconditionError, "s must be at least 1"),
+                                 PreconditionError, "s must be at least 1, got 0"),
     "sigma_ratio_estimate r_max=0": (lambda tmp: sigma_ratio_estimate(E1, r_max=0),
-                                     PreconditionError, "r_max must be at least 1"),
+                                     PreconditionError, "r_max must be at least 1, got 0"),
     "sigma_ratio_estimate r_max=2.5": (lambda tmp: sigma_ratio_estimate(E1, r_max=2.5),
                                        PreconditionError, "r_max must be an integer, got 2.5"),
     "sigma_ratio_estimate s=True": (lambda tmp: sigma_ratio_estimate(E1, s=True),
@@ -71,23 +78,70 @@ _DOCUMENTED = {
     "WalkTable row 2.0": (lambda tmp: walk_table(E1, 3).row(2.0),
                           PreconditionError, "walk order must be an integer, got 2.0"),
     "walk_bound p=5.0": (lambda tmp: walk_bound(E1, 5.0, 3),
-                         PreconditionError, "walk order must be an integer, got 5.0"),
+                         PreconditionError, "p must be an integer, got 5.0"),
+    "walk_bound r=True": (lambda tmp: walk_bound(E1, 3, True),
+                          PreconditionError, "r must be an integer, got True"),
     "weighted_bound r=2.0": (lambda tmp: weighted_bound(E1, 2.0),
-                             PreconditionError, "walk order must be an integer, got 2.0"),
+                             PreconditionError, "r must be an integer, got 2.0"),
+    "weighted_bound r=True": (lambda tmp: weighted_bound(E1, True),
+                              PreconditionError, "r must be an integer, got True"),
     "certify_theorem3 r=2.0": (lambda tmp: certify_theorem3(E1, r=2.0),
-                               PreconditionError, "walk order must be an integer, got 2.0"),
-    # Order 5 is tabulated whatever s is; the order-3 total is then read.
+                               PreconditionError, "r must be an integer, got 2.0"),
+    "certify_theorem3 r=True": (lambda tmp: certify_theorem3(E1, r=True),
+                                PreconditionError, "r must be an integer, got True"),
     "certify_theorem2 s=1.0": (lambda tmp: certify_theorem2(E1, s=1.0),
-                               PreconditionError, "walk order must be an integer, got 3.0"),
+                               PreconditionError, "s must be an integer, got 1.0"),
+    "certify_theorem2 r=True": (lambda tmp: certify_theorem2(E1, r=True),
+                                PreconditionError, "r must be an integer, got True"),
+    "certify_theorem2 r=-1": (lambda tmp: certify_theorem2(E1, r=-1),
+                              PreconditionError, "r must be at least 0, got -1"),
+    "certify_theorem2_1 r=True": (lambda tmp: certify_theorem2_1(E1, r=True),
+                                  PreconditionError, "r must be an integer, got True"),
+    "certify_theorem2_1 s=1.5": (lambda tmp: certify_theorem2_1(E1, s=1.5),
+                                 PreconditionError, "s must be an integer, got 1.5"),
+    "relaxed_pseudo_regular r=5.0": (lambda tmp: relaxed_pseudo_regular(E1, 5.0, 3.0),
+                                     PreconditionError, "r must be an integer, got 5.0"),
+    "relaxed_pseudo_regular s=True": (lambda tmp: relaxed_pseudo_regular(E1, 5, True),
+                                      PreconditionError, "s must be an integer, got True"),
+    "largest_singular max_iter=2.5": (lambda tmp: largest_singular(E1, max_iter=2.5),
+                                      PreconditionError, "max_iter must be an integer, got 2.5"),
+    "largest_singular max_iter=True": (lambda tmp: largest_singular(E1, max_iter=True),
+                                       PreconditionError, "max_iter must be an integer, got True"),
+    "Analysis max_iter=0": (lambda tmp: Analysis(E1, max_iter=0),
+                            PreconditionError, "max_iter must be at least 1, got 0"),
+    "Analysis max_iter=2.0": (lambda tmp: Analysis(E1, max_iter=2.0),
+                              PreconditionError, "max_iter must be an integer, got 2.0"),
     "graph_walk_count_equivalence s=0": (lambda tmp: graph_walk_count_equivalence(PATH3, 0),
-                                         PreconditionError, "walk order must be at least 1"),
+                                         PreconditionError, "s must be at least 1, got 0"),
     "graph_walk_count_equivalence s=2.5": (lambda tmp: graph_walk_count_equivalence(PATH3, 2.5),
-                                           PreconditionError, "walk order must be an integer, got 2.5"),
+                                           PreconditionError, "s must be an integer, got 2.5"),
+    "graph_walk_count_equivalence s=True": (lambda tmp: graph_walk_count_equivalence(PATH3, True),
+                                            PreconditionError, "s must be an integer, got True"),
     "graph_walk_count_equivalence non-square": (
         lambda tmp: graph_walk_count_equivalence(E1, 1),
         PreconditionError, "graph adjacency must be square"),
     "walk_identity_residual r=-1": (lambda tmp: walk_identity_residual(E1, -1, 1),
-                                    PreconditionError, "orders r and s must be nonnegative"),
+                                    PreconditionError, "r must be at least 0, got -1"),
+    "walk_identity_residual r=True": (lambda tmp: walk_identity_residual(E1, True, 1),
+                                      PreconditionError, "r must be an integer, got True"),
+    "walk_identity_residual s=0.0": (lambda tmp: walk_identity_residual(E1, 1, 0.0),
+                                     PreconditionError, "s must be an integer, got 0.0"),
+    # One bad tolerance at each function that takes one; 0 stays an exact test.
+    "classify tol=nan": (lambda tmp: classify(REG4, tol=float("nan")),
+                         PreconditionError, "tol must be finite and nonnegative, got nan"),
+    "Analysis tol=-1e-8": (lambda tmp: Analysis(E1, tol=-1e-8),
+                           PreconditionError, "tol must be finite and nonnegative, got -1e-08"),
+    "detect_scalar tol=nan": (lambda tmp: detect_scalar(DenseMatrix([[1, -1], [2, 1j]]),
+                                                        tol=float("nan")),
+                              PreconditionError, "tol must be finite and nonnegative, got nan"),
+    "largest_singular tol=nan": (lambda tmp: largest_singular(E1, tol=float("nan")),
+                                 PreconditionError, "tol must be finite and nonnegative, got nan"),
+    "hermitian_eigen tol=nan": (lambda tmp: hermitian_eigen(DenseMatrix([[1, 5], [0, 1]]),
+                                                            tol=float("nan")),
+                                PreconditionError, "tol must be finite and nonnegative, got nan"),
+    "singular_multiset_check tol=inf": (lambda tmp: singular_multiset_check(E1, tol=float("inf")),
+                                        PreconditionError,
+                                        "tol must be finite and nonnegative, got inf"),
     "almost_regular no blocks": (lambda tmp: _gen("almost_regular", blocks=[]),
                                  GeneratorError, "almost_regular needs at least one block"),
     "almost_regular unknown style": (lambda tmp: _gen("almost_regular", style="zebra"),
@@ -125,6 +179,14 @@ def test_documented_error(tmp_path, name):
         call(tmp_path)
     assert type(exc.value) is error
     assert str(exc.value) == message.format(tmp=tmp_path)
+
+
+def test_zero_tol_is_an_exact_test():
+    assert classify(REG4, tol=0.0).is_regular
+    assert not classify(DenseMatrix([[1.0, 1.0], [1.0, 1.0 + 2**-40]]), tol=0.0).is_regular
+    assert detect_scalar(E1, tol=0.0).is_scalar
+    assert len(hermitian_eigen(PATH3, tol=0.0)) == 3
+    assert singular_multiset_check(E1, tol=0.0)
 
 
 def test_write_matrix_refuses_the_suffix_before_densifying(tmp_path):

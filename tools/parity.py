@@ -44,8 +44,10 @@ leading ``--`` and a command with no path, which the parser of every
 command answers or which sit at its edge; an option the command does
 not have, which the top parser refuses with its usage line; and
 options that the chosen method or theorem does not take, refused with
-exit 2 and the usage line.
-That is 258 inputs x 16 commands + 20 runs once + 18 gen runs = 4166
+exit 2 and the usage line; and orders below their floor, which the
+library refuses under the option's name with exit 4 and one ``error:``
+line.
+That is 258 inputs x 16 commands + 25 runs once + 18 gen runs = 4171
 runs.  Every (file, command) pair whose records differ is printed, and
 the exit status is 1 if any does, 0 otherwise.
 """
@@ -100,6 +102,11 @@ ONCE = (
     ("certify", "PATH", "--theorem", "T2", "--literal-t3ii"),
     ("certify", "PATH", "--theorem", "T3", "--s", "5"),
     ("certify", "PATH", "--theorem", "HWH", "--r", "1", "--s", "1", "--literal-t3ii"),
+    ("bound", "PATH", "--method", "weighted", "--r", "0"),
+    ("certify", "PATH", "--theorem", "T2", "--s", "0"),
+    ("certify", "PATH", "--theorem", "T2", "--r", "-1"),
+    ("certify", "PATH", "--theorem", "T2.1", "--r", "0"),
+    ("certify", "PATH", "--theorem", "T3", "--r", "0"),
 )
 # One ``walkbound gen`` argument list per case; every kind appears.
 GEN = (

@@ -13,8 +13,10 @@ of the context alone, defined where it is computed, that the context
 keeps once it has run (the components and their cuts in ``structure``,
 the sums and the three class readings in ``classify``, the
 degree-product report in ``bounds``).
-Every layer function takes a matrix or a context: ``full_analysis`` reads
-everything from one context, and a call on a bare matrix builds its own.
+Every layer function takes a matrix or a context and hands its settings
+to ``Analysis.of``: a call on a matrix builds its own context from them,
+and a call on a context, the one holder of an analysis's settings,
+refuses them.  ``full_analysis`` reads everything from one context.
 The context keeps the input's storage: a ``SparseMatrix`` input has a
 sparse ``a``, nonnegative part, modulus and component submatrices.
 
@@ -31,14 +33,16 @@ from .core import (
     DEFAULT_TOL,
     Matrix,
     ScalarityResult,
+    check_order,
     check_tol,
     detect_scalar,
     entrywise_abs,
     max_modulus,
     support_mask,
 )
+from .errors import PreconditionError
 from .spectral import SpectralResult, _scaled, _unscaled, largest_singular
-from .walks import WalkTable, check_order, walk_table
+from .walks import WalkTable, walk_table
 
 
 class Analysis:
@@ -64,11 +68,18 @@ class Analysis:
         self._readings: dict = {}  # reading function -> its value
 
     @classmethod
-    def of(cls, a: Matrix | Analysis, tol: float = DEFAULT_TOL,
-           max_iter: int = DEFAULT_MAX_ITER) -> Analysis:
-        """``a`` itself when it is a context, else a new context for the
-        matrix ``a``; ``tol`` and ``max_iter`` apply only to a matrix."""
-        return a if isinstance(a, cls) else cls(a, tol, max_iter)
+    def of(cls, a: Matrix | Analysis, tol: float | None = None,
+           max_iter: int | None = None) -> Analysis:
+        """``a`` itself when it is a context, which refuses settings given
+        here; else a context for the matrix ``a``, None meaning the default."""
+        if not isinstance(a, cls):
+            return cls(a, DEFAULT_TOL if tol is None else tol,
+                       DEFAULT_MAX_ITER if max_iter is None else max_iter)
+        if tol is not None or max_iter is not None:
+            name = "tol" if tol is not None else "max_iter"
+            raise PreconditionError(f"{name} cannot be given with an Analysis, "
+                                    f"which holds its own {name}")
+        return a
 
     def unscaled(self, x: float, degree: int = 1) -> float:
         """x * 2^(degree * exponent); WalkScaleError past float64."""
@@ -124,20 +135,13 @@ class Analysis:
 
 
 def reading(fn):
-    """Make ``fn(ctx)`` a reading: a quantity of the context alone.
-
-    Called on an ``Analysis``, ``fn`` runs once and the context keeps its
-    result; an error it raises is not kept.  Called on a matrix, it runs
-    as it stands, with the other arguments (a ``tol``), which apply only
-    to a matrix.
-    """
+    """Make ``fn(ctx)`` a reading: a quantity of the context alone, which
+    runs once per context and is kept; an error it raises is not kept."""
     @wraps(fn)
-    def read(a, *args, **kwargs):
-        if not isinstance(a, Analysis):
-            return fn(a, *args, **kwargs)
-        kept = a._readings
+    def read(ctx: Analysis):
+        kept = ctx._readings
         if fn not in kept:
-            kept[fn] = fn(a)
+            kept[fn] = fn(ctx)
         return kept[fn]
 
     return read

@@ -7,11 +7,12 @@ Lower bounds use gap = sigma - value; the upper bound uses value - sigma,
 each judged on the context's A / 2^e and reported in the input's units.
 
 Each bound takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
-one.  ``tol`` applies only to a matrix: a context brings its own
-tolerance.  The bounds read A only through products with vectors, row
-sums and ``pair_products`` selected by the support, one flag per stored
-entry, so a SparseMatrix costs its stored entries and no bound looks at
-the storage.
+one and hands ``tol`` to ``Analysis.of``, which refuses it with a
+context.  The degree-product report is a reading, ``_hwh``.  The bounds
+read A only through products with vectors, row sums and
+``pair_products`` selected by the support, one flag per stored entry,
+so a SparseMatrix costs its stored entries and no bound looks at the
+storage.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import Analysis, reading
-from .core import DEFAULT_TOL, Matrix, col_sums, relative_gap, row_sums, total_sum
+from .core import Matrix, check_order, col_sums, relative_gap, row_sums, total_sum
 from .errors import NotScalarError, PreconditionError
-from .walks import check_order
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def _report(ctx: Analysis, method: str, value: float, params: dict,
 
 
 def walk_bound(a: Matrix | Analysis, p: int = 3, r: int = 1,
-               tol: float = DEFAULT_TOL) -> BoundReport:
+               tol: float | None = None) -> BoundReport:
     """Walk-total ratio lower bound (w^p(R)/w^r(R))^(1/(p-r)).
 
     Valid for scalar matrices and odd orders p > r >= 1 only; even orders
@@ -76,7 +76,7 @@ def walk_bound(a: Matrix | Analysis, p: int = 3, r: int = 1,
 
 
 def weighted_bound(a: Matrix | Analysis, r: int = 1,
-                   tol: float = DEFAULT_TOL) -> BoundReport:
+                   tol: float | None = None) -> BoundReport:
     """Weight-geometric lower bound valid for arbitrary complex matrices.
 
     With w the order-r walk weights of the entrywise modulus matrix,
@@ -98,7 +98,7 @@ def weighted_bound(a: Matrix | Analysis, r: int = 1,
     return _report(ctx, "weighted", value, {"r": r})
 
 
-def mean_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
+def mean_bound(a: Matrix | Analysis, tol: float | None = None) -> BoundReport:
     """|sum of entries| / sqrt(n m), the order-1 weighted bound."""
     ctx = Analysis.of(a, tol)
     a = ctx.a
@@ -106,17 +106,19 @@ def mean_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
     return _report(ctx, "mean", value, {})
 
 
-@reading
-def hwh_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
+def hwh_bound(a: Matrix | Analysis, tol: float | None = None) -> BoundReport:
     """Degree-product lower bound for symmetric nonnegative matrices.
 
     value = (1/S) * sum_ij a_ij sqrt(d_i d_j) with d the row sums and S
     the total sum.  The report's certificate records whether the equality
     condition d_i * d_j = sigma^2 holds on every support pair, which is
-    exactly when the bound is attained.  A reading, which ``full_analysis``
-    and ``hwh_equality_certificate`` both read off one context.
+    exactly when the bound is attained.
     """
-    ctx = Analysis.of(a, tol)
+    return _hwh(Analysis.of(a, tol))
+
+
+@reading
+def _hwh(ctx: Analysis) -> BoundReport:
     a = ctx.a
     data = a.data
     if data.shape[0] != data.shape[1]:
@@ -140,7 +142,7 @@ def hwh_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
     return _report(ctx, "hwh", value, {}, certificate)
 
 
-def schur_upper_bound(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> BoundReport:
+def schur_upper_bound(a: Matrix | Analysis, tol: float | None = None) -> BoundReport:
     """Upper bound sqrt(max_i r_i * max_j c_j) for nonnegative matrices."""
     ctx = Analysis.of(a, tol)
     a = ctx.a

@@ -30,8 +30,8 @@ report's gap, which it reports, with the tolerance.  Every gap here is a
 ``core.relative_gap``.
 
 Each function takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
-one.  ``tol`` applies only to a matrix: a context brings its own
-tolerance.  T3 and the degree-product certificate read the walk or
+one and hands ``tol`` to ``Analysis.of``, which refuses it with a
+context.  T3 and the degree-product certificate read the walk or
 degree products ``pair_products`` at every stored entry and select the
 support pairs with the support, one flag per stored entry, so a
 SparseMatrix costs its stored entries and no function here looks at the
@@ -48,9 +48,9 @@ import numpy as np
 from .analysis import Analysis, reading
 from .bounds import hwh_bound
 from .core import (
-    DEFAULT_TOL,
     Matrix,
     ScalarityResult,
+    check_order,
     col_sums,
     relative_gap,
     row_sums,
@@ -60,7 +60,7 @@ from .core import (
 from .errors import NotScalarError, PreconditionError
 from .spectral import _svd
 from .structure import _plan, component_sigmas
-from .walks import WalkTable, check_order, total_gap
+from .walks import WalkTable, total_gap
 
 
 @dataclass(frozen=True)
@@ -171,14 +171,13 @@ def _almost_regular(ctx: Analysis) -> bool:
     """Whether every component of the basis is regular and attains its
     sigma, read off ``_per_component``."""
     sigma = ctx.singular(_require_scalar_nonzero(ctx)).sigma
-    tol = ctx.tol
     each = _per_component(ctx)
     return bool(each) and all(
-        s.regular and relative_gap(abs(s.sigma - sigma), sigma) <= tol for s in each
+        s.regular and relative_gap(abs(s.sigma - sigma), sigma) <= ctx.tol for s in each
     )
 
 
-def classify(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> ClassificationReport:
+def classify(a: Matrix | Analysis, tol: float | None = None) -> ClassificationReport:
     """Full regularity classification of a nonzero scalar matrix.
 
     The report puts together the three class readings, ``_regular``,
@@ -205,7 +204,7 @@ def classify(a: Matrix | Analysis, tol: float = DEFAULT_TOL) -> ClassificationRe
 
 
 def characterize_pseudo_regular(
-    a: Matrix | Analysis, tol: float = DEFAULT_TOL,
+    a: Matrix | Analysis, tol: float | None = None,
 ) -> PseudoRegularCharacterization:
     """Pseudo regularity through the spectrum of A A*.
 
@@ -241,7 +240,7 @@ def characterize_pseudo_regular(
 
 
 def relaxed_pseudo_regular(a: Matrix | Analysis, r: int, s: int,
-                           tol: float = DEFAULT_TOL) -> bool:
+                           tol: float | None = None) -> bool:
     """Proportionality of order-r and order-s row weights, odd r > s >= 3.
 
     A weaker reading of pseudo regularity: w^r(i) = lambda * w^s(i) for
@@ -309,7 +308,7 @@ def _verdict(ctx: Analysis, theorem: str, gap: float, scalar: bool,
 
 
 def certify_theorem2(a: Matrix | Analysis, s: int = 1, r: int = 0,
-                     tol: float = DEFAULT_TOL) -> EqualityCertificate:
+                     tol: float | None = None) -> EqualityCertificate:
     """sigma^(2s) * w^(2r+1)(R) = w^(2r+2s+1)(R) forces pseudo regularity.
 
     The implication is only claimed for scalar input; for anything else
@@ -328,7 +327,7 @@ def certify_theorem2(a: Matrix | Analysis, s: int = 1, r: int = 0,
 
 
 def certify_theorem2_1(a: Matrix | Analysis, r: int = 1, s: int = 1,
-                       tol: float = DEFAULT_TOL) -> EqualityCertificate:
+                       tol: float | None = None) -> EqualityCertificate:
     """Row and column total equalities together force almost regularity.
 
     Checks sigma^(2s) * w^1(R) = w^(2s+1)(R) and
@@ -344,7 +343,7 @@ def certify_theorem2_1(a: Matrix | Analysis, r: int = 1, s: int = 1,
                     {"r": r, "s": s, "row_gap": row_gap, "col_gap": col_gap})
 
 
-def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
+def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float | None = None,
                      include_literal: bool = False) -> EqualityCertificate:
     """Three readings of almost regularity, checked against each other.
 
@@ -364,7 +363,6 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
     """
     r = check_order(r, "r")
     ctx = Analysis.of(a, tol)
-    tol = ctx.tol
     scalar, basis, sigma = _certificate_basis(ctx)
     table = ctx.table(basis, r)
     wr = table.row(r)
@@ -393,12 +391,12 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
     target = sigma ** (2 * (r - 1))
     pair_mods -= target
     support_gap = relative_gap(float(np.abs(pair_mods, out=pair_mods).max()), target)
-    cond_ii = support_gap <= tol
+    cond_ii = support_gap <= ctx.tol
 
     rhs = abs(complex(weighted_sum))
     lhs = sigma * float(np.sqrt(abs(total_r * total_c)))
     equality_gap = relative_gap(abs(lhs - rhs), lhs, rhs)
-    cond_iii = equality_gap <= tol
+    cond_iii = equality_gap <= ctx.tol
 
     details: dict = {
         "r": r,
@@ -420,7 +418,7 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float = DEFAULT_TOL,
 
 
 def certify_theorem4(a: Matrix | Analysis,
-                     tol: float = DEFAULT_TOL) -> EqualityCertificate:
+                     tol: float | None = None) -> EqualityCertificate:
     """Equality sigma = |sum of entries| / sqrt(n m) pins down regularity.
 
     For scalar input this is a two-way check: the equality must hold
@@ -436,7 +434,7 @@ def certify_theorem4(a: Matrix | Analysis,
 
 
 def hwh_equality_certificate(a: Matrix | Analysis,
-                             tol: float = DEFAULT_TOL) -> EqualityCertificate:
+                             tol: float | None = None) -> EqualityCertificate:
     """Attainment of the degree-product bound versus its support condition.
 
     The bound meets sigma exactly when d_i * d_j = sigma^2 on every

@@ -18,10 +18,11 @@ arithmetic, and so the bits, of a dense-only implementation.
 Matrices are immutable; every operation returns a fresh value.  The two
 constructors are the one check of outside input (extents, dtype,
 finiteness); a matrix derived from a checked one adopts its arrays
-unchecked.  Row and
-column indices live in separate namespaces: a row index is never compared
-with a column index, and functions that take both always take the row
-index first.
+unchecked.  ``check_tol`` and ``check_order`` are the one check of a
+tolerance and of a walk order or iteration cap, run on entry under the
+argument's name.  Row and column indices live in separate namespaces: a
+row index is never compared with a column index, and functions that
+take both always take the row index first.
 """
 
 from __future__ import annotations
@@ -233,6 +234,23 @@ def check_tol(tol: float) -> float:
     if not 0.0 <= tol < np.inf:  # also false for nan
         raise PreconditionError(f"tol must be finite and nonnegative, got {tol!r}")
     return tol
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy int, not a bool: the one integer rule."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_order(value, name: str, low: int = 1) -> int:
+    """``value`` as a Python int; PreconditionError naming ``name`` unless
+    it is an integer (``_is_int``) of at least ``low``."""
+    if type(value) is not int:  # the common case takes one type test
+        if not _is_int(value):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < low:
+        raise PreconditionError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 def max_modulus(a: Matrix) -> float:

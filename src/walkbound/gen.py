@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DenseMatrix, relative_gap
+from .core import DenseMatrix, _is_int, relative_gap
 from .classify import classify
 from .errors import GeneratorError, WalkboundError
 
@@ -64,16 +64,13 @@ def _circulant(first_row: np.ndarray) -> np.ndarray:
 def _regular_block(m: int, n: int, density: float,
                    rng: np.random.Generator) -> np.ndarray:
     """Exact equal row sums and equal column sums, any admissible shape."""
-    if m == n:
-        row = _thin(rng.random(n), density, rng)
-        if not row.any():
-            row[0] = 0.5 + rng.random()
-        return _circulant(row)
     if m % n == 0 or n % m == 0:
         small, big = min(m, n), max(m, n)
         row = _thin(rng.random(small), density, rng)
         if not row.any():
             row[0] = 0.5 + rng.random()
+        if m == n:
+            return _circulant(row)
         tile = np.vstack([
             _circulant(np.roll(row, int(rng.integers(small))))
             for _ in range(big // small)
@@ -226,10 +223,6 @@ _DISPATCH = {
 }
 
 KINDS = tuple(_DISPATCH)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def generate(spec: GeneratorSpec) -> DenseMatrix:

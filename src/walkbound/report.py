@@ -38,7 +38,7 @@ from .classify import (
     classify,
     hwh_equality_certificate,
 )
-from .core import DEFAULT_MAX_ITER, DEFAULT_TOL, Matrix
+from .core import Matrix
 from .errors import PreconditionError
 from .spectral import sigma_method
 from .structure import component_sigmas, decompose
@@ -171,17 +171,18 @@ def _components_text(ctx: Analysis) -> str:
     return "\n".join(lines)
 
 
-def full_analysis(a: Matrix | Analysis, *, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER, literal_t3: bool = False) -> dict:
+def full_analysis(a: Matrix | Analysis, *, tol: float | None = None,
+                  max_iter: int | None = None, literal_t3: bool = False) -> dict:
     """Run the whole pipeline on one matrix and return the report body.
 
     Every quantity comes from one ``Analysis`` context, so each is
-    computed once, and ``max_iter`` caps every solve.  Numbers are in the
-    input's units.  Given a context, the report uses its ``tol`` and
-    ``max_iter``, and the caller can read afterwards what it computed.
+    computed once, and its ``max_iter`` caps every solve.  Numbers are in
+    the input's units.  ``tol`` and ``max_iter`` go to ``Analysis.of``
+    untouched: given a context, the report uses the context's own, and
+    the caller can read afterwards what it computed.
     """
     ctx = Analysis.of(a, tol, max_iter)
-    a, tol, max_iter = ctx.a, ctx.tol, ctx.max_iter
+    a = ctx.a
     notes: list[str] = []
     spectral = ctx.singular(a)
     sc = ctx.scalarity
@@ -236,7 +237,7 @@ def full_analysis(a: Matrix | Analysis, *, tol: float = DEFAULT_TOL,
         "components": _components_dict(ctx),
         "notes": notes,
         "tool_version": __version__,
-        "tolerances": {"tol": float(tol), "max_iter": int(max_iter)},
+        "tolerances": {"tol": float(ctx.tol), "max_iter": int(ctx.max_iter)},
     }
 
 

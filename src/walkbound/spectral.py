@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MAX_ITER, Matrix, check_tol, col_sums, relative_gap
+from .core import DEFAULT_MAX_ITER, Matrix, check_order, check_tol, col_sums, relative_gap
 from .errors import ConvergenceError, PreconditionError, WalkScaleError
-from .walks import check_order
 
 _START_PERTURBATION = 1e-6
 

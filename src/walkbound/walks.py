@@ -16,35 +16,20 @@ transpose, so a SparseMatrix costs its stored entries per level.
 ``total_gap`` is the gap of a walk-total equality lhs = rhs,
 ``core.relative_gap`` of |lhs - rhs| on the scale |rhs|, written once
 for the T2 and T2.1 certificates and ``walk_identity_residual``.
-``check_order`` is the one check of an order or iteration cap, run on
-entry by each public function under the argument's own name.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, relative_gap
+from .core import Matrix, check_order, relative_gap
 from .errors import PreconditionError, WalkScaleError
 
 # Walk weights above this modulus abort the recursion: results past that
 # point are meaningless in float64.
 WEIGHT_LIMIT = 1e300
-
-
-def check_order(value, name: str, low: int = 1) -> int:
-    """``value`` as a Python int; PreconditionError naming ``name`` unless
-    it is a Python or numpy int, not a bool or a float, of at least ``low``."""
-    if type(value) is not int:  # the common case takes one type test
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise PreconditionError(f"{name} must be an integer, got {value!r}")
-        value = int(value)
-    if value < low:
-        raise PreconditionError(f"{name} must be at least {low}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)

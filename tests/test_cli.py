@@ -3,6 +3,7 @@ import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -547,7 +548,7 @@ def test_one_command_parser_parses_as_the_full_one(argv, capsys):
 
 def test_cli_imports_no_private_report_name():
     # Every rendering lives in report, behind report.render.
-    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     private = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module in ("report", "walkbound.report")
                for alias in node.names if alias.name.startswith("_")]

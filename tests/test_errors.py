@@ -13,12 +13,17 @@ from walkbound import (
     certify_theorem2,
     certify_theorem2_1,
     certify_theorem3,
+    certify_theorem4,
+    characterize_pseudo_regular,
     classify,
     detect_scalar,
+    full_analysis,
     generate,
     hermitian_eigen,
     hwh_bound,
+    hwh_equality_certificate,
     largest_singular,
+    mean_bound,
     read_matrix,
     relaxed_pseudo_regular,
     schur_upper_bound,
@@ -142,6 +147,53 @@ _DOCUMENTED = {
     "singular_multiset_check tol=inf": (lambda tmp: singular_multiset_check(E1, tol=float("inf")),
                                         PreconditionError,
                                         "tol must be finite and nonnegative, got inf"),
+    # A setting given with a context is refused: the context holds its own.
+    "walk_bound tol with an Analysis": (
+        lambda tmp: walk_bound(Analysis(E1), tol=0.5),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "weighted_bound tol with an Analysis": (
+        lambda tmp: weighted_bound(Analysis(E1), tol=-5),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "mean_bound tol with an Analysis": (
+        lambda tmp: mean_bound(Analysis(E1), tol=0.5),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "hwh_bound tol with an Analysis": (
+        lambda tmp: hwh_bound(Analysis(PATH3), tol=0.5),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "schur_upper_bound tol with an Analysis": (
+        lambda tmp: schur_upper_bound(Analysis(E1), tol=0.5),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "classify tol with an Analysis": (
+        lambda tmp: classify(Analysis(E1), tol=float("nan")),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "characterize_pseudo_regular tol with an Analysis": (
+        lambda tmp: characterize_pseudo_regular(Analysis(E1), tol=0.5),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "relaxed_pseudo_regular tol with an Analysis": (
+        lambda tmp: relaxed_pseudo_regular(Analysis(E1), 5, 3, tol=0.5),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "certify_theorem2 tol with an Analysis": (
+        lambda tmp: certify_theorem2(Analysis(E1), tol=0.5),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "certify_theorem2_1 tol with an Analysis": (
+        lambda tmp: certify_theorem2_1(Analysis(E1), tol=0.5),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "certify_theorem3 tol with an Analysis": (
+        lambda tmp: certify_theorem3(Analysis(E1), tol=0.5),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "certify_theorem4 tol with an Analysis": (
+        lambda tmp: certify_theorem4(Analysis(E1), tol=0.5),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "hwh_equality_certificate tol with an Analysis": (
+        lambda tmp: hwh_equality_certificate(Analysis(PATH3), tol=0.5),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "full_analysis tol with an Analysis": (
+        lambda tmp: full_analysis(Analysis(E1), tol=float("inf"), max_iter=-3),
+        PreconditionError, "tol cannot be given with an Analysis, which holds its own tol"),
+    "full_analysis max_iter with an Analysis": (
+        lambda tmp: full_analysis(Analysis(E1), max_iter=3),
+        PreconditionError,
+        "max_iter cannot be given with an Analysis, which holds its own max_iter"),
     "almost_regular no blocks": (lambda tmp: _gen("almost_regular", blocks=[]),
                                  GeneratorError, "almost_regular needs at least one block"),
     "almost_regular unknown style": (lambda tmp: _gen("almost_regular", style="zebra"),

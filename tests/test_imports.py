@@ -68,6 +68,18 @@ def _run(script: str) -> str:
     return proc.stdout.strip()
 
 
+def _imported_parts(tree) -> set:
+    """Every dotted part of every name that ``tree`` imports, deferred
+    and type-checking imports included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    return {part for name in names for part in name.split(".")}
+
+
 def test_sigma_and_components_import_no_sparse_solvers():
     assert _run(_SCRIPT) == ""
 
@@ -77,16 +89,8 @@ def test_import_and_csv_analysis_load_no_scipy():
 
 
 def test_analysis_imports_no_module_that_reads_contexts():
-    # The context sits below every layer that reads it; deferred imports
-    # and type-checking imports count too.
-    tree = ast.parse((SRC / "walkbound" / "analysis.py").read_text())
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
-    parts = {part for name in names for part in name.split(".")}
+    # The context sits below every layer that reads it.
+    parts = _imported_parts(ast.parse((SRC / "walkbound" / "analysis.py").read_text()))
     assert not parts & {"structure", "classify", "bounds", "report"}
 
 
@@ -108,3 +112,16 @@ def test_relative_gap_is_the_only_floor_at_one():
                   and any(isinstance(arg, ast.Constant) and type(arg.value) is float
                           and arg.value == 1.0 for arg in node.args)]
     assert found == []
+
+
+def test_argument_rules_live_in_core():
+    # check_order and check_tol are each defined once, in core, so the
+    # solver takes its argument checks from core and nothing from walks.
+    homes = sorted((node.name, path.name)
+                   for path in (SRC / "walkbound").glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in ("check_order", "check_tol"))
+    assert homes == [("check_order", "core.py"), ("check_tol", "core.py")]
+    spectral = ast.parse((SRC / "walkbound" / "spectral.py").read_text())
+    assert "walks" not in _imported_parts(spectral)

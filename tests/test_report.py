@@ -216,6 +216,7 @@ _CONTEXT_CALLS = {
     "characterize_pseudo_regular": (characterize_pseudo_regular, ()),
     "relaxed_pseudo_regular": (relaxed_pseudo_regular, (5, 3)),
     "classify": (classify, ()),
+    "full_analysis": (full_analysis, ()),
 }
 
 
@@ -243,28 +244,22 @@ def _counted_reading(fails=0):
     runs = []
 
     @reading
-    def rows(a, tol=DEFAULT_TOL):
-        runs.append(tol)
+    def rows(ctx):
+        runs.append(ctx.tol)
         if len(runs) <= fails:
             raise PreconditionError("not yet")
-        return Analysis.of(a, tol).a.m
+        return ctx.a.m
 
     return rows, runs
-
-
-def test_a_reading_on_a_matrix_runs_every_call(e1):
-    rows, runs = _counted_reading()
-    assert [rows(e1), rows(e1), rows(e1, tol=1e-3)] == [3, 3, 3]
-    assert runs == [DEFAULT_TOL, DEFAULT_TOL, 1e-3]
 
 
 def test_a_reading_runs_once_per_context(e1):
     rows, runs = _counted_reading()
     ctx = Analysis(e1, 1e-6)
-    assert [rows(ctx), rows(ctx), rows(ctx, tol=1e-3)] == [3, 3, 3]
-    assert runs == [DEFAULT_TOL]  # a context passes no tol to its reading
+    assert [rows(ctx), rows(ctx)] == [3, 3]
+    assert runs == [1e-6]  # the reading reads its context's tol
     assert rows(Analysis(e1)) == 3
-    assert len(runs) == 2
+    assert runs == [1e-6, DEFAULT_TOL]
 
 
 def test_a_reading_that_raises_is_not_kept(e1):

@@ -7,16 +7,18 @@ its largest real or imaginary part into [0.5, 1); ``ctx.singular(...)``,
 present the same bits to every test, and ``ctx.unscaled`` takes numbers
 back to the input's units.  Each shared quantity is computed once, on
 first use: the scalarity test and the certificates' basis, one singular
-triple and one walk table per distinct matrix, and the support.
+triple and one walk table per distinct matrix, the support, and the
+basis's row sums, column sums and total.
 A quantity that the context does not hold is a ``reading``: a function
 of the context alone, defined where it is computed, that the context
 keeps once it has run (the components and their cuts in ``structure``,
-the sums and the three class readings in ``classify``, the
-degree-product report in ``bounds``).
+the three class readings in ``classify``, the degree-product report in
+``bounds``).
 Every layer function takes a matrix or a context and hands its settings
 to ``Analysis.of``: a call on a matrix builds its own context from them,
 and a call on a context, the one holder of an analysis's settings,
-refuses them.  ``full_analysis`` reads everything from one context.
+refuses them.  A context reads a setting left at None as its default.
+``full_analysis`` reads everything from one context.
 The context keeps the input's storage: a ``SparseMatrix`` input has a
 sparse ``a``, nonnegative part, modulus and component submatrices.
 
@@ -35,10 +37,13 @@ from .core import (
     ScalarityResult,
     check_order,
     check_tol,
+    col_sums,
     detect_scalar,
     entrywise_abs,
     max_modulus,
+    row_sums,
     support_mask,
+    total_sum,
 )
 from .errors import PreconditionError
 from .spectral import SpectralResult, _scaled, _unscaled, largest_singular
@@ -55,10 +60,11 @@ class Analysis:
     ConvergenceError carries its best triple and message in ``a``'s units.
     """
 
-    def __init__(self, a: Matrix, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER):
-        self.tol = check_tol(tol)
-        self.max_iter = check_order(max_iter, "max_iter")
+    def __init__(self, a: Matrix, tol: float | None = None,
+                 max_iter: int | None = None):
+        self.tol = check_tol(DEFAULT_TOL if tol is None else tol)
+        self.max_iter = check_order(DEFAULT_MAX_ITER if max_iter is None else max_iter,
+                                    "max_iter")
         self.input = a
         self.a, self.exponent = _scaled(a)
         # id(matrix) -> (matrix, result); holding the matrix keeps the id
@@ -71,10 +77,9 @@ class Analysis:
     def of(cls, a: Matrix | Analysis, tol: float | None = None,
            max_iter: int | None = None) -> Analysis:
         """``a`` itself when it is a context, which refuses settings given
-        here; else a context for the matrix ``a``, None meaning the default."""
+        here; else a context for the matrix ``a``."""
         if not isinstance(a, cls):
-            return cls(a, DEFAULT_TOL if tol is None else tol,
-                       DEFAULT_MAX_ITER if max_iter is None else max_iter)
+            return cls(a, tol, max_iter)
         if tol is not None or max_iter is not None:
             name = "tol" if tol is not None else "max_iter"
             raise PreconditionError(f"{name} cannot be given with an Analysis, "
@@ -132,6 +137,13 @@ class Analysis:
         """The input's support: ``support_mask`` of ``a``, one flag per
         stored entry."""
         return support_mask(self.a)
+
+    @cached_property
+    def sums(self) -> tuple:
+        """The basis's row sums and column sums (real parts) and its total,
+        which regularity, T4, Schur's bound and the degree-product bound read."""
+        basis = self.basis
+        return row_sums(basis).real, col_sums(basis).real, total_sum(basis)
 
 
 def reading(fn):

@@ -8,11 +8,13 @@ each judged on the context's A / 2^e and reported in the input's units.
 
 Each bound takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
 one and hands ``tol`` to ``Analysis.of``, which refuses it with a
-context.  The degree-product report is a reading, ``_hwh``.  The bounds
-read A only through products with vectors, row sums and
-``pair_products`` selected by the support, one flag per stored entry,
-so a SparseMatrix costs its stored entries and no bound looks at the
-storage.
+context.  The degree-product report is a reading, ``_hwh``.  It and
+Schur's bound run only on a nonnegative input, which is its own basis,
+so both read the context's sums, ``Analysis.sums``; the mean bound sums
+the input itself.  The bounds read A only through products with
+vectors, those sums and ``pair_products`` selected by the support, one
+flag per stored entry, so a SparseMatrix costs its stored entries and
+no bound looks at the storage.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import Analysis, reading
-from .core import Matrix, check_order, col_sums, relative_gap, row_sums, total_sum
+from .core import Matrix, check_order, relative_gap, total_sum
 from .errors import NotScalarError, PreconditionError
 
 
@@ -129,12 +131,11 @@ def _hwh(ctx: Analysis) -> BoundReport:
         raise PreconditionError("degree-product bound needs a symmetric matrix")
     if not a.is_nonneg():
         raise PreconditionError("degree-product bound needs nonnegative entries")
-    d = row_sums(a).real
+    d, _, total = ctx.sums  # a nonnegative input is its own basis
     if d.min() <= 0.0:
         raise PreconditionError("degree-product bound needs positive row sums")
-    total = total_sum(a).real
     root = np.sqrt(d)
-    value = float((data.T @ root) @ root) / total
+    value = float((data.T @ root) @ root) / total.real
     sigma = ctx.singular(a).sigma
     target = sigma * sigma
     products = a.pair_products(d, d)[ctx.support]
@@ -150,7 +151,6 @@ def schur_upper_bound(a: Matrix | Analysis, tol: float | None = None) -> BoundRe
         raise PreconditionError("the upper bound needs real entries")
     if not a.is_nonneg():
         raise PreconditionError("the upper bound needs nonnegative entries")
-    r = row_sums(a).real
-    c = col_sums(a).real
+    r, c, _ = ctx.sums  # a nonnegative input is its own basis
     value = float(np.sqrt(r.max() * c.max()))
     return _report(ctx, "schur", value, {}, upper=True)

@@ -15,9 +15,10 @@ claims nothing about classification, which is undefined there.  Each
 class is an ``analysis.reading`` of its own, kept by the context, and
 each certificate computes only the class it checks: T4 ``_regular``, T2
 ``_pseudo_lambda``, T2.1 and T3 almost regularity, from ``_per_component``.
-Both regularity readings test one pair of sums, ``_sums``, the basis's
-row and column sums: ``_regular`` whole, ``_per_component`` gathered on
-the rows and columns of each component of ``structure._plan``.
+Both regularity readings test the context's one pair of sums,
+``Analysis.sums``, the basis's row and column sums: ``_regular`` whole,
+``_per_component`` gathered on the rows and columns of each component of
+``structure._plan``.  T4 reads the basis's total beside them.
 
 Each certificate states only its own equality; the rules they share are
 written once.  ``_refuse_zero`` refuses the zero matrix, first in all
@@ -51,11 +52,8 @@ from .core import (
     Matrix,
     ScalarityResult,
     check_order,
-    col_sums,
     relative_gap,
-    row_sums,
     support_mask,
-    total_sum,
 )
 from .errors import NotScalarError, PreconditionError
 from .spectral import _svd
@@ -130,18 +128,11 @@ def _proportionality(table: WalkTable, hi: int, lo: int, tol: float) -> float | 
 
 
 @reading
-def _sums(ctx: Analysis) -> tuple[np.ndarray, np.ndarray]:
-    """The basis's row sums and column sums (real parts), which every
-    regularity test reads."""
-    basis = _require_scalar_nonzero(ctx)
-    return row_sums(basis).real, col_sums(basis).real
-
-
-@reading
 def _regular(ctx: Analysis) -> bool:
     """Whether the basis has equal row sums and equal column sums; like
     each class reading, raises PreconditionError where undefined."""
-    rows, cols = _sums(ctx)
+    _require_scalar_nonzero(ctx)
+    rows, cols, _ = ctx.sums
     return bool(_level_runs(rows, np.array([0, rows.size]), ctx.tol)[0]
                 and _level_runs(cols, np.array([0, cols.size]), ctx.tol)[0])
 
@@ -160,7 +151,7 @@ def _per_component(ctx: Analysis) -> tuple:
     columns, and the component sigmas."""
     basis = _require_scalar_nonzero(ctx)
     rows, row_ptr, cols, col_ptr = _plan(ctx)
-    row_s, col_s = _sums(ctx)
+    row_s, col_s, _ = ctx.sums
     each = (_level_runs(row_s[rows], row_ptr, ctx.tol)
             & _level_runs(col_s[cols], col_ptr, ctx.tol)).tolist()
     return tuple(ComponentSummary(regular=ok, sigma=s)
@@ -426,7 +417,7 @@ def certify_theorem4(a: Matrix | Analysis,
     """
     ctx = Analysis.of(a, tol)
     scalar, basis, sigma = _certificate_basis(ctx)
-    mean_value = abs(total_sum(basis)) / float(np.sqrt(basis.m * basis.n))
+    mean_value = abs(ctx.sums[2]) / float(np.sqrt(basis.m * basis.n))
     gap = relative_gap(abs(sigma - mean_value), sigma)
     return _verdict(ctx, "T4", gap, scalar, _regular,
                     {"sigma": ctx.unscaled(sigma), "mean_value": ctx.unscaled(mean_value)},

@@ -37,7 +37,6 @@ from .classify import (
     classify,
     hwh_equality_certificate,
 )
-from .core import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -192,14 +191,14 @@ def _cmd_gen(args) -> int:
 def _common(p, tol=True):
     p.add_argument("path")
     if tol:
-        p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
+        p.add_argument("--tol", type=_parse_tol,
                        help="relative comparison tolerance (default 1e-8)")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def _analyze_args(p):
-    p.add_argument("--max-iter", type=_int_at_least(1), default=DEFAULT_MAX_ITER)
+    p.add_argument("--max-iter", type=_int_at_least(1))
     p.add_argument("--literal-t3ii", action="store_true",
                    help="also report the literal product-form support gap")
     _common(p)

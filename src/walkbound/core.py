@@ -27,6 +27,7 @@ take both always take the row index first.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,7 +231,10 @@ def relative_gap(diff: float, *scales: float) -> float:
 
 
 def check_tol(tol: float) -> float:
-    """``tol`` if it is finite and at least 0 (0 tests exactly), else PreconditionError."""
+    """``tol`` if it is a real number, finite and at least 0 (0 tests
+    exactly), else PreconditionError."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise PreconditionError(f"tol must be a real number, got {tol!r}")
     if not 0.0 <= tol < np.inf:  # also false for nan
         raise PreconditionError(f"tol must be finite and nonnegative, got {tol!r}")
     return tol

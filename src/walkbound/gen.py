@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DenseMatrix, _is_int, relative_gap
+from .core import DenseMatrix, _is_int
 from .classify import classify
 from .errors import GeneratorError, WalkboundError
 
@@ -83,22 +83,7 @@ def _regular_block(m: int, n: int, density: float,
 
 
 def _regular(spec: GeneratorSpec) -> DenseMatrix:
-    m, n = spec.shape
-    row_sum = spec.params.get("row_sum")
-    col_sum = spec.params.get("col_sum")
-    if row_sum is not None and col_sum is not None:
-        if relative_gap(abs(m * row_sum - n * col_sum), abs(m * row_sum)) > 1e-12:
-            raise GeneratorError(
-                f"infeasible sums: m*row_sum={m * row_sum:g} must equal "
-                f"n*col_sum={n * col_sum:g}"
-            )
-    block = _regular_block(m, n, spec.density, _rng(spec))
-    if row_sum is not None:
-        current = block.sum(axis=1)[0]
-        if current <= 0.0:
-            raise GeneratorError("cannot scale a zero pattern to a target row sum")
-        block = block * (row_sum / current)
-    return DenseMatrix(block)
+    return DenseMatrix(_regular_block(*spec.shape, spec.density, _rng(spec)))
 
 
 def _block_diag_assemble(blocks: list[np.ndarray]) -> np.ndarray:

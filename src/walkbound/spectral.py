@@ -311,11 +311,12 @@ class RatioEstimate:
     s: int
 
 
-def sigma_ratio_estimate(a: Matrix, s: int = 1, r_max: int = 60) -> RatioEstimate:
+def sigma_ratio_estimate(a: Matrix | Analysis, s: int = 1,
+                         r_max: int = 60) -> RatioEstimate:
     """Estimate sigma^(2s) from ratios of odd-order walk totals.
 
-    Defined for real matrices.  Sigma comes from ``Analysis.of(a)``, on
-    A / 2^e.  The only walk weights read are the odd row levels
+    Defined for a real matrix or an ``Analysis`` of one, whose sigma it
+    reads, on A / 2^e.  The only walk weights read are the odd row levels
     (A A^T)^t 1 for t = 0..r_max + s, walked as one chain that divides
     level t by 2^(e_t), the power of two nearest sigma^(2t).  The chain
     stays within sqrt(2m) in norm at every order, so no level overflows
@@ -331,9 +332,9 @@ def sigma_ratio_estimate(a: Matrix, s: int = 1, r_max: int = 60) -> RatioEstimat
     from .analysis import Analysis  # analysis imports this module
 
     s, r_max = check_order(s, "s"), check_order(r_max, "r_max")
-    if not a.is_real():
-        raise PreconditionError("ratio estimator is defined for real matrices")
     ctx = Analysis.of(a)
+    if not ctx.a.is_real():
+        raise PreconditionError("ratio estimator is defined for real matrices")
     sigma = ctx.singular(ctx.a).sigma
     sigma2 = sigma * sigma
     b = ctx.a.data

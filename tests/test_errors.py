@@ -147,6 +147,15 @@ _DOCUMENTED = {
     "singular_multiset_check tol=inf": (lambda tmp: singular_multiset_check(E1, tol=float("inf")),
                                         PreconditionError,
                                         "tol must be finite and nonnegative, got inf"),
+    # A tolerance that is not a real number is refused the same way.
+    "classify tol='1e-3'": (lambda tmp: classify(E1, tol="1e-3"),
+                            PreconditionError, "tol must be a real number, got '1e-3'"),
+    "detect_scalar tol=None": (lambda tmp: detect_scalar(E1, tol=None),
+                               PreconditionError, "tol must be a real number, got None"),
+    "largest_singular tol=True": (lambda tmp: largest_singular(E1, tol=True),
+                                  PreconditionError, "tol must be a real number, got True"),
+    "Analysis tol=1j": (lambda tmp: Analysis(E1, tol=1j),
+                        PreconditionError, "tol must be a real number, got 1j"),
     # A setting given with a context is refused: the context holds its own.
     "walk_bound tol with an Analysis": (
         lambda tmp: walk_bound(Analysis(E1), tol=0.5),

@@ -56,25 +56,6 @@ def test_regular_output_is_regular_every_shape():
         assert rep.is_regular, (m, n)
 
 
-def test_regular_with_target_row_sum():
-    a = generate(
-        GeneratorSpec(kind="regular", shape=(4, 4), seed=2, params={"row_sum": 3.0})
-    )
-    sums = a.data.real.sum(axis=1)
-    assert np.allclose(sums, 3.0)
-
-
-def test_regular_infeasible_sums_rejected():
-    spec = GeneratorSpec(
-        kind="regular",
-        shape=(2, 4),
-        seed=0,
-        params={"row_sum": 1.0, "col_sum": 1.0},  # 2*1 != 4*1
-    )
-    with pytest.raises(GeneratorError):
-        generate(spec)
-
-
 def test_almost_regular_default_is_w_star(w_star):
     a = generate(GeneratorSpec(kind="almost_regular", seed=0))
     assert np.allclose(a.data, w_star.data, atol=1e-12)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import sys
 
@@ -34,7 +35,7 @@ from walkbound import (
 )
 from walkbound import cli
 from walkbound.analysis import Analysis, reading
-from walkbound.core import DEFAULT_TOL
+from walkbound.core import DEFAULT_MAX_ITER, DEFAULT_TOL
 from walkbound.report import (
     _WALK_GRID,
     _WEIGHTED_GRID,
@@ -43,6 +44,7 @@ from walkbound.report import (
     _complex_dict,
     render,
 )
+from walkbound.spectral import sigma_ratio_estimate
 
 
 def test_report_shape(e1):
@@ -195,6 +197,22 @@ def test_full_analysis_computes_each_quantity_once(name, e1, c2, count_calls):
     }
 
 
+def test_full_analysis_computes_the_sums_once(record_calls):
+    # A symmetric nonnegative input, where every reader of the sums
+    # applies: the basis's row and column sums once each, and the total
+    # of the basis and, for the mean bound, of the input.
+    counts = dict.fromkeys(("row_sums", "col_sums", "total_sum"), 0)
+    record_calls(lambda name, _: counts.__setitem__(name, counts[name] + 1),
+                 *(("core", name) for name in counts))
+    full_analysis(_sym_nonneg())
+    assert counts == {"row_sums": 1, "col_sums": 1, "total_sum": 2}
+
+
+def test_none_settings_are_the_defaults(e1):
+    ctx = Analysis(e1, tol=None, max_iter=None)
+    assert (ctx.tol, ctx.max_iter) == (DEFAULT_TOL, DEFAULT_MAX_ITER)
+
+
 def _sym_nonneg():
     x = np.random.default_rng(3).uniform(size=(5, 5))
     return DenseMatrix(x + x.T)
@@ -217,6 +235,7 @@ _CONTEXT_CALLS = {
     "relaxed_pseudo_regular": (relaxed_pseudo_regular, (5, 3)),
     "classify": (classify, ()),
     "full_analysis": (full_analysis, ()),
+    "sigma_ratio_estimate": (sigma_ratio_estimate, (1, 20)),
 }
 
 
@@ -224,7 +243,9 @@ _CONTEXT_CALLS = {
 def test_a_context_gives_the_matrix_answer(name):
     fn, args = _CONTEXT_CALLS[name]
     a = _sym_nonneg()
-    assert fn(Analysis(a, 1e-6), *args) == fn(a, *args, tol=1e-6)
+    # The ratio estimator takes no tolerance; every other call takes one.
+    settings = {"tol": 1e-6} if "tol" in inspect.signature(fn).parameters else {}
+    assert fn(Analysis(a, **settings), *args) == fn(a, *args, **settings)
 
 
 @pytest.mark.parametrize("name", sorted(_CONTEXT_CALLS))

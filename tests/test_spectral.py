@@ -301,8 +301,11 @@ def test_ratio_estimate_identity_is_flat():
 
 
 def test_ratio_estimate_rejects_complex(c2):
-    with pytest.raises(PreconditionError):
-        sigma_ratio_estimate(c2)
+    ctx = Analysis(c2)
+    for a in (c2, ctx):
+        with pytest.raises(PreconditionError, match="defined for real matrices"):
+            sigma_ratio_estimate(a)
+    assert ctx._solves == {}  # refused before any solve
 
 
 def test_ratio_estimate_zero_matrix():

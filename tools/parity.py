@@ -30,12 +30,14 @@ its library's default orders (``T2`` and ``T2.1`` with no ``--r`` or
 ``--s``), T3's literal support gap (``analyze --literal-t3ii``),
 T4's class check (``certify --theorem T4``), the degree-product
 bound and its certificate (``bound --method hwh``, ``certify --theorem
-HWH``) and ``analyze --json --tol 1e-4``, whose looser tolerance moves
+HWH``), Schur's upper bound on a context of its own (``bound --method
+schur``) and ``analyze --json --tol 1e-4``, whose looser tolerance moves
 tightness flags and classes so that the verdicts near their thresholds
 are held as well; on the inputs that are not scalar, ``bound --method walk`` and
 ``classify`` exit 4 with one ``error:`` line, and on those that are not
-symmetric and nonnegative both degree-product commands do.  So both report writers, the CLI's output path and its
-refusals are held to the base.
+symmetric and nonnegative both degree-product commands do, and Schur's
+on those that are not nonnegative.  So both report writers, the CLI's
+output path and its refusals are held to the base.
 It also runs ``gen`` for every generator kind (``GEN``), writing a
 ``.mtx`` and a ``.csv`` file, and records the bytes of the file with
 its output, and runs each argument list of ``ONCE`` once: ``--help`` of
@@ -47,7 +49,7 @@ options that the chosen method or theorem does not take, refused with
 exit 2 and the usage line; and orders below their floor, which the
 library refuses under the option's name with exit 4 and one ``error:``
 line.
-That is 258 inputs x 16 commands + 25 runs once + 18 gen runs = 4171
+That is 258 inputs x 17 commands + 25 runs once + 18 gen runs = 4429
 runs.  Every (file, command) pair whose records differ is printed, and
 the exit status is 1 if any does, 0 otherwise.
 """
@@ -81,6 +83,7 @@ COMMANDS = (
     ("certify", "--theorem", "T4", "--json"),
     ("bound", "--method", "hwh", "--json"),
     ("certify", "--theorem", "HWH", "--json"),
+    ("bound", "--method", "schur", "--json"),
     ("analyze", "--json", "--tol", "1e-4"),
 )
 # Argument lists run once rather than per input; PATH stands for the

@@ -140,10 +140,14 @@ class Analysis:
 
     @cached_property
     def sums(self) -> tuple:
-        """The basis's row sums and column sums (real parts) and its total,
-        which regularity, T4, Schur's bound and the degree-product bound read."""
-        basis = self.basis
-        return row_sums(basis).real, col_sums(basis).real, total_sum(basis)
+        """The basis's row sums and column sums (real parts), which
+        regularity, Schur's bound and the degree-product bound read."""
+        return row_sums(self.basis).real, col_sums(self.basis).real
+
+    @cached_property
+    def total(self) -> complex:
+        """The basis's total, which T4 and the degree-product bound read."""
+        return total_sum(self.basis)
 
 
 def reading(fn):

@@ -10,11 +10,11 @@ Each bound takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
 one and hands ``tol`` to ``Analysis.of``, which refuses it with a
 context.  The degree-product report is a reading, ``_hwh``.  It and
 Schur's bound run only on a nonnegative input, which is its own basis,
-so both read the context's sums, ``Analysis.sums``; the mean bound sums
-the input itself.  The bounds read A only through products with
-vectors, those sums and ``pair_products`` selected by the support, one
-flag per stored entry, so a SparseMatrix costs its stored entries and
-no bound looks at the storage.
+so both read the context's sums, ``Analysis.sums``, and the former its
+total, ``Analysis.total``; the mean bound sums the input itself.  The
+bounds read A only through products with vectors, those sums and
+``pair_products`` selected by the support, one flag per stored entry, so
+a SparseMatrix costs its stored entries and no bound looks at the storage.
 """
 
 from __future__ import annotations
@@ -131,11 +131,11 @@ def _hwh(ctx: Analysis) -> BoundReport:
         raise PreconditionError("degree-product bound needs a symmetric matrix")
     if not a.is_nonneg():
         raise PreconditionError("degree-product bound needs nonnegative entries")
-    d, _, total = ctx.sums  # a nonnegative input is its own basis
+    d, _ = ctx.sums  # a nonnegative input is its own basis
     if d.min() <= 0.0:
         raise PreconditionError("degree-product bound needs positive row sums")
     root = np.sqrt(d)
-    value = float((data.T @ root) @ root) / total.real
+    value = float((data.T @ root) @ root) / ctx.total.real
     sigma = ctx.singular(a).sigma
     target = sigma * sigma
     products = a.pair_products(d, d)[ctx.support]
@@ -151,6 +151,6 @@ def schur_upper_bound(a: Matrix | Analysis, tol: float | None = None) -> BoundRe
         raise PreconditionError("the upper bound needs real entries")
     if not a.is_nonneg():
         raise PreconditionError("the upper bound needs nonnegative entries")
-    r, c, _ = ctx.sums  # a nonnegative input is its own basis
+    r, c = ctx.sums  # a nonnegative input is its own basis
     value = float(np.sqrt(r.max() * c.max()))
     return _report(ctx, "schur", value, {}, upper=True)

@@ -18,7 +18,8 @@ each certificate computes only the class it checks: T4 ``_regular``, T2
 Both regularity readings test the context's one pair of sums,
 ``Analysis.sums``, the basis's row and column sums: ``_regular`` whole,
 ``_per_component`` gathered on the rows and columns of each component of
-``structure._plan``.  T4 reads the basis's total beside them.
+``structure._plan``.  T4 reads only the basis's total, ``Analysis.total``,
+so on an input that is not scalar it sums no row or column.
 
 Each certificate states only its own equality; the rules they share are
 written once.  ``_refuse_zero`` refuses the zero matrix, first in all
@@ -132,7 +133,7 @@ def _regular(ctx: Analysis) -> bool:
     """Whether the basis has equal row sums and equal column sums; like
     each class reading, raises PreconditionError where undefined."""
     _require_scalar_nonzero(ctx)
-    rows, cols, _ = ctx.sums
+    rows, cols = ctx.sums
     return bool(_level_runs(rows, np.array([0, rows.size]), ctx.tol)[0]
                 and _level_runs(cols, np.array([0, cols.size]), ctx.tol)[0])
 
@@ -151,7 +152,7 @@ def _per_component(ctx: Analysis) -> tuple:
     columns, and the component sigmas."""
     basis = _require_scalar_nonzero(ctx)
     rows, row_ptr, cols, col_ptr = _plan(ctx)
-    row_s, col_s, _ = ctx.sums
+    row_s, col_s = ctx.sums
     each = (_level_runs(row_s[rows], row_ptr, ctx.tol)
             & _level_runs(col_s[cols], col_ptr, ctx.tol)).tolist()
     return tuple(ComponentSummary(regular=ok, sigma=s)
@@ -417,7 +418,7 @@ def certify_theorem4(a: Matrix | Analysis,
     """
     ctx = Analysis.of(a, tol)
     scalar, basis, sigma = _certificate_basis(ctx)
-    mean_value = abs(ctx.sums[2]) / float(np.sqrt(basis.m * basis.n))
+    mean_value = abs(ctx.total) / float(np.sqrt(basis.m * basis.n))
     gap = relative_gap(abs(sigma - mean_value), sigma)
     return _verdict(ctx, "T4", gap, scalar, _regular,
                     {"sigma": ctx.unscaled(sigma), "mean_value": ctx.unscaled(mean_value)},

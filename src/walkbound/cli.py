@@ -1,10 +1,11 @@
 """Command line front end: arguments, dispatch and exit codes only.
 
 One table, ``_COMMANDS``, gives each command its help line, its
-arguments and its handler; a call that names a command builds the
+arguments and its handler; a call that names a command uses the
 parser of that command alone, and any other call (``--help``, no
-command, an unknown one) the parser of every command.  Each command
-hands ``_emit`` its result, and ``_emit`` alone has ``report.render``
+command, an unknown one) the parser of every command, each built once
+per process, on the first call that needs it.  Each command hands
+``_emit`` its result, and ``_emit`` alone has ``report.render``
 write it as JSON or text, ends it with a newline and writes it to
 stdout or ``--out``.  One table, ``_CHOICES``, gives each
 method of ``bound`` and theorem of ``certify`` its library call and the
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 
 import numpy as np
@@ -251,6 +253,12 @@ _COMMANDS = {
 }
 
 
+# Reuse is safe: ``parse_args`` makes a fresh namespace per call,
+# ``set_defaults`` fixes only ``func``, ``parser`` and ``by``, and no action
+# default is mutable.  A parser holds its handlers, so a ``_cmd_*`` rebound
+# after the first call goes unseen; the names the handlers look up at call
+# time (``read_matrix``, ``generate``) may be rebound.
+@functools.cache
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of ``command`` alone, or of every command when it is None.
 

@@ -197,26 +197,33 @@ def _paper_example(spec: GeneratorSpec) -> DenseMatrix:
     )
 
 
+# Each kind: its maker and the params it reads; ``generate`` refuses any other.
 _DISPATCH = {
-    "random_nonneg": _random_nonneg,
-    "random_complex": _random_complex,
-    "regular": _regular,
-    "almost_regular": _almost_regular,
-    "block_diag": _block_diag,
-    "graph": _graph,
-    "paper_example": _paper_example,
+    "random_nonneg": (_random_nonneg, ()),
+    "random_complex": (_random_complex, ()),
+    "regular": (_regular, ()),
+    "almost_regular": (_almost_regular, ("blocks", "target_sigma", "style")),
+    "block_diag": (_block_diag, ("blocks",)),
+    "graph": (_graph, ("name", "n", "a", "b")),
+    "paper_example": (_paper_example, ("which",)),
 }
 
 KINDS = tuple(_DISPATCH)
 
 
 def generate(spec: GeneratorSpec) -> DenseMatrix:
-    """Materialize a spec; identical specs give bit-identical matrices."""
-    maker = _DISPATCH.get(spec.kind)
-    if maker is None:
+    """Materialize a spec; identical specs give bit-identical matrices.
+
+    A param that the kind does not read is refused, not dropped."""
+    if spec.kind not in _DISPATCH:
         raise GeneratorError(
             f"unknown generator kind {spec.kind!r}; available: {', '.join(KINDS)}"
         )
+    maker, takes = _DISPATCH[spec.kind]
+    stray = sorted(set(spec.params).difference(takes))
+    if stray:
+        raise GeneratorError(f"{spec.kind} takes {', '.join(takes) or 'no params'}, "
+                             f"not {', '.join(stray)}")
     shape = spec.shape
     if not (isinstance(shape, (tuple, list)) and len(shape) == 2
             and all(_is_int(k) and k >= 1 for k in shape)):

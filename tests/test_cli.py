@@ -388,6 +388,22 @@ def test_each_error_class_has_its_exit_code(e1_file, capsys, monkeypatch, error,
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+# A param that the kind does not read is refused, not dropped.
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "random_nonneg", "--target-sigma", "nan"],
+     "random_nonneg takes no params, not target_sigma"),
+    (["--kind", "regular", "--which", "E1"], "regular takes no params, not which"),
+    (["--kind", "paper_example", "--blocks", "2x2"], "paper_example takes which, not blocks"),
+    (["--kind", "almost_regular", "--graph", "path:3"],
+     "almost_regular takes blocks, target_sigma, style, not n, name"),
+])
+def test_gen_refuses_a_param_its_kind_does_not_take(tmp_path, capsys, argv, message):
+    out = tmp_path / "g.mtx"
+    assert main(["gen", *argv, "--out", str(out)]) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_gen_past_memory_exits_4(tmp_path, capsys, monkeypatch):
     # numpy's own allocation failure is a MemoryError subclass; no large
     # array is allocated here.
@@ -486,12 +502,48 @@ def test_a_named_command_builds_only_its_own_parser(e1_file, capsys, monkeypatch
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recorded)
+    cli._build_parser.cache_clear()
     assert main(["classify", e1_file]) == 0
     assert built == ["classify"]
     built.clear()
     with pytest.raises(SystemExit):
         main(["--help"])
     assert built == list(cli._COMMANDS)
+    # Each parser is built once per process and then reused.
+    built.clear()
+    assert main(["classify", e1_file]) == 0
+    assert main(["analyze", e1_file]) == 0
+    assert main(["analyze", e1_file]) == 0
+    assert built == ["analyze"]
+
+
+def test_a_reused_parser_carries_nothing_between_calls(e1_file, capsys):
+    def run(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    # The refusals come first on a fresh parser and again on one that has
+    # since parsed, refused and printed help.
+    mean_r = ("bound", e1_file, "--method", "mean", "--r", "2")
+    t4_s = ("certify", e1_file, "--theorem", "T4", "--s", "1")
+    cli._build_parser.cache_clear()
+    first = run("analyze", e1_file, "--json")
+    assert first[0] == 0
+    refused = run(*mean_r)
+    assert refused[0] == 2 and "not allowed with --method mean" in refused[2]
+    assert run("--help")[0] == 0
+    t4_refused = run(*t4_s)
+    assert t4_refused[0] == 2
+    assert run("bound", e1_file, "--method", "walk", "--p", "5", "--json")[0] == 0
+    code, out, _ = run("bound", e1_file, "--method", "walk", "--json")
+    assert (code, json.loads(out)["params"]["p"]) == (0, 3)
+    assert run(*mean_r) == refused
+    assert run(*t4_s) == t4_refused
+    assert run("analyze", e1_file, "--json") == first
 
 
 def _subparser(parser, name):

@@ -215,6 +215,15 @@ _DOCUMENTED = {
                 GeneratorError, "cycle needs at least three vertices"),
     "unknown paper_example": (lambda tmp: _gen("paper_example", which="E9"),
                               GeneratorError, "unknown example 'E9'; available: E1, C2"),
+    "random_nonneg target_sigma": (
+        lambda tmp: _gen("random_nonneg", target_sigma=float("nan")),
+        GeneratorError, "random_nonneg takes no params, not target_sigma"),
+    "regular which": (lambda tmp: _gen("regular", which="E1"),
+                      GeneratorError, "regular takes no params, not which"),
+    "paper_example blocks": (lambda tmp: _gen("paper_example", blocks=[(2, 2)]),
+                             GeneratorError, "paper_example takes which, not blocks"),
+    "block_diag style and which": (lambda tmp: _gen("block_diag", which="E1", style="ones"),
+                                   GeneratorError, "block_diag takes blocks, not style, which"),
     "empty CSV cell": (lambda tmp: read_matrix(_csv(tmp, b"1,2\n3, \n")),
                        InputFormatError, "empty cell at m.csv:2"),
     "CSV cell of two numbers": (lambda tmp: read_matrix(_csv(tmp, b"1 2,3\n")),

@@ -208,6 +208,15 @@ def test_full_analysis_computes_the_sums_once(record_calls):
     assert counts == {"row_sums": 1, "col_sums": 1, "total_sum": 2}
 
 
+def test_an_input_that_is_not_scalar_has_no_row_or_column_summed(record_calls, c2):
+    # T4 reads the basis's total alone; regularity is refused first.
+    counts = dict.fromkeys(("row_sums", "col_sums"), 0)
+    record_calls(lambda name, _: counts.__setitem__(name, counts[name] + 1),
+                 *(("core", name) for name in counts))
+    full_analysis(c2)
+    assert counts == {"row_sums": 0, "col_sums": 0}
+
+
 def test_none_settings_are_the_defaults(e1):
     ctx = Analysis(e1, tol=None, max_iter=None)
     assert (ctx.tol, ctx.max_iter) == (DEFAULT_TOL, DEFAULT_MAX_ITER)

@@ -49,6 +49,9 @@ options that the chosen method or theorem does not take, refused with
 exit 2 and the usage line; and orders below their floor, which the
 library refuses under the option's name with exit 4 and one ``error:``
 line.
+The runs of ``ONCE`` come first: ``walkbound.cli`` builds each parser
+once per process, so every other run goes through parsers that have
+already printed help and refused input.
 That is 258 inputs x 17 commands + 25 runs once + 18 gen runs = 4429
 runs.  Every (file, command) pair whose records differ is printed, and
 the exit status is 1 if any does, 0 otherwise.
@@ -148,12 +151,12 @@ warnings.simplefilter("always")
 with open(sys.argv[1]) as fh:
     paths = fh.read().splitlines()
 runs = []
-for path in paths:
-    for command, *args in %r:
-        runs.append([" ".join([command, *args]), path, *run([command, path, *args])])
 for args in %r:
     runs.append([" ".join(args), "once",
                  *run([paths[0] if arg == "PATH" else arg for arg in args])])
+for path in paths:
+    for command, *args in %r:
+        runs.append([" ".join([command, *args]), path, *run([command, path, *args])])
 gen_dir = sys.argv[3]
 for k, args in enumerate(%r):
     for suffix in %r:
@@ -164,7 +167,7 @@ for k, args in enumerate(%r):
                      [out.replace(gen_dir, "OUT"), written], err])
 with open(sys.argv[2], "w") as fh:
     json.dump(runs, fh)
-""" % (COMMANDS, ONCE, GEN, SUFFIXES)
+""" % (ONCE, COMMANDS, GEN, SUFFIXES)
 
 
 # A coordinate file of two components, one regular, with rows 2 and 6

@@ -5,10 +5,14 @@ analysis.  ``ctx.a`` is the input over the power of two 2^e that brings
 its largest real or imaginary part into [0.5, 1); ``ctx.singular(...)``,
 ``ctx.table(...)`` and every test are in those units, so A and 2^k A
 present the same bits to every test, and ``ctx.unscaled`` takes numbers
-back to the input's units.  Each shared quantity is computed once, on
-first use: the scalarity test and the certificates' basis, one singular
-triple and one walk table per distinct matrix, the support, and the
-basis's row sums, column sums and total.
+back to the input's units.  Every whole-matrix number is computed on
+``ctx.basis``, the nonnegative part of a scalar input (a unit phase
+times it) and the input otherwise: a scalar input's numbers are its
+nonnegative part's, within the phase test's tolerance of the input's.
+Domain checks read the input.  Each shared quantity is computed once,
+on first use: the scalarity test and the basis, one singular triple and
+one walk table per distinct matrix, the support, and the basis's row
+sums, column sums and total.
 A quantity that the context does not hold is a ``reading``: a function
 of the context alone, defined where it is computed, that the context
 keeps once it has run (the components and their cuts in ``structure``,
@@ -101,16 +105,13 @@ class Analysis:
     @property
     def basis(self) -> Matrix:
         """The nonnegative part of a scalar input, the input otherwise."""
-        sc = self.scalarity
-        return sc.nonneg_part if sc.is_scalar else self.a
+        return self.scalarity.nonneg_part or self.a  # None when not scalar
 
     @cached_property
     def modulus(self) -> Matrix:
-        """The entrywise modulus |a_ij|, which the weighted bounds tabulate.
-
-        A nonnegative input is its own modulus, so its walk table serves
-        both the basis and the modulus."""
-        return self.a if self.a.is_nonneg() else entrywise_abs(self.a)
+        """The matrix the weighted bounds tabulate: a scalar input's basis,
+        whose table the walk bounds read too, else the moduli |a_ij|."""
+        return self.basis if self.scalarity.is_scalar else entrywise_abs(self.a)
 
     def singular(self, matrix: Matrix) -> SpectralResult:
         """The largest singular triple of ``matrix``."""
@@ -146,7 +147,7 @@ class Analysis:
 
     @cached_property
     def total(self) -> complex:
-        """The basis's total, which T4 and the degree-product bound read."""
+        """The basis's total, which T4, the mean and degree-product bounds read."""
         return total_sum(self.basis)
 
 

@@ -6,15 +6,17 @@ tight when ``core.relative_gap(|gap|, sigma)`` is at most ``tol``.
 Lower bounds use gap = sigma - value; the upper bound uses value - sigma,
 each judged on the context's A / 2^e and reported in the input's units.
 
-Each bound takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
-one and hands ``tol`` to ``Analysis.of``, which refuses it with a
-context.  The degree-product report is a reading, ``_hwh``.  It and
-Schur's bound run only on a nonnegative input, which is its own basis,
-so both read the context's sums, ``Analysis.sums``, and the former its
-total, ``Analysis.total``; the mean bound sums the input itself.  The
-bounds read A only through products with vectors, those sums and
-``pair_products`` selected by the support, one flag per stored entry, so
-a SparseMatrix costs its stored entries and no bound looks at the storage.
+Each bound takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of one
+and hands ``tol`` to ``Analysis.of``, which refuses it with a
+context.  Every bound reads the context's basis: its sigma, walk table,
+entries, sums (``Analysis.sums``) and total (``Analysis.total``).  So a
+scalar input's bounds are its nonnegative part's, within the phase
+test's tolerance of the input's.  The degree-product report is a reading,
+``_hwh``; it and Schur's bound run only on a nonnegative input, its own
+basis.  The bounds read A only through products with vectors, those sums
+and ``pair_products`` selected by the support, one flag per stored
+entry, so a SparseMatrix costs its stored entries and no bound looks at
+the storage.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import Analysis, reading
-from .core import Matrix, check_order, relative_gap, total_sum
+from .core import Matrix, check_order, relative_gap
 from .errors import NotScalarError, PreconditionError
 
 
@@ -43,8 +45,8 @@ class BoundReport:
 
 def _report(ctx: Analysis, method: str, value: float, params: dict,
             certificate: bool | None = None, upper: bool = False) -> BoundReport:
-    """A lower (or ``upper``) bound on the sigma of ``ctx.a``, in the input's units."""
-    sigma = ctx.singular(ctx.a).sigma
+    """A lower (or ``upper``) bound on the sigma of ``ctx.basis``, in the input's units."""
+    sigma = ctx.singular(ctx.basis).sigma
     gap = value - sigma if upper else sigma - value
     tight = relative_gap(abs(gap), sigma) <= ctx.tol
     return BoundReport(method, ctx.unscaled(value), ctx.unscaled(sigma),
@@ -94,7 +96,7 @@ def weighted_bound(a: Matrix | Analysis, r: int = 1,
     wc = np.sqrt(table.col(r).real)
     den = float(np.sqrt(table.row_total(r).real * table.col_total(r).real))
     if den > 0.0:
-        value = float(abs((ctx.a.data.T @ wr) @ wc)) / den
+        value = float(abs((ctx.basis.data.T @ wr) @ wc)) / den
     else:
         value = 0.0
     return _report(ctx, "weighted", value, {"r": r})
@@ -103,8 +105,7 @@ def weighted_bound(a: Matrix | Analysis, r: int = 1,
 def mean_bound(a: Matrix | Analysis, tol: float | None = None) -> BoundReport:
     """|sum of entries| / sqrt(n m), the order-1 weighted bound."""
     ctx = Analysis.of(a, tol)
-    a = ctx.a
-    value = abs(total_sum(a)) / float(np.sqrt(a.m * a.n))
+    value = abs(ctx.total) / float(np.sqrt(ctx.a.m * ctx.a.n))
     return _report(ctx, "mean", value, {})
 
 
@@ -136,7 +137,7 @@ def _hwh(ctx: Analysis) -> BoundReport:
         raise PreconditionError("degree-product bound needs positive row sums")
     root = np.sqrt(d)
     value = float((data.T @ root) @ root) / ctx.total.real
-    sigma = ctx.singular(a).sigma
+    sigma = ctx.singular(ctx.basis).sigma
     target = sigma * sigma
     products = a.pair_products(d, d)[ctx.support]
     certificate = relative_gap(float(np.abs(products - target).max()), target) <= ctx.tol

@@ -150,13 +150,13 @@ def _per_component(ctx: Analysis) -> tuple:
     """A ComponentSummary per support component of the basis, sigma in
     ``a``'s units: the basis's sums gathered on each component's rows and
     columns, and the component sigmas."""
-    basis = _require_scalar_nonzero(ctx)
+    _require_scalar_nonzero(ctx)
     rows, row_ptr, cols, col_ptr = _plan(ctx)
     row_s, col_s = ctx.sums
     each = (_level_runs(row_s[rows], row_ptr, ctx.tol)
             & _level_runs(col_s[cols], col_ptr, ctx.tol)).tolist()
     return tuple(ComponentSummary(regular=ok, sigma=s)
-                 for ok, s in zip(each, component_sigmas(ctx, basis)))
+                 for ok, s in zip(each, component_sigmas(ctx)))
 
 
 def _almost_regular(ctx: Analysis) -> bool:
@@ -274,12 +274,9 @@ def _refuse_zero(ctx: Analysis) -> None:
 
 
 def _certificate_basis(ctx: Analysis) -> tuple[bool, Matrix, float]:
-    """Whether the input is scalar, the matrix the certificate arithmetic
-    runs on (the nonnegative part when it is, the raw matrix otherwise)
-    and that matrix's sigma in ``a``'s units."""
+    """Whether the input is scalar, the basis and its sigma in ``a``'s units."""
     _refuse_zero(ctx)
-    basis = ctx.basis
-    return ctx.scalarity.is_scalar, basis, ctx.singular(basis).sigma
+    return ctx.scalarity.is_scalar, ctx.basis, ctx.singular(ctx.basis).sigma
 
 
 def _verdict(ctx: Analysis, theorem: str, gap: float, scalar: bool,
@@ -436,7 +433,7 @@ def hwh_equality_certificate(a: Matrix | Analysis,
     _refuse_zero(ctx)
     report = hwh_bound(ctx)
     gap = relative_gap(abs(float(np.ldexp(report.gap, -ctx.exponent))),
-                       ctx.singular(ctx.a).sigma)
+                       ctx.singular(ctx.basis).sigma)
     holds = gap <= ctx.tol
     support_condition = bool(report.certificate)
     return EqualityCertificate(

@@ -367,8 +367,8 @@ def detect_scalar(a: Matrix, tol: float = DEFAULT_TOL) -> ScalarityResult:
     the result is deterministic.  An entry passes when, after rotating by
     the conjugate phase, its imaginary part is at most ``tol`` times its
     modulus and its real part is not materially negative.  A real pivot
-    gives a phase of exactly +1 or -1, and a nonnegative input is its own
-    nonnegative part.
+    gives a phase of exactly +1 or -1, an imaginary one exactly +1j or
+    -1j, and a nonnegative input is its own nonnegative part.
     """
     tol = check_tol(tol)
     if a.is_nonneg():
@@ -379,10 +379,11 @@ def detect_scalar(a: Matrix, tol: float = DEFAULT_TOL) -> ScalarityResult:
     nz = mods > cutoff
     first_flat = int(np.argmax(nz.ravel()))
     pivot = data.ravel()[first_flat]
-    # pivot / abs(pivot) rounds to +-0.9999999999999999 for some real
-    # pivots, which would perturb every entry of the nonnegative part.
-    # A real phase keeps a real input real.
-    phase = np.sign(pivot.real) if pivot.imag == 0.0 else pivot / abs(pivot)
+    # On an axis, pivot / abs(pivot) can round off it: take the axis.
+    if pivot.imag == 0.0:
+        phase = np.sign(pivot.real)  # a real phase keeps a real input real
+    else:
+        phase = complex(0.0, np.sign(pivot.imag)) if pivot.real == 0.0 else pivot / abs(pivot)
     rotated = data * np.conj(phase)
     bad = nz & (
         (np.abs(rotated.imag) > tol * mods) | (rotated.real < -tol * mods)

@@ -153,7 +153,7 @@ def _components_dict(ctx: Analysis) -> dict:
                 "shape": [len(comp.row_indices), len(comp.col_indices)],
                 "sigma": ctx.unscaled(sigma),
             }
-            for comp, sigma in zip(dec.components, component_sigmas(ctx, ctx.a))
+            for comp, sigma in zip(dec.components, component_sigmas(ctx))
         ],
     }
 
@@ -184,18 +184,17 @@ def full_analysis(a: Matrix | Analysis, *, tol: float | None = None,
     ctx = Analysis.of(a, tol, max_iter)
     a = ctx.a
     notes: list[str] = []
-    spectral = ctx.singular(a)
+    spectral = ctx.singular(ctx.basis)
     sc = ctx.scalarity
 
     bound_reports = []
+    # One table at the highest order serves all; a scalar input's modulus is its basis.
+    ctx.table(ctx.modulus, max(p for p, _ in _WALK_GRID) if sc.is_scalar else max(_WEIGHTED_GRID))
     if sc.is_scalar:
-        # One table at the grid's highest order serves every lower order.
-        ctx.table(ctx.basis, max(p for p, _ in _WALK_GRID))
         for p, r in _WALK_GRID:
             bound_reports.append(walk_bound(ctx, p, r))
     else:
         notes.append("walk ratio bounds skipped: matrix is not scalar")
-    ctx.table(ctx.modulus, max(_WEIGHTED_GRID))
     for r in _WEIGHTED_GRID:
         bound_reports.append(weighted_bound(ctx, r))
     bound_reports.append(mean_bound(ctx))

@@ -22,9 +22,9 @@ columns is densified for LAPACK, as are the inputs of ``singular_values``
 and ``hermitian_eigen``, which need every entry.
 
 ``sigma_ratio_estimate`` reads no walk table: it walks the odd row levels
-(A A^T)^t 1 of A / 2^e as one chain, each level divided by the power of
-two nearest sigma^(2t), so it reaches any order without leaving float64
-and with the bits of the undivided levels' ratios.
+(A A^T)^t 1 of the basis of A / 2^e as one chain, each level divided by
+the power of two nearest sigma^(2t), so it reaches any order without
+leaving float64 and with the bits of the undivided levels' ratios.
 """
 
 from __future__ import annotations
@@ -316,18 +316,18 @@ def sigma_ratio_estimate(a: Matrix | Analysis, s: int = 1,
     """Estimate sigma^(2s) from ratios of odd-order walk totals.
 
     Defined for a real matrix or an ``Analysis`` of one, whose sigma it
-    reads, on A / 2^e.  The only walk weights read are the odd row levels
-    (A A^T)^t 1 for t = 0..r_max + s, walked as one chain that divides
-    level t by 2^(e_t), the power of two nearest sigma^(2t).  The chain
-    stays within sqrt(2m) in norm at every order, so no level overflows
-    and the top one does not underflow, and while its entries stay
-    normal every division is exact: each ratio, threshold and verdict is
-    the one the undivided levels give.  Each result goes back to the
-    input's units by one exact power of two, which raises WalkScaleError
-    past float64.  The limit is reported only when the last two
-    aggregate ratios agree to a relative 1e-9 and lie within 1e-6
-    relative of sigma^(2s); the entrywise maximum sequence is returned
-    for inspection but never drives the limit.
+    reads, on the basis of A / 2^e (``Analysis.basis``).  The only walk
+    weights read are the odd row levels (A A^T)^t 1 for t = 0..r_max + s,
+    walked as one chain that divides level t by 2^(e_t), the power of two
+    nearest sigma^(2t).  The chain stays within sqrt(2m) in norm at every
+    order, so no level overflows and the top one does not underflow, and
+    while its entries stay normal every division is exact: each ratio,
+    threshold and verdict is the one the undivided levels give.  Each
+    result goes back to the input's units by one exact power of two,
+    which raises WalkScaleError past float64.  The limit is reported only
+    when the last two aggregate ratios agree to a relative 1e-9 and lie
+    within 1e-6 relative of sigma^(2s); the entrywise maximum sequence is
+    returned for inspection but never drives the limit.
     """
     from .analysis import Analysis  # analysis imports this module
 
@@ -335,9 +335,9 @@ def sigma_ratio_estimate(a: Matrix | Analysis, s: int = 1,
     ctx = Analysis.of(a)
     if not ctx.a.is_real():
         raise PreconditionError("ratio estimator is defined for real matrices")
-    sigma = ctx.singular(ctx.a).sigma
+    sigma = ctx.singular(ctx.basis).sigma
     sigma2 = sigma * sigma
-    b = ctx.a.data
+    b = ctx.basis.data
     bt = b.T
     # levels[t] is (A A^T)^t 1 / 2^(e_t), e_t the integer nearest
     # t log2(sigma^2): denominators at t = 0..r_max, numerators s levels on.

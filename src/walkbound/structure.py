@@ -21,9 +21,11 @@ matrix into the submatrices of those components
 a context's components, as ``analysis.reading``s: ``_plan``, the one
 search of the input's support, and ``_input_cut`` and ``_basis_cut``,
 the input and the basis cut along it (one cut when the basis is the
-input).  ``component_sigmas`` is the one rule for the sigma of each
-component: a single component that holds every nonzero entry of its
-matrix has that matrix's sigma, and any other is solved.
+input).  ``decompose`` gives the input's submatrices, and
+``component_sigmas`` the sigma of each component of the basis: a single
+component that holds every nonzero entry of the basis has its sigma, and
+any other is solved.  So a scalar input's are its nonnegative part's,
+within the phase test's tolerance of the input's.
 ``connectivity_via_powers`` and ``singular_multiset_check`` need every
 entry and densify it.
 """
@@ -186,15 +188,14 @@ def _basis_cut(ctx: Analysis) -> tuple:
     return _input_cut(ctx) if ctx.basis is ctx.a else _cut(ctx.basis, *_plan(ctx))
 
 
-def component_sigmas(ctx: Analysis, matrix: Matrix) -> list[float]:
-    """The sigma of each component of ``matrix``, the context's input or
-    basis.  A single component that holds every nonzero entry of
-    ``matrix``, as one that covers it does, has ``matrix``'s sigma, since
-    the rest is zero; any other is solved once."""
-    subs = _input_cut(ctx) if matrix is ctx.a else _basis_cut(ctx)
-    if len(subs) == 1 and (subs[0] is matrix or np.count_nonzero(subs[0].values)
-                           == np.count_nonzero(matrix.values)):
-        return [ctx.singular(matrix).sigma]
+def component_sigmas(ctx: Analysis) -> list[float]:
+    """The sigma of each component of the basis: a single component that
+    holds every nonzero entry of the basis, as one that covers it does,
+    has its sigma, since the rest is zero; any other is solved once."""
+    basis, subs = ctx.basis, _basis_cut(ctx)
+    if len(subs) == 1 and (subs[0] is basis or np.count_nonzero(subs[0].values)
+                           == np.count_nonzero(basis.values)):
+        return [ctx.singular(basis).sigma]
     return [ctx.singular(sub).sigma for sub in subs]
 
 

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkbound import DenseMatrix, DimensionMismatchError, NonFiniteEntryError, detect_scalar
+from walkbound import (
+    DenseMatrix,
+    DimensionMismatchError,
+    GeneratorSpec,
+    NonFiniteEntryError,
+    detect_scalar,
+    generate,
+)
 from walkbound.core import (
     ZERO_TOL_FACTOR,
     col_sums,
@@ -117,6 +124,17 @@ def test_detect_scalar_real_pivot_has_exact_phase(sign):
     assert sc.is_scalar
     assert sc.phase == sign
     assert sc.nonneg_part == DenseMatrix(base)
+
+
+@pytest.mark.parametrize("sign", [1j, -1j], ids=["1j", "-1j"])
+def test_detect_scalar_imaginary_pivot_has_exact_phase(sign):
+    # pivot / abs(pivot) rounds to 0.9999999999999999j for this input.
+    base = generate(GeneratorSpec("block_diag", density=0.7, seed=4,
+                                  params={"blocks": [(5, 4), (3, 6), (2, 2)]}))
+    sc = detect_scalar(DenseMatrix(sign * base.data))
+    assert sc.is_scalar
+    assert sc.phase == sign
+    assert np.array_equal(sc.nonneg_part.data.view(np.uint64), base.data.view(np.uint64))
 
 
 def test_detect_scalar_mixed_phases(c2):

@@ -155,6 +155,11 @@ def _one_block_with_faint_entry():
         np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1e-14], [3.0, 1.0, 0.0]])))
 
 
+def _lanczos_nonneg():
+    # Above 48 per side, so sigma comes from Lanczos.
+    return np.random.default_rng(9).uniform(size=(60, 50))
+
+
 def _fixtures(e1, c2):
     return {
         "E1": e1,
@@ -164,24 +169,26 @@ def _fixtures(e1, c2):
         "one_block": _one_block_with_isolated(),
         "-one_block": SparseMatrix(-_one_block_with_isolated().data),
         "faint": _one_block_with_faint_entry(),
+        "-lanczos": SparseMatrix(scipy.sparse.csr_array(-_lanczos_nonneg())),
+        "ilanczos": DenseMatrix(1j * _lanczos_nonneg()),
     }
 
 
-# Solves per fixture: the input, the basis when it is not the input, and
-# each component that does not cover the whole matrix, unless it is the
-# only one and holds every nonzero entry: it then has its matrix's sigma.
-# The faint fixture's one component leaves out a stored entry, so it is
-# solved.
-_EXPECTED_SOLVES = {"E1": 1, "C2": 1, "iE1": 2, "blocks": 3, "one_block": 1,
-                    "-one_block": 2, "faint": 2}
-# Tables per fixture: the basis (or input), and the entrywise modulus
-# unless the input is nonnegative and so its own modulus.
-_EXPECTED_TABLES = {"E1": 1, "C2": 2, "iE1": 2, "blocks": 1, "one_block": 1,
-                    "-one_block": 2, "faint": 1}
-# Support masks per fixture: the input's, and the basis's for the T3
-# certificate when the basis is not the input.
+# Solves per fixture: the basis (the nonnegative part of a scalar input,
+# the input otherwise), and each component that does not cover the whole
+# matrix, unless it is the only one and holds every nonzero entry: it
+# then has the basis's sigma.  The faint fixture's one component leaves
+# out a stored entry, so it is solved.
+_EXPECTED_SOLVES = {"E1": 1, "C2": 1, "iE1": 1, "blocks": 3, "one_block": 1,
+                    "-one_block": 1, "faint": 2, "-lanczos": 1, "ilanczos": 1}
+# Tables per fixture: the basis, which the weighted bounds tabulate as
+# well when the input is scalar, and the entrywise modulus otherwise.
+_EXPECTED_TABLES = {"E1": 1, "C2": 2, "iE1": 1, "blocks": 1, "one_block": 1,
+                    "-one_block": 1, "faint": 1, "-lanczos": 1, "ilanczos": 1}
+# Support masks per fixture: the input's, and the basis's, which the T3
+# certificate reads, when the basis is not the input.
 _EXPECTED_MASKS = {"E1": 1, "C2": 1, "iE1": 2, "blocks": 1, "one_block": 1,
-                   "-one_block": 2, "faint": 1}
+                   "-one_block": 2, "faint": 1, "-lanczos": 2, "ilanczos": 2}
 
 
 @pytest.mark.parametrize("name", sorted(_EXPECTED_SOLVES))
@@ -199,13 +206,12 @@ def test_full_analysis_computes_each_quantity_once(name, e1, c2, count_calls):
 
 def test_full_analysis_computes_the_sums_once(record_calls):
     # A symmetric nonnegative input, where every reader of the sums
-    # applies: the basis's row and column sums once each, and the total
-    # of the basis and, for the mean bound, of the input.
+    # applies: the basis's row and column sums and its total once each.
     counts = dict.fromkeys(("row_sums", "col_sums", "total_sum"), 0)
     record_calls(lambda name, _: counts.__setitem__(name, counts[name] + 1),
                  *(("core", name) for name in counts))
     full_analysis(_sym_nonneg())
-    assert counts == {"row_sums": 1, "col_sums": 1, "total_sum": 2}
+    assert counts == {"row_sums": 1, "col_sums": 1, "total_sum": 1}
 
 
 def test_an_input_that_is_not_scalar_has_no_row_or_column_summed(record_calls, c2):
@@ -349,9 +355,13 @@ def test_nonneg_part_has_the_input_sigma(phase, e1, w_star, path4):
 
 
 def _standalone_report(a):
-    """The report's entries, each from its own public call."""
+    """The report's entries, each from its own public call; sigma and the
+    component sigmas are solved on the basis, the nonnegative part of a
+    scalar input."""
+    sc = detect_scalar(a)
+    basis = sc.nonneg_part if sc.is_scalar else a
     bounds = []
-    if detect_scalar(a).is_scalar:
+    if sc.is_scalar:
         bounds += [walk_bound(a, p, r) for p, r in _WALK_GRID]
     bounds += [weighted_bound(a, r) for r in _WEIGHTED_GRID]
     bounds.append(mean_bound(a))
@@ -386,10 +396,10 @@ def _standalone_report(a):
     components = [
         {"rows": list(c.row_indices), "cols": list(c.col_indices),
          "sigma": largest_singular(c.submatrix).sigma}
-        for c in decompose(a).components
+        for c in decompose(basis).components
     ]
     return {
-        "sigma": largest_singular(a).sigma,
+        "sigma": largest_singular(basis).sigma,
         "bounds": [_bound_dict(b) for b in bounds],
         "certificates": [_certificate_dict(c) for c in certificates],
         "classification": classification,

@@ -5,7 +5,10 @@ characterization keeps its verdict and its eigenvalues scale by c^2, and
 the ratio estimator's limit scales by c^(2s).  Every class, certificate
 and tightness verdict is the same at every scale, and each reported
 number of degree d in A scales by c^d.  A power of two scales every
-float exactly, so there the results must be bit-identical.
+float exactly, so there the results must be bit-identical.  A unit phase
+c changes no number of a nonnegative A's report but the phase and the
+readings that need a nonnegative input: at -1 and +-1j bit for bit,
+elsewhere within rounding.
 """
 
 import functools
@@ -15,8 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scipy.sparse import csr_array
+
 from walkbound import (
     DenseMatrix,
+    SparseMatrix,
     WalkScaleError,
     characterize_pseudo_regular,
     classify,
@@ -26,6 +32,7 @@ from walkbound import (
     largest_singular,
     mean_bound,
     sigma_ratio_estimate,
+    to_json,
 )
 from walkbound.gen import GeneratorSpec, generate
 
@@ -153,6 +160,60 @@ def test_full_analysis_is_the_same_at_every_scale(name, base, k):
         elif degree:
             expect = want * c**degree
             assert abs(got - expect) <= 1e-10 * max(abs(expect), sigma**degree), path
+
+
+# Seeded nonnegative bases of the phase tests: a small dense one, one
+# above 48 per side (Lanczos) and one of several components, each in
+# both storages.
+_PHASE_BASES = {
+    "small": FIXTURES["random_nonneg"].data,
+    "lanczos": REPORT_FIXTURES["lanczos"].data,
+    "blocks": generate(GeneratorSpec("block_diag", density=0.7, seed=4, params={
+        "blocks": [(5, 4), (3, 6), (2, 2)]})).data,
+}
+
+
+def _phased(name, storage, c=1.0):
+    data = c * _PHASE_BASES[name]
+    return DenseMatrix(data) if storage == "dense" else SparseMatrix(csr_array(data))
+
+
+def _phase_free(report):
+    """``report`` without the input's phase and the bound and certificate
+    that need a nonnegative input."""
+    return dict(
+        report,
+        bounds=[b for b in report["bounds"] if b["method"] not in ("hwh", "schur")],
+        certificates=[c for c in report["certificates"] if c["theorem"] != "HWH"],
+        classification={k: v for k, v in report["classification"].items() if k != "phase"},
+    )
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("name", sorted(_PHASE_BASES))
+def test_full_analysis_is_the_same_at_every_axis_phase(name, storage):
+    # -1 and +-1j rotate back exactly, so every number is the base's.
+    want = to_json(_phase_free(full_analysis(_phased(name, storage))))
+    for c in (-1.0, 1j, -1j):
+        assert to_json(_phase_free(full_analysis(_phased(name, storage, c)))) == want, c
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("name", sorted(_PHASE_BASES))
+def test_full_analysis_is_the_same_at_every_phase(name, storage):
+    # Any other phase rounds the nonnegative part, which moves floats by
+    # rounding only: every flag, count and class stays.
+    unit = list(_leaves(_phase_free(full_analysis(_phased(name, storage)))))
+    sigma = dict(unit)[("sigma", "value")]
+    for c in (np.exp(0.7j), np.exp(-2.1j)):
+        rotated = list(_leaves(_phase_free(full_analysis(_phased(name, storage, c)))))
+        assert [path for path, _ in rotated] == [path for path, _ in unit]
+        for (path, got), (_, want) in zip(rotated, unit):
+            if isinstance(want, float):
+                degree = 2 if path[-1] == "pseudo_lambda" else 1
+                assert abs(got - want) <= 1e-12 * sigma**degree, (c, path)
+            else:
+                assert got == want, (c, path)
 
 
 def _verdicts(report):

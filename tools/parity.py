@@ -5,11 +5,13 @@
 Each tree is the root of a walkbound checkout (it holds ``src/walkbound``).
 The ``analyze_small`` and ``analyze_large`` inputs are built once, at seed
 101, full size and ``--tiny``, with ``bench/workloads.build`` of HEAD_TREE,
-and eight inputs of its own (``own_inputs``), most with a basis that is
+and ten inputs of its own (``own_inputs``), most with a basis that is
 not the input: -1 times a ``block_diag`` and a circulant
 ``almost_regular``, 1j times a one-block circulant ``almost_regular``
 with a zero row and a zero column added, exp(0.7i) times that
-``block_diag``, and a coordinate file with
+``block_diag``, -1 and 1j times a 60 x 50 ``random_nonneg``, whose
+sigma comes from Lanczos where every other input here goes to LAPACK,
+and a coordinate file with
 isolated rows and columns and an entry below the zero cutoff that
 crosses two components, as it stands and negated, each also as a dense
 ``.csv`` so that both component searches meet it; and six small seeded
@@ -52,7 +54,7 @@ line.
 The runs of ``ONCE`` come first: ``walkbound.cli`` builds each parser
 once per process, so every other run goes through parsers that have
 already printed help and refused input.
-That is 258 inputs x 17 commands + 25 runs once + 18 gen runs = 4429
+That is 260 inputs x 17 commands + 25 runs once + 18 gen runs = 4463
 runs.  Every (file, command) pair whose records differ is printed, and
 the exit status is 1 if any does, 0 otherwise.
 """
@@ -246,11 +248,14 @@ def own_inputs(workdir: Path) -> list[str]:
     # One component that holds every nonzero entry but leaves out a zero
     # row and a zero column.
     one_block = np.pad(circulant([(3, 6)]), ((0, 1), (1, 0)))
+    # Above 48 per side: the Lanczos route.
+    lanczos = generate(GeneratorSpec("random_nonneg", (60, 50), seed=8)).data
     faint = np.zeros((6, 7))
     for i, j, v in _FAINT_ENTRIES:
         faint[i - 1, j - 1] = v
     dense = {"neg_block_diag.mtx": -blocks, "neg_circulant.csv": -circulant([(4, 4), (3, 6)]),
              "i_circulant.mtx": 1j * one_block, "rotated_block_diag.csv": np.exp(0.7j) * blocks,
+             "neg_lanczos.mtx": -lanczos, "i_lanczos.csv": 1j * lanczos,
              "faint.csv": faint, "neg_faint.csv": -faint, "zero.csv": np.zeros((3, 3))}
     out = workdir / "own"
     out.mkdir()

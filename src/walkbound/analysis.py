@@ -11,11 +11,11 @@ times it) and the input otherwise: a scalar input's numbers are its
 nonnegative part's, within the phase test's tolerance of the input's.
 Domain checks read the input.  Each shared quantity is computed once,
 on first use: the scalarity test and the basis, one singular triple and
-one walk table per distinct matrix, the support, and the basis's row
-sums, column sums and total.
+one walk table per distinct matrix, and the basis's support, row sums,
+column sums and total.
 A quantity that the context does not hold is a ``reading``: a function
 of the context alone, defined where it is computed, that the context
-keeps once it has run (the components and their cuts in ``structure``,
+keeps once it has run (the basis's components and cut in ``structure``,
 the three class readings in ``classify``, the degree-product report in
 ``bounds``).
 Every layer function takes a matrix or a context and hands its settings
@@ -135,9 +135,9 @@ class Analysis:
 
     @cached_property
     def support(self):
-        """The input's support: ``support_mask`` of ``a``, one flag per
-        stored entry."""
-        return support_mask(self.a)
+        """The basis's support: ``support_mask`` of the basis, one flag per
+        stored entry, which every support reader of the context reads."""
+        return support_mask(self.basis)
 
     @cached_property
     def sums(self) -> tuple:

@@ -18,7 +18,7 @@ each certificate computes only the class it checks: T4 ``_regular``, T2
 Both regularity readings test the context's one pair of sums,
 ``Analysis.sums``, the basis's row and column sums: ``_regular`` whole,
 ``_per_component`` gathered on the rows and columns of each component of
-``structure._plan``.  T4 reads only the basis's total, ``Analysis.total``,
+``structure._components``.  T4 reads only the basis's total, ``Analysis.total``,
 so on an input that is not scalar it sums no row or column.
 
 Each certificate states only its own equality; the rules they share are
@@ -35,7 +35,7 @@ Each function takes a DenseMatrix, a SparseMatrix or an ``Analysis`` of
 one and hands ``tol`` to ``Analysis.of``, which refuses it with a
 context.  T3 and the degree-product certificate read the walk or
 degree products ``pair_products`` at every stored entry and select the
-support pairs with the support, one flag per stored entry, so a
+support pairs with the basis's support, ``Analysis.support``, so a
 SparseMatrix costs its stored entries and no function here looks at the
 storage; ``characterize_pseudo_regular`` densifies it.
 """
@@ -54,11 +54,10 @@ from .core import (
     ScalarityResult,
     check_order,
     relative_gap,
-    support_mask,
 )
 from .errors import NotScalarError, PreconditionError
 from .spectral import _svd
-from .structure import _plan, component_sigmas
+from .structure import _components, component_sigmas
 from .walks import WalkTable, total_gap
 
 
@@ -151,7 +150,7 @@ def _per_component(ctx: Analysis) -> tuple:
     ``a``'s units: the basis's sums gathered on each component's rows and
     columns, and the component sigmas."""
     _require_scalar_nonzero(ctx)
-    rows, row_ptr, cols, col_ptr = _plan(ctx)
+    (rows, row_ptr, cols, col_ptr), _ = _components(ctx)
     row_s, col_s = ctx.sums
     each = (_level_runs(row_s[rows], row_ptr, ctx.tol)
             & _level_runs(col_s[cols], col_ptr, ctx.tol)).tolist()
@@ -358,9 +357,6 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float | None = None,
     wc = table.col(r)
     total_r = table.row_total(r)
     total_c = table.col_total(r)
-    # The basis's own support: an entry of a scalar input can pass the
-    # phase test yet have a nonnegative part at or below the zero cutoff.
-    support = ctx.support if basis is ctx.a else support_mask(basis)
     # The products and their moduli on the support are the only arrays the
     # size of the stored entries, with a copy for include_literal and, for
     # a complex basis, the complex weighted terms.  A scalar basis has
@@ -369,7 +365,7 @@ def certify_theorem3(a: Matrix | Analysis, r: int = 2, tol: float | None = None,
     pairs = basis.pair_products(wr, wc)
     if not scalar:
         pairs = np.abs(pairs)
-    pair_mods = pairs[support]
+    pair_mods = pairs[ctx.support]
     literal_mods = pair_mods.copy() if include_literal else None
     np.sqrt(pairs, out=pairs)
     if basis.is_real():

@@ -39,6 +39,8 @@ from .errors import DimensionMismatchError, NonFiniteEntryError, PreconditionErr
 ZERO_TOL_FACTOR = 1e-12
 
 DEFAULT_TOL = 1e-8
+# Entries that the phase test checks first, from the pivot on.
+_PHASE_SAMPLE = 256
 # Cap on the Lanczos steps of one largest-singular-value solve.
 DEFAULT_MAX_ITER = 10_000
 
@@ -366,9 +368,11 @@ def detect_scalar(a: Matrix, tol: float = DEFAULT_TOL) -> ScalarityResult:
     The phase is read off the first nonzero entry in row-major order, so
     the result is deterministic.  An entry passes when, after rotating by
     the conjugate phase, its imaginary part is at most ``tol`` times its
-    modulus and its real part is not materially negative.  A real pivot
-    gives a phase of exactly +1 or -1, an imaginary one exactly +1j or
-    -1j, and a nonnegative input is its own nonnegative part.
+    modulus and its real part is not materially negative; the
+    ``_PHASE_SAMPLE`` entries from the pivot on are tested first, and the
+    rest only when those pass.  A real pivot gives a phase of exactly +1
+    or -1, an imaginary one exactly +1j or -1j, and a nonnegative input is
+    its own nonnegative part.
     """
     tol = check_tol(tol)
     if a.is_nonneg():
@@ -384,10 +388,19 @@ def detect_scalar(a: Matrix, tol: float = DEFAULT_TOL) -> ScalarityResult:
         phase = np.sign(pivot.real)  # a real phase keeps a real input real
     else:
         phase = complex(0.0, np.sign(pivot.imag)) if pivot.real == 0.0 else pivot / abs(pivot)
-    rotated = data * np.conj(phase)
-    bad = nz & (
-        (np.abs(rotated.imag) > tol * mods) | (rotated.real < -tol * mods)
-    )
+
+    def rotate(values, mods, nz):
+        """``values`` rotated by the conjugate phase, and the nonzero ones
+        that fail the test."""
+        rotated = values * np.conj(phase)
+        return rotated, nz & ((np.abs(rotated.imag) > tol * mods) | (rotated.real < -tol * mods))
+
+    # Most inputs that are not scalar fail within a few entries of the
+    # pivot: test those first, so that a failure costs no full rotation.
+    head = slice(first_flat, first_flat + _PHASE_SAMPLE)
+    if rotate(data.ravel()[head], mods.ravel()[head], nz.ravel()[head])[1].any():
+        return ScalarityResult(False, None, None)
+    rotated, bad = rotate(data, mods, nz)
     if bad.any():
         return ScalarityResult(False, None, None)
     nonneg = np.where(rotated.real > 0.0, rotated.real, 0.0)

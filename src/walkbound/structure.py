@@ -18,14 +18,13 @@ shuffled path of 10^5 rows and columns), so the cost grows with the
 stored entries and not with the number of components.  ``_cut`` cuts a
 matrix into the submatrices of those components
 (``core.diagonal_blocks``).  ``decompose`` runs both.  This module owns
-a context's components, as ``analysis.reading``s: ``_plan``, the one
-search of the input's support, and ``_input_cut`` and ``_basis_cut``,
-the input and the basis cut along it (one cut when the basis is the
-input).  ``decompose`` gives the input's submatrices, and
-``component_sigmas`` the sigma of each component of the basis: a single
-component that holds every nonzero entry of the basis has its sigma, and
-any other is solved.  So a scalar input's are its nonnegative part's,
-within the phase test's tolerance of the input's.
+a context's components, as one ``analysis.reading``, ``_components``:
+the one search of the basis's support, ``Analysis.support``, and the
+basis cut along it, so a scalar input is searched and cut once, as its
+nonnegative part.  ``decompose`` gives a context's basis's submatrices,
+and ``component_sigmas`` the sigma of each component of the basis: a
+single component that holds every nonzero entry of the basis has its
+sigma, and any other is solved.
 ``connectivity_via_powers`` and ``singular_multiset_check`` need every
 entry and densify it.
 """
@@ -173,26 +172,18 @@ def _cut(matrix: Matrix, rows: np.ndarray, row_ptr: np.ndarray,
 
 
 @reading
-def _plan(ctx: Analysis) -> tuple[np.ndarray, ...]:
-    """The components of the input's support, as ``_search`` returns them."""
-    return _search(ctx.a, ctx.support)
-
-
-@reading
-def _input_cut(ctx: Analysis) -> tuple:
-    return _cut(ctx.a, *_plan(ctx))
-
-
-@reading
-def _basis_cut(ctx: Analysis) -> tuple:
-    return _input_cut(ctx) if ctx.basis is ctx.a else _cut(ctx.basis, *_plan(ctx))
+def _components(ctx: Analysis) -> tuple:
+    """The components of the basis's support, as ``_search`` returns them,
+    and the basis cut along them."""
+    plan = _search(ctx.basis, ctx.support)
+    return plan, _cut(ctx.basis, *plan)
 
 
 def component_sigmas(ctx: Analysis) -> list[float]:
     """The sigma of each component of the basis: a single component that
     holds every nonzero entry of the basis, as one that covers it does,
     has its sigma, since the rest is zero; any other is solved once."""
-    basis, subs = ctx.basis, _basis_cut(ctx)
+    basis, (_, subs) = ctx.basis, _components(ctx)
     if len(subs) == 1 and (subs[0] is basis or np.count_nonzero(subs[0].values)
                            == np.count_nonzero(basis.values)):
         return [ctx.singular(basis).sigma]
@@ -211,10 +202,10 @@ def decompose(a: Matrix | Analysis) -> ComponentDecomposition:
     permutation of its arrays.  The returned permutations list original
     row and column indices in an order that makes the matrix block
     diagonal, with isolated (all-zero) rows and columns moved to the end.
-    A context gives its own matrix A / 2^e, its plan and its cut of it.
+    A context gives its basis's components and submatrices, in its units.
     """
     if isinstance(a, Analysis):
-        a, plan, subs = a.a, _plan(a), _input_cut(a)
+        a, (plan, subs) = a.basis, _components(a)
     else:
         plan = _search(a, support_mask(a))
         subs = _cut(a, *plan)

@@ -216,17 +216,31 @@ def test_theorem3_literal_gap_exposed(w_star):
 
 
 
+# At tol 0.8 the entry at 135 degrees passes the phase test, but its
+# nonnegative part is 0, so the input's support is wider than the basis's.
+_WIDE = DenseMatrix([[1.0, 0.0], [0.0, 0.5 * np.exp(0.75j * np.pi)]])
+_WIDE_BASIS = DenseMatrix([[1.0, 0.0], [0.0, 0.0]])
+
+
 def test_theorem3_reads_the_support_of_its_basis():
-    # At tol 0.8 the entry at 135 degrees passes the phase test, but its
-    # nonnegative part is 0, so the input's support is wider than the
-    # basis's.  Condition (ii) runs on the basis the walk weights come from.
-    a = DenseMatrix([[1.0, 0.0], [0.0, 0.5 * np.exp(0.75j * np.pi)]])
-    basis = DenseMatrix([[1.0, 0.0], [0.0, 0.0]])
+    # Condition (ii) runs on the basis the walk weights come from.
+    a, basis = _WIDE, _WIDE_BASIS
     assert np.array_equal(detect_scalar(a, tol=0.8).nonneg_part.data, basis.data)
     on_input = certify_theorem3(a, r=2, tol=0.8).details
     on_basis = certify_theorem3(basis, r=2, tol=0.8).details
     assert on_input["support_gap"] == on_basis["support_gap"] == 0.0
     assert on_input["support_holds"] is True
+
+
+def test_a_scalar_report_has_its_basis_components_at_any_tolerance():
+    # The context searches and cuts the basis's support, not the input's.
+    assert int(Analysis(_WIDE, tol=0.8).support.sum()) == 1
+    on_input = full_analysis(_WIDE, tol=0.8)
+    on_basis = full_analysis(_WIDE_BASIS, tol=0.8)
+    assert on_input["components"] == on_basis["components"]
+    assert on_input["components"]["count"] == 1
+    assert (on_input["classification"]["per_component"]
+            == on_basis["classification"]["per_component"])
 
 
 def test_theorem4_regular_case():

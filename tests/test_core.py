@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,11 +11,14 @@ from walkbound import (
     DimensionMismatchError,
     GeneratorSpec,
     NonFiniteEntryError,
+    SparseMatrix,
     detect_scalar,
     generate,
 )
 from walkbound.core import (
+    _PHASE_SAMPLE,
     ZERO_TOL_FACTOR,
+    ScalarityResult,
     col_sums,
     max_modulus,
     row_sums,
@@ -140,6 +146,40 @@ def test_detect_scalar_imaginary_pivot_has_exact_phase(sign):
 def test_detect_scalar_mixed_phases(c2):
     assert not detect_scalar(c2).is_scalar
     assert not detect_scalar(DenseMatrix([[1.0, -1.0]])).is_scalar
+
+
+def _rotated_with_flip(offset, side=30):
+    # exp(0.7i) times a positive ramp after 40 zeros, so the pivot is entry
+    # 40, and the same with the entry ``offset`` past the pivot negated.
+    base = np.zeros((side, side))
+    base.flat[40:] = np.linspace(1.0, 2.0, base.size - 40)
+    a = np.exp(0.7j) * base
+    flipped = a.copy()
+    flipped.flat[40 + offset] *= -1.0
+    return a, flipped
+
+
+@pytest.mark.parametrize("storage", [DenseMatrix, lambda x: SparseMatrix(
+    scipy.sparse.csr_array(x))], ids=["dense", "sparse"])
+@pytest.mark.parametrize("offset", [5, _PHASE_SAMPLE + 5], ids=["in_sample", "past_sample"])
+def test_detect_scalar_fails_an_entry_in_or_past_the_sample(storage, offset):
+    a, flipped = _rotated_with_flip(offset)
+    assert detect_scalar(storage(a)).is_scalar
+    assert detect_scalar(storage(flipped)) == ScalarityResult(False, None, None)
+
+
+def test_detect_scalar_fails_in_the_sample_without_rotating_every_entry():
+    # A failure in the sample leaves the moduli and their flags as the only
+    # full-size arrays, 9 bytes an entry against the entries' 16; rotating
+    # every entry would add 16 bytes an entry at once.
+    a = DenseMatrix(_rotated_with_flip(5, side=200)[1])
+    tracemalloc.start()
+    try:
+        assert not detect_scalar(a).is_scalar
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.values.nbytes
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)

@@ -185,10 +185,6 @@ _EXPECTED_SOLVES = {"E1": 1, "C2": 1, "iE1": 1, "blocks": 3, "one_block": 1,
 # well when the input is scalar, and the entrywise modulus otherwise.
 _EXPECTED_TABLES = {"E1": 1, "C2": 2, "iE1": 1, "blocks": 1, "one_block": 1,
                     "-one_block": 1, "faint": 1, "-lanczos": 1, "ilanczos": 1}
-# Support masks per fixture: the input's, and the basis's, which the T3
-# certificate reads, when the basis is not the input.
-_EXPECTED_MASKS = {"E1": 1, "C2": 1, "iE1": 2, "blocks": 1, "one_block": 1,
-                   "-one_block": 2, "faint": 1, "-lanczos": 2, "ilanczos": 2}
 
 
 @pytest.mark.parametrize("name", sorted(_EXPECTED_SOLVES))
@@ -197,11 +193,19 @@ def test_full_analysis_computes_each_quantity_once(name, e1, c2, count_calls):
     assert count_calls == {
         "largest_singular": _EXPECTED_SOLVES[name],
         "detect_scalar": 1,
-        "support_mask": _EXPECTED_MASKS[name],
+        "support_mask": 1,  # the basis's, which every support reader reads
         "decompose": 1,
         "walk_table": _EXPECTED_TABLES[name],
         "classify": 1,
     }
+
+
+def test_a_scalar_input_is_cut_once(record_calls):
+    # Only the basis is searched and cut, also when it is not the input.
+    cuts = []
+    record_calls(lambda name, args: cuts.append(args[0]), ("core", "diagonal_blocks"))
+    full_analysis(DenseMatrix(-1 * _block_with_isolated_row().data))
+    assert len(cuts) == 1 and cuts[0].is_nonneg()
 
 
 def test_full_analysis_computes_the_sums_once(record_calls):

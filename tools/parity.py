@@ -5,11 +5,12 @@
 Each tree is the root of a walkbound checkout (it holds ``src/walkbound``).
 The ``analyze_small`` and ``analyze_large`` inputs are built once, at seed
 101, full size and ``--tiny``, with ``bench/workloads.build`` of HEAD_TREE,
-and ten inputs of its own (``own_inputs``), most with a basis that is
-not the input: -1 times a ``block_diag`` and a circulant
+and eleven inputs of its own (``own_inputs``), most with a basis that
+is not the input: -1 times a ``block_diag`` and a circulant
 ``almost_regular``, 1j times a one-block circulant ``almost_regular``
 with a zero row and a zero column added, exp(0.7i) times that
-``block_diag``, -1 and 1j times a 60 x 50 ``random_nonneg``, whose
+``block_diag`` as a dense ``.csv`` and as a coordinate ``complex
+general`` ``.mtx``, -1 and 1j times a 60 x 50 ``random_nonneg``, whose
 sigma comes from Lanczos where every other input here goes to LAPACK,
 and a coordinate file with
 isolated rows and columns and an entry below the zero cutoff that
@@ -54,7 +55,7 @@ line.
 The runs of ``ONCE`` come first: ``walkbound.cli`` builds each parser
 once per process, so every other run goes through parsers that have
 already printed help and refused input.
-That is 260 inputs x 17 commands + 25 runs once + 18 gen runs = 4463
+That is 261 inputs x 17 commands + 25 runs once + 18 gen runs = 4480
 runs.  Every (file, command) pair whose records differ is printed, and
 the exit status is 1 if any does, 0 otherwise.
 """
@@ -267,6 +268,15 @@ def own_inputs(workdir: Path) -> list[str]:
                     f"6 7 {len(_FAINT_ENTRIES)}",
                     *(f"{i} {j} {sign * v!r}" for i, j, v in _FAINT_ENTRIES)]
              for name, sign in (("faint.mtx", 1.0), ("neg_faint.mtx", -1.0))}
+    # The rotated blocks again in CSR storage, so that the basis is searched
+    # and cut by pairs under a phase off the axes.
+    rows, cols = np.nonzero(blocks)
+    texts["rotated_block_diag.mtx"] = [
+        "%%MatrixMarket matrix coordinate complex general",
+        f"{blocks.shape[0]} {blocks.shape[1]} {rows.size}",
+        *(f"{i + 1} {j + 1} {z.real!r} {z.imag!r}"
+          for i, j, z in zip(rows.tolist(), cols.tolist(),
+                             (np.exp(0.7j) * blocks[rows, cols]).tolist()))]
     texts["explicit_zeros.mtx"] = ["%%MatrixMarket matrix coordinate real general", "4 4 3",
                                    "1 1 0.0", "2 3 0.0", "4 2 0.0"]
     for name, lines in {**texts, **_header_variants()}.items():

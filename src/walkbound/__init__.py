@@ -55,7 +55,6 @@ from .structure import (
 )
 from .walks import (
     WalkTable,
-    graph_walk_count_equivalence,
     walk_identity_residual,
     walk_table,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "detect_scalar",
     "full_analysis",
     "generate",
-    "graph_walk_count_equivalence",
     "hermitian_eigen",
     "hwh_bound",
     "hwh_equality_certificate",

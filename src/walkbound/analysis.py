@@ -2,7 +2,7 @@
 
 An ``Analysis`` holds a matrix with the tolerance and iteration cap of one
 analysis.  ``ctx.a`` is the input over the power of two 2^e that brings
-its largest real or imaginary part into [0.5, 1); ``ctx.singular(...)``,
+its largest real or imaginary part into [0.5, 1); ``ctx.top``,
 ``ctx.table(...)`` and every test are in those units, so A and 2^k A
 present the same bits to every test, and ``ctx.unscaled`` takes numbers
 back to the input's units.  Every whole-matrix number is computed on
@@ -10,14 +10,14 @@ back to the input's units.  Every whole-matrix number is computed on
 times it) and the input otherwise: a scalar input's numbers are its
 nonnegative part's, within the phase test's tolerance of the input's.
 Domain checks read the input.  Each shared quantity is computed once,
-on first use: the scalarity test and the basis, one singular triple and
-one walk table per distinct matrix, and the basis's support, row sums,
-column sums and total.
+on first use: the scalarity test and the basis, the basis's largest
+singular triple, one walk table per distinct matrix, and the basis's
+support, row sums, column sums and total.
 A quantity that the context does not hold is a ``reading``: a function
 of the context alone, defined where it is computed, that the context
-keeps once it has run (the basis's components and cut in ``structure``,
-the three class readings in ``classify``, the degree-product report in
-``bounds``).
+keeps once it has run (the basis's components, cut and component
+sigmas in ``structure``, the three class readings in ``classify``, the
+degree-product report in ``bounds``).
 Every layer function takes a matrix or a context and hands its settings
 to ``Analysis.of``: a call on a matrix builds its own context from them,
 and a call on a context, the one holder of an analysis's settings,
@@ -58,10 +58,10 @@ class Analysis:
     """Quantities derived from one matrix, each computed once on first use.
 
     ``a`` is ``input`` over 2^``exponent`` (``input`` itself at 0).
-    Per-matrix results are keyed by identity: the input, the basis and
-    the component submatrices are distinct matrices even when their
-    entries agree.  ``max_iter`` caps every solve; a failed solve's
-    ConvergenceError carries its best triple and message in ``a``'s units.
+    Walk tables are keyed by matrix identity, since an input that is not
+    scalar tabulates both itself and its moduli.  ``max_iter`` caps every
+    solve; a failed solve's ConvergenceError carries its best triple and
+    message in ``a``'s units.
     """
 
     def __init__(self, a: Matrix, tol: float | None = None,
@@ -71,9 +71,8 @@ class Analysis:
                                     "max_iter")
         self.input = a
         self.a, self.exponent = _scaled(a)
-        # id(matrix) -> (matrix, result); holding the matrix keeps the id
+        # id(matrix) -> (matrix, table); holding the matrix keeps the id
         # from being reused while the context lives.
-        self._solves: dict[int, tuple[Matrix, SpectralResult]] = {}
         self._tables: dict[int, tuple[Matrix, WalkTable]] = {}
         self._readings: dict = {}  # reading function -> its value
 
@@ -113,13 +112,10 @@ class Analysis:
         whose table the walk bounds read too, else the moduli |a_ij|."""
         return self.basis if self.scalarity.is_scalar else entrywise_abs(self.a)
 
-    def singular(self, matrix: Matrix) -> SpectralResult:
-        """The largest singular triple of ``matrix``."""
-        hit = self._solves.get(id(matrix))
-        if hit is None:
-            hit = self._solves[id(matrix)] = (
-                matrix, largest_singular(matrix, max_iter=self.max_iter))
-        return hit[1]
+    @cached_property
+    def top(self) -> SpectralResult:
+        """The basis's largest singular triple."""
+        return largest_singular(self.basis, max_iter=self.max_iter)
 
     def table(self, matrix: Matrix, order: int) -> WalkTable:
         """Walk weights of ``matrix`` up to at least ``order``.

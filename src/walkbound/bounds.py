@@ -46,7 +46,7 @@ class BoundReport:
 def _report(ctx: Analysis, method: str, value: float, params: dict,
             certificate: bool | None = None, upper: bool = False) -> BoundReport:
     """A lower (or ``upper``) bound on the sigma of ``ctx.basis``, in the input's units."""
-    sigma = ctx.singular(ctx.basis).sigma
+    sigma = ctx.top.sigma
     gap = value - sigma if upper else sigma - value
     tight = relative_gap(abs(gap), sigma) <= ctx.tol
     return BoundReport(method, ctx.unscaled(value), ctx.unscaled(sigma),
@@ -137,7 +137,7 @@ def _hwh(ctx: Analysis) -> BoundReport:
         raise PreconditionError("degree-product bound needs positive row sums")
     root = np.sqrt(d)
     value = float((data.T @ root) @ root) / ctx.total.real
-    sigma = ctx.singular(ctx.basis).sigma
+    sigma = ctx.top.sigma
     target = sigma * sigma
     products = a.pair_products(d, d)[ctx.support]
     certificate = relative_gap(float(np.abs(products - target).max()), target) <= ctx.tol

@@ -161,7 +161,8 @@ def _per_component(ctx: Analysis) -> tuple:
 def _almost_regular(ctx: Analysis) -> bool:
     """Whether every component of the basis is regular and attains its
     sigma, read off ``_per_component``."""
-    sigma = ctx.singular(_require_scalar_nonzero(ctx)).sigma
+    _require_scalar_nonzero(ctx)
+    sigma = ctx.top.sigma
     each = _per_component(ctx)
     return bool(each) and all(
         s.regular and relative_gap(abs(s.sigma - sigma), sigma) <= ctx.tol for s in each
@@ -275,7 +276,7 @@ def _refuse_zero(ctx: Analysis) -> None:
 def _certificate_basis(ctx: Analysis) -> tuple[bool, Matrix, float]:
     """Whether the input is scalar, the basis and its sigma in ``a``'s units."""
     _refuse_zero(ctx)
-    return ctx.scalarity.is_scalar, ctx.basis, ctx.singular(ctx.basis).sigma
+    return ctx.scalarity.is_scalar, ctx.basis, ctx.top.sigma
 
 
 def _verdict(ctx: Analysis, theorem: str, gap: float, scalar: bool,
@@ -429,7 +430,7 @@ def hwh_equality_certificate(a: Matrix | Analysis,
     _refuse_zero(ctx)
     report = hwh_bound(ctx)
     gap = relative_gap(abs(float(np.ldexp(report.gap, -ctx.exponent))),
-                       ctx.singular(ctx.basis).sigma)
+                       ctx.top.sigma)
     holds = gap <= ctx.tol
     support_condition = bool(report.certificate)
     return EqualityCertificate(

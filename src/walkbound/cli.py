@@ -1,10 +1,8 @@
 """Command line front end: arguments, dispatch and exit codes only.
 
 One table, ``_COMMANDS``, gives each command its help line, its
-arguments and its handler; a call that names a command uses the
-parser of that command alone, and any other call (``--help``, no
-command, an unknown one) the parser of every command, each built once
-per process, on the first call that needs it.  Each command hands
+arguments and its handler; one parser holds every command, built once
+per process, on the first call.  Each command hands
 ``_emit`` its result, and ``_emit`` alone has ``report.render``
 write it as JSON or text, ends it with a newline and writes it to
 stdout or ``--out``.  One table, ``_CHOICES``, gives each
@@ -93,9 +91,9 @@ def _int_at_least(low: int):
 
 def _parse_graph(text: str) -> dict:
     """The generator params of NAME, NAME:N or complete_bipartite:A,B."""
-    name, _, sizes = text.partition(":")
+    name, sep, sizes = text.partition(":")
     try:
-        nums = [int(x) for x in sizes.split(",")] if sizes else []
+        nums = [int(x) for x in sizes.split(",")] if sep else []
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected NAME[:N|:A,B], got {text!r}")
     if name == "complete_bipartite" and nums:
@@ -259,21 +257,15 @@ _COMMANDS = {
 # after the first call goes unseen; the names the handlers look up at call
 # time (``read_matrix``, ``generate``) may be rebound.
 @functools.cache
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or of every command when it is None.
-
-    Either way the top usage line, which an unrecognized argument prints,
-    names every command."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
     parser = argparse.ArgumentParser(
         prog="walkbound",
         description="Walk weight bounds on the largest singular value, "
                     "with regularity classification and equality certificates.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
-    for name in _COMMANDS if command is None else (command,):
-        help_line, add_arguments, handler = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         add_arguments(p)
         p.set_defaults(func=handler)
@@ -290,10 +282,7 @@ _EXIT_CODES = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # Only the named command's parser is built; --help, no command or an
-    # unknown one gets every command's.
-    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         # An overflow fails the command rather than print inf or nan.
         with np.errstate(over="raise", invalid="raise"):

@@ -184,7 +184,7 @@ def full_analysis(a: Matrix | Analysis, *, tol: float | None = None,
     ctx = Analysis.of(a, tol, max_iter)
     a = ctx.a
     notes: list[str] = []
-    spectral = ctx.singular(ctx.basis)
+    spectral = ctx.top
     sc = ctx.scalarity
 
     bound_reports = []

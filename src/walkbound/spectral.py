@@ -335,7 +335,7 @@ def sigma_ratio_estimate(a: Matrix | Analysis, s: int = 1,
     ctx = Analysis.of(a)
     if not ctx.a.is_real():
         raise PreconditionError("ratio estimator is defined for real matrices")
-    sigma = ctx.singular(ctx.basis).sigma
+    sigma = ctx.top.sigma
     sigma2 = sigma * sigma
     b = ctx.basis.data
     bt = b.T

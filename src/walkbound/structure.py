@@ -18,13 +18,14 @@ shuffled path of 10^5 rows and columns), so the cost grows with the
 stored entries and not with the number of components.  ``_cut`` cuts a
 matrix into the submatrices of those components
 (``core.diagonal_blocks``).  ``decompose`` runs both.  This module owns
-a context's components, as one ``analysis.reading``, ``_components``:
-the one search of the basis's support, ``Analysis.support``, and the
-basis cut along it, so a scalar input is searched and cut once, as its
-nonnegative part.  ``decompose`` gives a context's basis's submatrices,
-and ``component_sigmas`` the sigma of each component of the basis: a
-single component that holds every nonzero entry of the basis has its
-sigma, and any other is solved.
+a context's components, in two readings (``analysis.reading``).
+``_components`` is the one search of the basis's support,
+``Analysis.support``, and the basis cut along it, so a scalar input is
+searched and cut once, as its nonnegative part; ``decompose`` gives a
+context's basis's submatrices.
+``component_sigmas`` is the one home of a component's sigma: a single
+component that holds every nonzero entry of the basis has the basis's,
+``Analysis.top``, and any other is solved here, once per context.
 ``connectivity_via_powers`` and ``singular_multiset_check`` need every
 entry and densify it.
 """
@@ -48,7 +49,7 @@ from .core import (
     support_mask,
 )
 from .errors import NotScalarError, PreconditionError
-from .spectral import singular_values
+from .spectral import largest_singular, singular_values
 
 
 @dataclass(frozen=True)
@@ -179,15 +180,16 @@ def _components(ctx: Analysis) -> tuple:
     return plan, _cut(ctx.basis, *plan)
 
 
+@reading
 def component_sigmas(ctx: Analysis) -> list[float]:
     """The sigma of each component of the basis: a single component that
     holds every nonzero entry of the basis, as one that covers it does,
-    has its sigma, since the rest is zero; any other is solved once."""
+    has its sigma, since the rest is zero; any other is solved."""
     basis, (_, subs) = ctx.basis, _components(ctx)
     if len(subs) == 1 and (subs[0] is basis or np.count_nonzero(subs[0].values)
                            == np.count_nonzero(basis.values)):
-        return [ctx.singular(basis).sigma]
-    return [ctx.singular(sub).sigma for sub in subs]
+        return [ctx.top.sigma]
+    return [largest_singular(sub, max_iter=ctx.max_iter).sigma for sub in subs]
 
 
 def decompose(a: Matrix | Analysis) -> ComponentDecomposition:

@@ -111,39 +111,6 @@ def total_gap(lhs: complex, rhs: complex) -> float:
     return relative_gap(abs(lhs - rhs), abs(rhs))
 
 
-def _enumerate_walks(neighbors: list[np.ndarray], start: int, length: int) -> int:
-    # Plain recursive enumeration of vertex sequences; exponential on
-    # purpose so it stays an independent check on the recursion.
-    if length == 1:
-        return 1
-    return sum(_enumerate_walks(neighbors, int(v), length - 1) for v in neighbors[start])
-
-
-def graph_walk_count_equivalence(g: Matrix, s: int) -> bool:
-    """Check that walk weights of a 0/1 symmetric matrix count graph walks.
-
-    For the adjacency matrix of an undirected graph, the order-s row
-    weight at vertex i must equal the number of walks on s vertices that
-    start at i.  The count is recomputed here by brute-force enumeration
-    and compared exactly.  Intended for small graphs; the enumeration is
-    exponential in s, and a SparseMatrix is densified.
-    """
-    s = check_order(s, "s")
-    g = g.to_dense()
-    data = g.data
-    if data.shape[0] != data.shape[1]:
-        raise PreconditionError("graph adjacency must be square")
-    if not g.is_real() or not np.isin(data, (0.0, 1.0)).all():
-        raise PreconditionError("graph adjacency entries must be exactly 0 or 1")
-    if not np.array_equal(data, data.T):
-        raise PreconditionError("graph adjacency must be symmetric")
-    nverts = data.shape[0]
-    neighbors = [np.flatnonzero(data[i]) for i in range(nverts)]
-    counts = [_enumerate_walks(neighbors, i, s) for i in range(nverts)]
-    weights = walk_table(g, s).row(s)
-    return bool(np.array_equal(weights, counts))
-
-
 def walk_identity_residual(a: Matrix, r: int, s: int) -> float:
     """Relative residual of the odd-order pairing identity.
 

@@ -89,7 +89,8 @@ def record_calls(monkeypatch):
     """``record_calls(on_call, (module, name), ...)`` rebinds each named
     walkbound function at every module binding that holds it, as the
     benchmark's tracer does, so that each call first runs
-    ``on_call(name, args)`` with its positional arguments."""
+    ``on_call(name, args, kwargs)`` with its positional and keyword
+    arguments."""
     modules = [mod for key, mod in sys.modules.items()
                if key == "walkbound" or key.startswith("walkbound.")]
 
@@ -98,7 +99,7 @@ def record_calls(monkeypatch):
             original = getattr(importlib.import_module(f"walkbound.{home}"), name)
 
             def recorded(*args, _name=name, _fn=original, **kwargs):
-                on_call(_name, args)
+                on_call(_name, args, kwargs)
                 return _fn(*args, **kwargs)
 
             for mod in modules:

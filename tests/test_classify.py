@@ -315,7 +315,7 @@ def calls(record_calls):
     """The positional arguments of each call of the solve, the walk table
     and the component cut, by name."""
     seen = {"largest_singular": [], "walk_table": [], "_cut": []}
-    record_calls(lambda name, args: seen[name].append(args), ("spectral", "largest_singular"),
+    record_calls(lambda name, args, _: seen[name].append(args), ("spectral", "largest_singular"),
                  ("walks", "walk_table"), ("structure", "_cut"))
     return seen
 
@@ -389,7 +389,7 @@ def test_certificates_and_classification_in_any_order(e1, w_star, name):
 @pytest.mark.parametrize("label", sorted(_CERTIFICATES))
 def test_no_certificate_builds_the_classification(w_star, label, record_calls):
     built = []
-    record_calls(lambda name, args: built.append(args), ("classify", "classify"))
+    record_calls(lambda name, args, _: built.append(args), ("classify", "classify"))
     _CERTIFICATES[label](Analysis(w_star))
     assert built == []
 

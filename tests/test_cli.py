@@ -276,11 +276,15 @@ def test_bad_shape_is_a_usage_error(tmp_path, capsys, shape, message):
     ("complete_bipartite:2,x", "expected NAME[:N|:A,B], got 'complete_bipartite:2,x'"),
     ("complete_bipartite:2", "complete_bipartite takes two sizes, a,b"),
     ("path:3,4", "path takes one size, n; only complete_bipartite takes two"),
+    # A colon asks for sizes, even when none follow it.
+    ("path:", "expected NAME[:N|:A,B], got 'path:'"),
+    ("complete_bipartite:", "expected NAME[:N|:A,B], got 'complete_bipartite:'"),
 ])
 def test_malformed_graph_is_a_usage_error(tmp_path, capsys, graph, message):
-    _assert_usage_error(["gen", "--kind", "graph", "--graph", graph,
-                         "--out", str(tmp_path / "g.mtx")], capsys,
-                        f"error: argument --graph: {message}")
+    out = tmp_path / "g.mtx"
+    _assert_usage_error(["gen", "--kind", "graph", "--graph", graph, "--out", str(out)],
+                        capsys, f"error: argument --graph: {message}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed, message", [
@@ -493,7 +497,7 @@ def test_overflowing_input_exits_with_one_error_line(tmp_path, capsys, symmetric
             assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
-def test_a_named_command_builds_only_its_own_parser(e1_file, capsys, monkeypatch):
+def test_the_first_call_builds_every_command_once(e1_file, capsys, monkeypatch):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -504,17 +508,14 @@ def test_a_named_command_builds_only_its_own_parser(e1_file, capsys, monkeypatch
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recorded)
     cli._build_parser.cache_clear()
     assert main(["classify", e1_file]) == 0
-    assert built == ["classify"]
+    assert built == list(cli._COMMANDS)
+    # The parser is built once per process and then reused.
     built.clear()
     with pytest.raises(SystemExit):
         main(["--help"])
-    assert built == list(cli._COMMANDS)
-    # Each parser is built once per process and then reused.
-    built.clear()
+    assert main(["analyze", e1_file]) == 0
     assert main(["classify", e1_file]) == 0
-    assert main(["analyze", e1_file]) == 0
-    assert main(["analyze", e1_file]) == 0
-    assert built == ["analyze"]
+    assert built == []
 
 
 def test_a_reused_parser_carries_nothing_between_calls(e1_file, capsys):
@@ -546,58 +547,6 @@ def test_a_reused_parser_carries_nothing_between_calls(e1_file, capsys):
     assert run("analyze", e1_file, "--json") == first
 
 
-def _subparser(parser, name):
-    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices[name]
-
-
-@pytest.mark.parametrize("name", list(cli._COMMANDS))
-def test_one_command_parser_prints_what_the_full_one_does(name):
-    alone, every = cli._build_parser(name), cli._build_parser()
-    # The top usage line is what an unrecognized argument prints.
-    assert alone.format_usage() == every.format_usage()
-    for text in ("format_help", "format_usage"):
-        assert (getattr(_subparser(alone, name), text)()
-                == getattr(_subparser(every, name), text)())
-
-
-def _parse(parser, argv, capsys):
-    """The namespace of ``argv``, with the command's parser by its prog,
-    or the exit code and stderr of its refusal."""
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code, capsys.readouterr().err
-    return {k: v.prog if k == "parser" else v for k, v in vars(args).items()}
-
-
-@pytest.mark.parametrize("argv", [
-    ["analyze", "m.mtx"],
-    ["analyze", "m.mtx", "--json", "--literal-t3ii", "--max-iter", "7", "--tol", "1e-6",
-     "--out", "r.json"],
-    ["analyze", "m.mtx", "--max-iter", "0"],
-    ["analyze"],
-    ["bound", "m.mtx", "--method", "walk"],
-    ["bound", "m.mtx", "--method", "walk", "--p", "5", "--r", "3", "--json"],
-    ["bound", "m.mtx", "--method", "mean", "--r", "2"],
-    ["bound", "m.mtx"],
-    ["classify", "m.csv", "--tol", "1e-3", "--json"],
-    ["components", "m.mtx", "--out", "c.txt"],
-    ["components", "m.mtx", "--tol", "0.1"],
-    ["certify", "m.mtx", "--theorem", "T2.1", "--r", "2", "--s", "3"],
-    ["certify", "m.mtx", "--theorem", "T3", "--literal-t3ii"],
-    ["certify", "m.mtx", "--theorem", "T4", "--s", "1"],
-    ["certify", "m.mtx", "--theorem", "T9"],
-    ["gen", "--kind", "graph", "--graph", "complete_bipartite:2,3", "--out", "g.mtx"],
-    ["gen", "--kind", "regular", "--shape", "6x3", "--seed", "5", "--density", "0.5",
-     "--blocks", "2x3,2x2", "--target-sigma", "5", "--which", "E1", "--out", "g.csv"],
-    ["gen", "--kind", "regular"],
-], ids=" ".join)
-def test_one_command_parser_parses_as_the_full_one(argv, capsys):
-    alone = _parse(cli._build_parser(argv[0]), argv, capsys)
-    assert alone == _parse(cli._build_parser(), argv, capsys)
-
-
 def test_cli_imports_no_private_report_name():
     # Every rendering lives in report, behind report.render.
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
@@ -617,20 +566,13 @@ def test_installed_entry_point_runs(e1_file):
     assert "sigma: 2" in proc.stdout
 
 
-def test_max_iter_caps_every_solve(tmp_path, monkeypatch):
+def test_max_iter_caps_every_solve(tmp_path, record_calls):
     # 60 x 60 is above the dense SVD cutoff, and a top gap of 1e-3 takes
     # Lanczos more than 3 steps.  The diagonal has 60 components, so one
     # analysis runs 61 solves, and each must get the CLI's cap.
-    from walkbound import analysis
-
     caps = []
-    solve = analysis.largest_singular
-
-    def recorded(a, **kwargs):
-        caps.append(kwargs.get("max_iter"))
-        return solve(a, **kwargs)
-
-    monkeypatch.setattr(analysis, "largest_singular", recorded)
+    record_calls(lambda name, args, kwargs: caps.append(kwargs.get("max_iter")),
+                 ("spectral", "largest_singular"))
     path = tmp_path / "tie.mtx"
     spectrum = np.r_[1.0, 1.0 - 1e-3, np.linspace(0.5, 0.1, 58)]
     write_matrix(path, DenseMatrix(np.diag(spectrum)))

@@ -35,7 +35,7 @@ from walkbound import (
 from walkbound.analysis import Analysis
 from walkbound.core import SparseMatrix
 from walkbound.spectral import sigma_ratio_estimate
-from walkbound.walks import graph_walk_count_equivalence, walk_identity_residual, walk_table
+from walkbound.walks import walk_identity_residual, walk_table
 
 E1 = DenseMatrix([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
 PATH3 = DenseMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
@@ -116,15 +116,6 @@ _DOCUMENTED = {
                             PreconditionError, "max_iter must be at least 1, got 0"),
     "Analysis max_iter=2.0": (lambda tmp: Analysis(E1, max_iter=2.0),
                               PreconditionError, "max_iter must be an integer, got 2.0"),
-    "graph_walk_count_equivalence s=0": (lambda tmp: graph_walk_count_equivalence(PATH3, 0),
-                                         PreconditionError, "s must be at least 1, got 0"),
-    "graph_walk_count_equivalence s=2.5": (lambda tmp: graph_walk_count_equivalence(PATH3, 2.5),
-                                           PreconditionError, "s must be an integer, got 2.5"),
-    "graph_walk_count_equivalence s=True": (lambda tmp: graph_walk_count_equivalence(PATH3, True),
-                                            PreconditionError, "s must be an integer, got True"),
-    "graph_walk_count_equivalence non-square": (
-        lambda tmp: graph_walk_count_equivalence(E1, 1),
-        PreconditionError, "graph adjacency must be square"),
     "walk_identity_residual r=-1": (lambda tmp: walk_identity_residual(E1, -1, 1),
                                     PreconditionError, "r must be at least 0, got -1"),
     "walk_identity_residual r=True": (lambda tmp: walk_identity_residual(E1, True, 1),

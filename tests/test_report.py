@@ -136,7 +136,7 @@ _COUNTED = (
 def count_calls(record_calls):
     """The number of calls of each counted function."""
     counts = dict.fromkeys((name for _, name in _COUNTED), 0)
-    record_calls(lambda name, _: counts.__setitem__(name, counts[name] + 1), *_COUNTED)
+    record_calls(lambda name, *_: counts.__setitem__(name, counts[name] + 1), *_COUNTED)
     return counts
 
 
@@ -203,7 +203,7 @@ def test_full_analysis_computes_each_quantity_once(name, e1, c2, count_calls):
 def test_a_scalar_input_is_cut_once(record_calls):
     # Only the basis is searched and cut, also when it is not the input.
     cuts = []
-    record_calls(lambda name, args: cuts.append(args[0]), ("core", "diagonal_blocks"))
+    record_calls(lambda name, args, _: cuts.append(args[0]), ("core", "diagonal_blocks"))
     full_analysis(DenseMatrix(-1 * _block_with_isolated_row().data))
     assert len(cuts) == 1 and cuts[0].is_nonneg()
 
@@ -212,7 +212,7 @@ def test_full_analysis_computes_the_sums_once(record_calls):
     # A symmetric nonnegative input, where every reader of the sums
     # applies: the basis's row and column sums and its total once each.
     counts = dict.fromkeys(("row_sums", "col_sums", "total_sum"), 0)
-    record_calls(lambda name, _: counts.__setitem__(name, counts[name] + 1),
+    record_calls(lambda name, *_: counts.__setitem__(name, counts[name] + 1),
                  *(("core", name) for name in counts))
     full_analysis(_sym_nonneg())
     assert counts == {"row_sums": 1, "col_sums": 1, "total_sum": 1}
@@ -221,7 +221,7 @@ def test_full_analysis_computes_the_sums_once(record_calls):
 def test_an_input_that_is_not_scalar_has_no_row_or_column_summed(record_calls, c2):
     # T4 reads the basis's total alone; regularity is refused first.
     counts = dict.fromkeys(("row_sums", "col_sums"), 0)
-    record_calls(lambda name, _: counts.__setitem__(name, counts[name] + 1),
+    record_calls(lambda name, *_: counts.__setitem__(name, counts[name] + 1),
                  *(("core", name) for name in counts))
     full_analysis(c2)
     assert counts == {"row_sums": 0, "col_sums": 0}

@@ -231,7 +231,7 @@ def test_ratio_estimate_high_s_past_float64_on_the_scaled_matrix():
 
 def test_ratio_estimate_builds_no_walk_table(record_calls):
     tables = []
-    record_calls(lambda name, args: tables.append(args), ("walks", "walk_table"))
+    record_calls(lambda name, args, _: tables.append(args), ("walks", "walk_table"))
     sigma_ratio_estimate(DenseMatrix(np.random.default_rng(1).uniform(size=(6, 5))), 2, 30)
     assert tables == []
 
@@ -300,12 +300,13 @@ def test_ratio_estimate_identity_is_flat():
     assert all(abs(r - 1.0) < 1e-12 for r in est.ratios)
 
 
-def test_ratio_estimate_rejects_complex(c2):
-    ctx = Analysis(c2)
-    for a in (c2, ctx):
+def test_ratio_estimate_rejects_complex(c2, record_calls):
+    solves = []
+    record_calls(lambda name, args, _: solves.append(args), ("spectral", "largest_singular"))
+    for a in (c2, Analysis(c2)):
         with pytest.raises(PreconditionError, match="defined for real matrices"):
             sigma_ratio_estimate(a)
-    assert ctx._solves == {}  # refused before any solve
+    assert solves == []  # refused before any solve
 
 
 def test_ratio_estimate_zero_matrix():

@@ -52,12 +52,13 @@ options that the chosen method or theorem does not take, refused with
 exit 2 and the usage line; and orders below their floor, which the
 library refuses under the option's name with exit 4 and one ``error:``
 line.
-The runs of ``ONCE`` come first: ``walkbound.cli`` builds each parser
-once per process, so every other run goes through parsers that have
-already printed help and refused input.
-That is 261 inputs x 17 commands + 25 runs once + 18 gen runs = 4480
-runs.  Every (file, command) pair whose records differ is printed, and
-the exit status is 1 if any does, 0 otherwise.
+The runs of ``ONCE`` come first: ``walkbound.cli`` builds its one
+parser once per process, so every other run goes through a parser that
+has already printed help and refused input.
+That is inputs x ``len(COMMANDS)`` + ``len(ONCE)`` + ``len(GEN)`` x
+``len(SUFFIXES)`` runs, which the last line prints with that
+breakdown.  Every (file, command) pair whose records differ is printed,
+and the exit status is 1 if any does, 0 otherwise.
 """
 
 from __future__ import annotations
